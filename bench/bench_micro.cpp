@@ -2,15 +2,20 @@
 /// \brief google-benchmark micro-benchmarks of the hot substrate paths:
 ///        hashing, range algebra, the creation-rule predicate, ring
 ///        lookups, chunk stores, pattern generation, in-memory tree
-///        build/read and k-means.
+///        build/read, k-means, and the storage kernels every file-cache
+///        hit runs (LZ4 encode/decode, CRC32C).
 
 #include <benchmark/benchmark.h>
 
+#include <cstring>
+
 #include "chunk/ram_store.hpp"
+#include "codec/lz4.hpp"
 #include "common/buffer.hpp"
 #include "common/hash.hpp"
 #include "common/random.hpp"
 #include "dht/ring.hpp"
+#include "engine/crc32c.hpp"
 #include "meta/meta_store.hpp"
 #include "meta/tree_builder.hpp"
 #include "meta/tree_reader.hpp"
@@ -97,6 +102,52 @@ void BM_PatternFill(benchmark::State& state) {
     state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_PatternFill)->Arg(4 << 10)->Arg(1 << 20);
+
+/// Compressible input for the kernel benches: 64-byte lines alternating
+/// between random words and a repeated byte (about 2:1 under LZ4, the
+/// shape of the end-to-end benchmark's content).
+[[nodiscard]] Buffer compressible(std::size_t size) {
+    Buffer out(size);
+    for (std::size_t i = 0; i + 8 <= size; i += 8) {
+        const std::uint64_t word = i / 8;
+        const std::uint64_t line = mix64(word / 8);
+        const std::uint64_t v = (line & 1) != 0
+                                    ? mix64(hash_combine(1, word))
+                                    : 0x0101010101010101ULL * (line >> 56);
+        std::memcpy(out.data() + i, &v, 8);
+    }
+    return out;
+}
+
+void BM_Lz4Compress(benchmark::State& state) {
+    const codec::Lz4Codec lz4;
+    const Buffer raw = compressible(static_cast<std::size_t>(state.range(0)));
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(lz4.compress(raw));
+    }
+    state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Lz4Compress)->Arg(4 << 10)->Arg(64 << 10);
+
+void BM_Lz4Decompress(benchmark::State& state) {
+    const codec::Lz4Codec lz4;
+    const Buffer raw = compressible(static_cast<std::size_t>(state.range(0)));
+    const Buffer block = lz4.compress(raw);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(lz4.decompress(block, raw.size()));
+    }
+    state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Lz4Decompress)->Arg(4 << 10)->Arg(64 << 10);
+
+void BM_Crc32c(benchmark::State& state) {
+    const Buffer raw = compressible(static_cast<std::size_t>(state.range(0)));
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(engine::crc32c(raw));
+    }
+    state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32c)->Arg(4 << 10)->Arg(64 << 10);
 
 void BM_TreeBuildFullWrite(benchmark::State& state) {
     const std::uint64_t chunk = 64 << 10;

@@ -35,6 +35,7 @@ CompressedFileCache::CompressedFileCache(FileCacheConfig cfg)
     metrics_.counter("file_cache_hits_total", labels, hits_);
     metrics_.counter("file_cache_misses_total", labels, misses_);
     metrics_.counter("file_cache_insertions_total", labels, insertions_);
+    metrics_.counter("file_cache_put_present_total", labels, put_present_);
     metrics_.counter("file_cache_evictions_total", labels, evictions_);
     metrics_.counter("file_cache_crc_failures_total", labels, crc_failures_);
     metrics_.counter("file_cache_io_errors_total", labels, io_errors_);
@@ -118,13 +119,21 @@ void CompressedFileCache::enforce_budgets_locked() {
     }
 }
 
-void CompressedFileCache::put(const std::string& key, ConstBytes raw) {
-    const Buffer frame = codec::encode_frame(codec_, raw);
+bool CompressedFileCache::put(const std::string& key, ConstBytes raw) {
     if (key.size() > engine::kMaxKeyLen || raw.size() > engine::kMaxValueLen) {
-        return;
+        return false;
     }
+    {
+        // Presence first: a resident key is only freshened, so re-putting
+        // a value the cache already holds costs no codec or CRC work.
+        const std::scoped_lock lock(mu_);
+        if (freshen_locked(key)) {
+            return false;
+        }
+    }
+    const Buffer frame = codec::encode_frame(codec_, raw);
     if (cfg_.budget_bytes != 0 && frame.size() > cfg_.budget_bytes) {
-        return;  // would evict the whole cache for one entry
+        return false;  // would evict the whole cache for one entry
     }
     Buffer entry;
     entry.reserve(kEntryHeaderSize + key.size() + frame.size());
@@ -138,12 +147,11 @@ void CompressedFileCache::put(const std::string& key, ConstBytes raw) {
                      engine::crc32c(ConstBytes(entry).subspan(4)));
 
     const std::scoped_lock lock(mu_);
-    if (index_.contains(key)) {
-        (void)index_.find(key, /*touch=*/true);  // freshen recency only
-        return;
+    if (freshen_locked(key)) {
+        return false;  // a concurrent put of the same key won while we encoded
     }
     if (active_file_id_ == 0 && !open_active_locked()) {
-        return;
+        return false;
     }
     auto& active = files_.at(active_file_id_);
     std::uint64_t offset = 0;
@@ -159,7 +167,7 @@ void CompressedFileCache::put(const std::string& key, ConstBytes raw) {
             files_.erase(active_file_id_);
         }
         active_file_id_ = 0;
-        return;
+        return false;
     }
     active.live_entries++;
     index_.insert(key, FileLocation{active_file_id_, offset,
@@ -170,6 +178,15 @@ void CompressedFileCache::put(const std::string& key, ConstBytes raw) {
         (void)open_active_locked();  // rotate; old file drains via LRU
     }
     enforce_budgets_locked();
+    return true;
+}
+
+bool CompressedFileCache::freshen_locked(const std::string& key) {
+    if (!index_.find(key, /*touch=*/true)) {
+        return false;
+    }
+    put_present_.add();
+    return true;
 }
 
 std::optional<Buffer> CompressedFileCache::get(const std::string& key) {

@@ -61,9 +61,10 @@ class CompressedFileCache {
 
     /// Insert \p raw under \p key (compressing if it helps). Best-effort:
     /// I/O failures are counted, not thrown. A key already present is
-    /// only freshened in recency — callers erase() before re-putting a
-    /// key whose bytes changed.
-    void put(const std::string& key, ConstBytes raw);
+    /// only freshened in recency, checked before any codec or CRC work
+    /// and counted in put_present() — callers erase() before re-putting
+    /// a key whose bytes changed. Returns true iff an entry was written.
+    bool put(const std::string& key, ConstBytes raw);
 
     /// Fetch and decompress \p key. Any integrity failure (CRC, codec,
     /// size mismatch, short read) silently drops the entry and returns
@@ -92,6 +93,10 @@ class CompressedFileCache {
         return insertions_.get();
     }
     [[nodiscard]] std::uint64_t evictions() const { return evictions_.get(); }
+    /// put() calls that found the key resident and only freshened it.
+    [[nodiscard]] std::uint64_t put_present() const {
+        return put_present_.get();
+    }
     [[nodiscard]] std::uint64_t crc_failures() const {
         return crc_failures_.get();
     }
@@ -114,6 +119,9 @@ class CompressedFileCache {
     /// deleted out from under us. Returns false (and counts an I/O
     /// error) if even that fails.
     bool open_active_locked();
+    /// If \p key is resident, touch its recency and count a present put
+    /// (callers hold mu_). False if absent.
+    bool freshen_locked(const std::string& key);
     /// Drop one live entry's accounting from its file and retire the
     /// file when it drains (callers hold mu_).
     void release_entry_locked(const FileLocation& loc);
@@ -133,6 +141,7 @@ class CompressedFileCache {
     Counter hits_;
     Counter misses_;
     Counter insertions_;
+    Counter put_present_;
     Counter evictions_;
     Counter crc_failures_;
     Counter io_errors_;

@@ -10,12 +10,16 @@
 /// RAM budget are then served at decompress-a-file-entry cost instead of
 /// full engine-read cost, and the cliff at RAM exhaustion flattens.
 ///
-/// Tier semantics:
+/// Tier semantics (inclusive: a promotion leaves the file copy in place):
 ///  * put: write-through to the backend (durability), refresh the RAM
 ///    entry (an overwrite must never leave stale bytes servable — the
 ///    middle tier is invalidated too), demote RAM victims.
 ///  * get: RAM hit, else file-cache hit (decompress + promote), else
 ///    backend (repopulate RAM).
+///  * RAM eviction: every victim is offered to the file tier. One it
+///    already holds (a promotion no put has overwritten since) is only
+///    freshened there, at the cost of a lookup; the others are
+///    compressed in, and only those count as demotions.
 ///  * erase / last decref: drop from every tier.
 /// The middle tier is disposable: corrupt/missing entries fall through
 /// to the backend, and deleting its directory loses nothing.
@@ -233,8 +237,10 @@ class TieredStore final : public ChunkStore {
             }
         }
         for (const Entry& victim : victims) {
-            file_cache_->put(file_key(victim.key), *victim.data);
-            demotions_.add();
+            // A victim the file tier already holds is only freshened.
+            if (file_cache_->put(file_key(victim.key), *victim.data)) {
+                demotions_.add();
+            }
         }
     }
 

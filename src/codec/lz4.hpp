@@ -15,10 +15,11 @@
 /// start within the last 12 bytes.
 ///
 /// The compressor is the classic single-probe greedy matcher (a small
-/// position hash table, no chains) — deterministic, so its output can be
-/// pinned in tests. The decompressor is strict and fully bounds-checked:
-/// any malformed block throws Error and never touches memory outside the
-/// input span or the output buffer (fuzzed under ASan in test_codec).
+/// position hash table, no chains) with LZ4's skip acceleration on runs
+/// of misses — deterministic, so its output can be pinned in tests. The
+/// decompressor is strict and fully bounds-checked: any malformed block
+/// throws Error and never touches memory outside the input span or the
+/// output buffer (fuzzed under ASan in test_codec).
 
 #pragma once
 

@@ -4,8 +4,11 @@
 /// Every record and checkpoint the log engine writes is protected by
 /// CRC32C (the polynomial used by iSCSI, ext4 and most storage engines,
 /// chosen over CRC32 for its better error-detection properties on short
-/// frames). Table-driven, byte-at-a-time: the engine's record framing is
-/// I/O-bound, not checksum-bound. The incremental init/update/final form
+/// frames). On x86-64 CPUs with SSE4.2 the update runs on the `crc32`
+/// instruction, 8 bytes per step; elsewhere it uses slicing-by-8 tables.
+/// The two paths are bit-identical (test_engine checks them against each
+/// other), and the choice is made once per process by a cached
+/// `__builtin_cpu_supports` probe. The incremental init/update/final form
 /// lets callers checksum a record spread over several buffers without
 /// concatenating them. See DESIGN.md §8.1 for the on-disk format this
 /// protects.
@@ -14,6 +17,14 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <nmmintrin.h>
+#define BLOBSEER_CRC32C_HW 1
+#else
+#define BLOBSEER_CRC32C_HW 0
+#endif
 
 #include "common/buffer.hpp"
 
@@ -55,22 +66,15 @@ inline constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrc32cTables =
            (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
-}  // namespace detail
-
-/// Start an incremental CRC32C computation.
-[[nodiscard]] constexpr std::uint32_t crc32c_init() noexcept {
-    return 0xFFFFFFFFu;
-}
-
-/// Fold \p data into an in-progress CRC32C state.
-[[nodiscard]] inline std::uint32_t crc32c_update(std::uint32_t state,
-                                                 ConstBytes data) noexcept {
-    const auto& t = detail::kCrc32cTables;
+/// Portable path: slicing-by-8 over the tables above.
+[[nodiscard]] inline std::uint32_t crc32c_update_table(
+    std::uint32_t state, ConstBytes data) noexcept {
+    const auto& t = kCrc32cTables;
     const std::uint8_t* p = data.data();
     std::size_t n = data.size();
     while (n >= 8) {
-        const std::uint32_t lo = state ^ detail::load_le32(p);
-        const std::uint32_t hi = detail::load_le32(p + 4);
+        const std::uint32_t lo = state ^ load_le32(p);
+        const std::uint32_t hi = load_le32(p + 4);
         state = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
                 t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
                 t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
@@ -84,6 +88,57 @@ inline constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrc32cTables =
         --n;
     }
     return state;
+}
+
+#if BLOBSEER_CRC32C_HW
+/// SSE4.2 path: the `crc32` instruction computes the same Castagnoli
+/// CRC, 8 bytes per instruction. Only call when the CPU has SSE4.2.
+[[nodiscard]] __attribute__((target("sse4.2"))) inline std::uint32_t
+crc32c_update_hw(std::uint32_t state, ConstBytes data) noexcept {
+    const std::uint8_t* p = data.data();
+    std::size_t n = data.size();
+    std::uint64_t crc = state;
+    while (n >= 8) {
+        std::uint64_t word = 0;
+        std::memcpy(&word, p, sizeof word);
+        crc = _mm_crc32_u64(crc, word);
+        p += 8;
+        n -= 8;
+    }
+    auto crc32 = static_cast<std::uint32_t>(crc);
+    while (n > 0) {
+        crc32 = _mm_crc32_u8(crc32, *p);
+        ++p;
+        --n;
+    }
+    return crc32;
+}
+
+[[nodiscard]] inline bool crc32c_hw_available() noexcept {
+    static const bool available = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("sse4.2") != 0;
+    }();
+    return available;
+}
+#endif
+
+}  // namespace detail
+
+/// Start an incremental CRC32C computation.
+[[nodiscard]] constexpr std::uint32_t crc32c_init() noexcept {
+    return 0xFFFFFFFFu;
+}
+
+/// Fold \p data into an in-progress CRC32C state.
+[[nodiscard]] inline std::uint32_t crc32c_update(std::uint32_t state,
+                                                 ConstBytes data) noexcept {
+#if BLOBSEER_CRC32C_HW
+    if (detail::crc32c_hw_available()) {
+        return detail::crc32c_update_hw(state, data);
+    }
+#endif
+    return detail::crc32c_update_table(state, data);
 }
 
 /// Finish an incremental CRC32C computation.

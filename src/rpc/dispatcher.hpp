@@ -12,8 +12,9 @@
 ///
 /// Both transports share this object: SimTransport invokes it inline on
 /// the calling thread (after charging the simulated wire), and the TCP
-/// server invokes it from its connection threads. Service objects are
-/// thread-safe, so no additional locking happens here.
+/// server invokes it on its worker pool, fed by the epoll reactor's io
+/// threads. Service objects are thread-safe, so no additional locking
+/// happens here.
 
 #pragma once
 

@@ -35,6 +35,11 @@ fail() {
 start_serverd() {
     local log=$1
     shift
+    # One daemon at a time: overwriting a live SERVER_PID would orphan it
+    # past the EXIT trap.
+    if [ -n "$SERVER_PID" ] && kill -0 "$SERVER_PID" 2>/dev/null; then
+        fail "start_serverd: previous serverd (pid $SERVER_PID) still running"
+    fi
     "$SERVERD" --port 0 --bind 127.0.0.1 "$@" >"$log" 2>&1 &
     SERVER_PID=$!
     PORT=""
@@ -287,6 +292,7 @@ grep -q "stored: *0 chunks, 0 bytes" "$WORK/cli6.log" ||
 grep -q "4 chunks / 262144 bytes reclaimed" "$WORK/cli6.log" ||
     fail "gc reclaim counters did not account for the deleted chunks"
 grep -q "error:" "$WORK/cli6.log" && fail "command error after cas restart"
+stop_serverd
 
 # --- phase 4: provider daemons, heartbeat death, repair, rejoin -------------
 

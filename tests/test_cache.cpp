@@ -355,11 +355,17 @@ TEST(CompressedFileCache, FreshenDoesNotDuplicate) {
     const Buffer v = compressible(4096, 4);
     cache.put("k", ConstBytes(v.data(), v.size()));
     const auto stored = cache.stored_bytes();
+    const auto physical = cache.physical_bytes();
     for (int i = 0; i < 10; ++i) {
         cache.put("k", ConstBytes(v.data(), v.size()));
     }
     EXPECT_EQ(cache.entries(), 1u);
     EXPECT_EQ(cache.stored_bytes(), stored);
+    // A present key is found before any encode or append: counted as
+    // present, not inserted, and no file bytes written.
+    EXPECT_EQ(cache.put_present(), 10u);
+    EXPECT_EQ(cache.insertions(), 1u);
+    EXPECT_EQ(cache.physical_bytes(), physical);
 }
 
 TEST(CompressedFileCache, ConcurrentPutGetEraseIsSafe) {

@@ -442,6 +442,95 @@ TEST(ThreeTierStore, DemotesRamEvictionsAndPromotesOnHit) {
     EXPECT_EQ(store.cache_misses(), 1u);
 }
 
+TEST(ThreeTierStore, EvictingPromotedEntryAddsNoDemotion) {
+    TempDir dir;
+    TieredStore store(std::make_unique<LogStore>(dir.path() / "log"),
+                      4 << 10, file_cache(dir, 16 << 20));
+    for (std::uint64_t uid = 0; uid < 8; ++uid) {
+        store.put({7, uid}, payload(7, uid, 4 << 10));
+    }
+    ASSERT_TRUE(store.get({7, 0}).has_value());  // promoted: file tier has it
+    const auto demotions = store.demotions();
+    const auto insertions = store.file_cache()->insertions();
+    const auto put_present = store.file_cache()->put_present();
+
+    // Promoting {7,1} evicts {7,0}, which the file tier already holds:
+    // it is only freshened there, neither encoded nor counted as demoted.
+    ASSERT_TRUE(store.get({7, 1}).has_value());
+    EXPECT_EQ(store.demotions(), demotions);
+    EXPECT_EQ(store.file_cache()->insertions(), insertions);
+    EXPECT_EQ(store.file_cache()->put_present(), put_present + 1);
+
+    // The evicted chunk is still served byte-exact, from the file tier.
+    const auto promotions = store.promotions();
+    const auto got = store.get({7, 0});
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(verify_pattern(7, 0, 0, **got), -1);
+    EXPECT_EQ(store.promotions(), promotions + 1);
+}
+
+TEST(ThreeTierStore, OverwrittenPromotedEntryDemotesNewBytes) {
+    TempDir dir;
+    TieredStore store(std::make_unique<LogStore>(dir.path() / "log"),
+                      4 << 10, file_cache(dir, 16 << 20));
+    for (std::uint64_t uid = 0; uid < 8; ++uid) {
+        store.put({7, uid}, payload(7, uid, 4 << 10));
+    }
+    ASSERT_TRUE(store.get({7, 0}).has_value());  // promoted: RAM is clean
+    // Overwrite with different bytes: the RAM entry is dirty again and
+    // the file tier's copy of the old bytes is gone.
+    store.put({7, 0}, payload(70, 0, 4 << 10));
+    const auto demotions = store.demotions();
+
+    // Evicting it must demote the new bytes.
+    ASSERT_TRUE(store.get({7, 1}).has_value());
+    EXPECT_EQ(store.demotions(), demotions + 1);
+
+    const auto promotions = store.promotions();
+    const auto got = store.get({7, 0});
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(verify_pattern(70, 0, 0, **got), -1);
+    EXPECT_EQ(store.promotions(), promotions + 1);  // from the file tier
+}
+
+TEST(ThreeTierStore, PromotedEntryLostFromFileTierIsDemotedAgain) {
+    // Size the file tier to hold two entries of this payload.
+    std::uint64_t entry_bytes = 0;
+    {
+        TempDir probe_dir;
+        auto probe = file_cache(probe_dir, 0);
+        const ChunkData v = payload(7, 0, 4 << 10);
+        probe->put("probe", *v);
+        entry_bytes = probe->stored_bytes();
+    }
+    TempDir dir;
+    TieredStore store(std::make_unique<LogStore>(dir.path() / "log"),
+                      4 << 10, file_cache(dir, 2 * entry_bytes +
+                                                   entry_bytes / 2));
+    for (std::uint64_t uid = 0; uid < 4; ++uid) {
+        store.put({7, uid}, payload(7, uid, 4 << 10));
+    }
+    ASSERT_TRUE(store.get({7, 2}).has_value());  // promoted
+    // Other entries push {7,2}'s file copy out while RAM still holds it.
+    for (std::uint64_t i = 0; i < 2; ++i) {
+        const ChunkData v = payload(9, i, 4 << 10);
+        store.file_cache()->put("other" + std::to_string(i), *v);
+    }
+    const auto demotions = store.demotions();
+    const auto insertions = store.file_cache()->insertions();
+
+    // Evicting {7,2} from RAM must put it back into the file tier.
+    ASSERT_TRUE(store.get({7, 1}).has_value());
+    EXPECT_EQ(store.demotions(), demotions + 1);
+    EXPECT_EQ(store.file_cache()->insertions(), insertions + 1);
+
+    const auto promotions = store.promotions();
+    const auto got = store.get({7, 2});
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(verify_pattern(7, 2, 0, **got), -1);
+    EXPECT_EQ(store.promotions(), promotions + 1);  // from the file tier
+}
+
 TEST(ThreeTierStore, ServesWorkingSetLargerThanRamFromFileCache) {
     TempDir dir;
     TieredStore store(std::make_unique<LogStore>(dir.path() / "log"),

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <random>
 #include <string>
 
@@ -15,6 +16,7 @@
 #include "codec/lz4.hpp"
 #include "common/buffer.hpp"
 #include "common/error.hpp"
+#include "common/hash.hpp"
 
 namespace blobseer::codec {
 namespace {
@@ -156,6 +158,34 @@ TEST(Lz4Compress, PinnedSmallInputsAreLiterals) {
     // <= 12 bytes can hold no match by the end-of-block rules.
     EXPECT_EQ(c.compress(ascii("xxxxx")),
               bytes({0x50, 'x', 'x', 'x', 'x', 'x'}));
+}
+
+// The encoder trades a little ratio for speed (skip acceleration on
+// misses). Bound the trade on the benchmark's content shape: 64-byte
+// lines alternating between random words and a repeated byte, ~2:1.
+[[nodiscard]] Buffer two_to_one_content(std::uint64_t tag, std::size_t size) {
+    Buffer out(size);
+    for (std::size_t i = 0; i + 8 <= size; i += 8) {
+        const std::uint64_t word = i / 8;
+        const std::uint64_t line = mix64(tag ^ (word / 8));
+        const std::uint64_t v = (line & 1) != 0
+                                    ? mix64(hash_combine(tag, word))
+                                    : 0x0101010101010101ULL * (line >> 56);
+        std::memcpy(out.data() + i, &v, 8);
+    }
+    return out;
+}
+
+TEST(Lz4Compress, RatioWithinThreePercentOfPreviousEncoder) {
+    const Lz4Codec c;
+    // Frame size of this 64 KiB chunk under the previous encoder, which
+    // probed every position.
+    constexpr std::size_t kPreviousFrameBytes = 36653;
+    const Buffer raw = two_to_one_content(1, 64 << 10);
+    const Buffer frame = encode_frame(c, raw);
+    EXPECT_LE(frame.size(), kPreviousFrameBytes * 103 / 100);
+    EXPECT_LT(frame.size(), raw.size() * 6 / 10);
+    EXPECT_EQ(decode_frame(c, frame), raw);
 }
 
 // ---- framing ----------------------------------------------------------------

@@ -76,6 +76,61 @@ TEST(Crc32c, MatchesKnownVector) {
     EXPECT_EQ(crc32c_final(state), 0xE3069283u);
 }
 
+// The dispatching crc32c_update must agree bit for bit with the
+// portable tables on every host, or records written on one CPU would
+// fail their CRC on another.
+TEST(Crc32c, HardwareAndTablePathsAgree) {
+    const std::string msg = "123456789";
+    const ConstBytes check(reinterpret_cast<const std::uint8_t*>(msg.data()),
+                           msg.size());
+    EXPECT_EQ(crc32c_final(detail::crc32c_update_table(crc32c_init(), check)),
+              0xE3069283u);
+#if BLOBSEER_CRC32C_HW
+    if (!detail::crc32c_hw_available()) {
+        GTEST_SKIP() << "CPU lacks SSE4.2; only the table path exists";
+    }
+    EXPECT_EQ(crc32c_final(detail::crc32c_update_hw(crc32c_init(), check)),
+              0xE3069283u);
+
+    std::mt19937_64 rng(3720);
+    Buffer data(1100 + 8);
+    for (auto& b : data) {
+        b = static_cast<std::uint8_t>(rng());
+    }
+    // Every length 0..1100 at every start alignment 0..7, from a
+    // non-initial state too.
+    for (std::size_t start = 0; start < 8; ++start) {
+        for (std::size_t len = 0; len <= 1100; ++len) {
+            const ConstBytes span(data.data() + start, len);
+            for (const std::uint32_t state : {crc32c_init(), 0x12345678u}) {
+                ASSERT_EQ(detail::crc32c_update_hw(state, span),
+                          detail::crc32c_update_table(state, span))
+                    << "start=" << start << " len=" << len;
+            }
+        }
+    }
+    // Split incremental updates: hardware over a prefix, table over the
+    // rest (and the reverse) equal either path over the whole.
+    const ConstBytes all(data);
+    const std::uint32_t whole =
+        detail::crc32c_update_table(crc32c_init(), all);
+    for (std::size_t cut = 0; cut <= all.size(); cut += 37) {
+        const ConstBytes head = all.first(cut);
+        const ConstBytes tail = all.subspan(cut);
+        EXPECT_EQ(detail::crc32c_update_table(
+                      detail::crc32c_update_hw(crc32c_init(), head), tail),
+                  whole)
+            << "cut=" << cut;
+        EXPECT_EQ(detail::crc32c_update_hw(
+                      detail::crc32c_update_table(crc32c_init(), head), tail),
+                  whole)
+            << "cut=" << cut;
+    }
+#else
+    GTEST_SKIP() << "no hardware CRC32C path on this target";
+#endif
+}
+
 TEST(LogEngine, PutGetRoundTrip) {
     TempDir dir;
     LogEngine eng(manual_config(dir.path()));
