@@ -3,11 +3,12 @@
 ///
 /// Implements meta::MetaStore over the metadata providers: each node key
 /// is consistent-hashed to its owners; puts go to every replica, gets try
-/// owners in order and fail over on provider death. Every operation is a
-/// real encode → transport → decode round trip (rpc::ServiceClient), so
-/// the metadata traffic the tree algorithms generate is charged at its
-/// actual serialized size under SimTransport and travels real sockets
-/// under TcpTransport.
+/// owners in order and fail over on provider death. A put_many (a whole
+/// version's tree) travels as one batch per owning provider, all in
+/// flight at once. Every operation is a real encode → transport → decode
+/// round trip (rpc::ServiceClient), so the metadata traffic the tree
+/// algorithms generate is charged at its actual serialized size under
+/// SimTransport and travels real sockets under TcpTransport.
 ///
 /// With a single registered provider this degenerates into the
 /// *centralized* metadata scheme the paper compares against (§IV-C) — the
@@ -15,6 +16,8 @@
 
 #pragma once
 
+#include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,39 +41,66 @@ class MetaDht final : public meta::MetaStore {
           ring_(ring),
           replication_(replication == 0 ? 1 : replication) {}
 
-    void put(const meta::MetaKey& key, const meta::MetaNode& node) override {
-        const auto owners = ring_.owners(key.hash(), replication_);
-        // All replica copies travel concurrently — a replicated put
-        // costs one round trip, not replication_ of them.
-        std::vector<Future<void>> puts;
-        puts.reserve(owners.size());
-        std::size_t ok = 0;
-        for (const NodeId owner : owners) {
+    /// Store every node on each of its owners: one batch per owning
+    /// provider, all batches in flight at once, so a version's whole
+    /// tree costs one round trip. A node succeeds if at least one of its
+    /// owners' batches landed; otherwise this throws RpcError naming the
+    /// first node left without a copy.
+    void put_many(std::span<const meta::KeyedNode> nodes) override {
+        // owners_of[i] indexes the batches carrying node i.
+        std::vector<NodeId> batch_owner;
+        std::vector<std::vector<meta::KeyedNode>> batches;
+        std::vector<std::vector<std::size_t>> owners_of(nodes.size());
+        for (std::size_t i = 0; i < nodes.size(); ++i) {
+            for (const NodeId owner :
+                 ring_.owners(nodes[i].key.hash(), replication_)) {
+                const auto it = std::find(batch_owner.begin(),
+                                          batch_owner.end(), owner);
+                const auto b = static_cast<std::size_t>(
+                    it - batch_owner.begin());
+                if (it == batch_owner.end()) {
+                    batch_owner.push_back(owner);
+                    batches.emplace_back();
+                }
+                batches[b].push_back(nodes[i]);
+                owners_of[i].push_back(b);
+            }
+        }
+        std::vector<Future<void>> sent(batches.size());
+        for (std::size_t b = 0; b < batches.size(); ++b) {
             try {
-                puts.push_back(svc_.meta_put_async(owner, key, node));
+                sent[b] = svc_.meta_put_batch_async(batch_owner[b],
+                                                    batches[b]);
             } catch (const RpcError& e) {
                 // call_async can fail synchronously (connection
                 // refused): same per-replica tolerance as an async
                 // failure.
-                log_debug("meta-dht", std::string("put replica failed: ") +
+                log_debug("meta-dht", std::string("put batch failed: ") +
                                           e.what());
             }
         }
-        for (auto& fut : puts) {
+        std::vector<bool> landed(batches.size(), false);
+        for (std::size_t b = 0; b < batches.size(); ++b) {
+            if (!sent[b].valid()) {
+                continue;
+            }
             try {
-                fut.get();
-                ++ok;
+                sent[b].get();
+                landed[b] = true;
             } catch (const RpcError& e) {
-                // A dead replica target is tolerable as long as one copy
-                // lands; readers fail over the same way.
-                log_debug("meta-dht", std::string("put replica failed: ") +
+                // A dead replica target is tolerable as long as every
+                // node lands somewhere; readers fail over the same way.
+                log_debug("meta-dht", std::string("put batch failed: ") +
                                           e.what());
             }
         }
-        puts_.add();
-        if (ok == 0) {
-            throw RpcError("no metadata replica stored for " +
-                           key.to_string());
+        puts_.add(nodes.size());
+        for (std::size_t i = 0; i < nodes.size(); ++i) {
+            if (std::none_of(owners_of[i].begin(), owners_of[i].end(),
+                             [&](std::size_t b) { return landed[b]; })) {
+                throw RpcError("no metadata replica stored for " +
+                               nodes[i].key.to_string());
+            }
         }
     }
 

@@ -11,8 +11,8 @@
 #pragma once
 
 #include <cstdint>
-
 #include <memory>
+#include <span>
 
 #include "common/bandwidth_gate.hpp"
 #include "common/metrics.hpp"
@@ -42,11 +42,15 @@ class MetadataProvider {
 
     [[nodiscard]] NodeId node() const noexcept { return node_; }
 
-    void put(const meta::MetaKey& key, const meta::MetaNode& value) {
-        service_gate_.transmit(1);
-        store_->put(key, value);
-        stats_.ops.add();
-        stats_.bytes_in.add(value.serialized_size());
+    /// Store a batch. Capacity and stats are charged per node, so a
+    /// batch of n costs the server what n single puts would.
+    void put_many(std::span<const meta::KeyedNode> nodes) {
+        service_gate_.transmit(nodes.size());
+        store_->put_many(nodes);
+        stats_.ops.add(nodes.size());
+        for (const meta::KeyedNode& n : nodes) {
+            stats_.bytes_in.add(n.node.serialized_size());
+        }
     }
 
     [[nodiscard]] meta::MetaNode get(const meta::MetaKey& key) {

@@ -129,21 +129,6 @@ class DiskMetaStore final : public LocalMetaStore {
         }
     }
 
-    void put(const MetaKey& key, const MetaNode& node) override {
-        {
-            const std::scoped_lock lock(mu_);
-            if (map_.contains(key)) {
-                return;  // immutable nodes: idempotent
-            }
-        }
-        const auto path = path_of(key);
-        const auto tmp = path.string() + ".tmp";
-        write_file(tmp, serialize_node(node));
-        std::filesystem::rename(tmp, path);
-        const std::scoped_lock lock(mu_);
-        map_.emplace(key, node);
-    }
-
     [[nodiscard]] MetaNode get(const MetaKey& key) override {
         {
             const std::scoped_lock lock(mu_);
@@ -197,6 +182,21 @@ class DiskMetaStore final : public LocalMetaStore {
     }
 
   private:
+    void store_node(const MetaKey& key, const MetaNode& node) override {
+        {
+            const std::scoped_lock lock(mu_);
+            if (map_.contains(key)) {
+                return;  // immutable nodes: idempotent
+            }
+        }
+        const auto path = path_of(key);
+        const auto tmp = path.string() + ".tmp";
+        write_file(tmp, serialize_node(node));
+        std::filesystem::rename(tmp, path);
+        const std::scoped_lock lock(mu_);
+        map_.emplace(key, node);
+    }
+
     [[nodiscard]] std::filesystem::path path_of(const MetaKey& key) const {
         return dir_ / ("b" + std::to_string(key.blob) + "_v" +
                        std::to_string(key.version) + "_s" +

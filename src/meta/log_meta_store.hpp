@@ -32,20 +32,6 @@ class LogMetaStore final : public LocalMetaStore {
 
     explicit LogMetaStore(engine::EngineConfig cfg) : engine_(std::move(cfg)) {}
 
-    void put(const MetaKey& key, const MetaNode& node) override {
-        {
-            const std::scoped_lock lock(mu_);
-            if (cache_.contains(key)) {
-                return;  // immutable nodes: idempotent
-            }
-        }
-        // Atomic with the durable-existence check, so a post-crash
-        // re-put (or a concurrent duplicate) never appends twice.
-        (void)engine_.put_if_absent(encode_key(key), serialize_node(node));
-        const std::scoped_lock lock(mu_);
-        cache_.emplace(key, node);
-    }
-
     [[nodiscard]] MetaNode get(const MetaKey& key) override {
         {
             const std::scoped_lock lock(mu_);
@@ -113,6 +99,20 @@ class LogMetaStore final : public LocalMetaStore {
     }
 
   private:
+    void store_node(const MetaKey& key, const MetaNode& node) override {
+        {
+            const std::scoped_lock lock(mu_);
+            if (cache_.contains(key)) {
+                return;  // immutable nodes: idempotent
+            }
+        }
+        // Atomic with the durable-existence check, so a post-crash
+        // re-put (or a concurrent duplicate) never appends twice.
+        (void)engine_.put_if_absent(encode_key(key), serialize_node(node));
+        const std::scoped_lock lock(mu_);
+        cache_.emplace(key, node);
+    }
+
     [[nodiscard]] static engine::EngineConfig make_config(
         std::filesystem::path dir) {
         engine::EngineConfig cfg;

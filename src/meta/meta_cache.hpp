@@ -12,6 +12,7 @@
 
 #include <list>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -27,10 +28,13 @@ class MetaCache final : public MetaStore {
     MetaCache(MetaStore& backing, std::size_t capacity)
         : backing_(backing), capacity_(capacity) {}
 
-    void put(const MetaKey& key, const MetaNode& node) override {
-        backing_.put(key, node);
+    void put_many(std::span<const KeyedNode> nodes) override {
+        backing_.put_many(nodes);
         if (capacity_ != 0) {
-            insert(key, node);
+            const std::scoped_lock lock(mu_);
+            for (const KeyedNode& n : nodes) {
+                insert(n.key, n.node);
+            }
         }
     }
 
@@ -47,6 +51,7 @@ class MetaCache final : public MetaStore {
         misses_.add();
         MetaNode node = backing_.get(key);
         if (capacity_ != 0) {
+            const std::scoped_lock lock(mu_);
             insert(key, node);
         }
         return node;
@@ -88,8 +93,8 @@ class MetaCache final : public MetaStore {
   private:
     using LruList = std::list<std::pair<MetaKey, MetaNode>>;
 
+    /// Caller holds mu_.
     void insert(const MetaKey& key, const MetaNode& node) {
-        const std::scoped_lock lock(mu_);
         if (map_.contains(key)) {
             return;
         }

@@ -150,4 +150,10 @@ struct MetaNode {
 /// Wire size of a key (for network charging).
 inline constexpr std::uint64_t kMetaKeyWireSize = 32;
 
+/// One node to store, with its key.
+struct KeyedNode {
+    MetaKey key;
+    MetaNode node;
+};
+
 }  // namespace blobseer::meta

@@ -122,8 +122,9 @@ struct BuildResult {
     std::size_t store_reads = 0;
 };
 
-/// Build and store version `in.version`'s tree. Every node is put into
-/// \p store before the function returns, so the caller can commit to the
+/// Build and store version `in.version`'s tree. The descent only reads
+/// (borrowed nodes); the nodes it creates go to \p store in one put_many
+/// call before the function returns, so the caller can commit to the
 /// version manager immediately afterwards.
 BuildResult build_version_tree(MetaStore& store, const BuildInput& in);
 

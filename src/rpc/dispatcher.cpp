@@ -204,10 +204,10 @@ RpcResponse Dispatcher::handle(const FrameView& f) {
         case MsgType::kVmStatus:
             return handle_version_manager(f);
 
-        case MsgType::kMetaPut:
         case MsgType::kMetaGet:
         case MsgType::kMetaTryGet:
         case MsgType::kMetaErase:
+        case MsgType::kMetaPutBatch:
             return handle_meta_provider(f);
 
         case MsgType::kPlace:
@@ -523,13 +523,6 @@ Buffer Dispatcher::handle_meta_provider(const FrameView& f) {
     WireReader r(f.payload);
 
     switch (f.type) {
-        case MsgType::kMetaPut: {
-            const meta::MetaKey key = get_meta_key(r);
-            const meta::MetaNode node = get_meta_node(r);
-            r.expect_end();
-            mp.put(key, node);
-            return seal_response(f.type, WireWriter());
-        }
         case MsgType::kMetaGet: {
             const meta::MetaKey key = get_meta_key(r);
             r.expect_end();
@@ -552,6 +545,14 @@ Buffer Dispatcher::handle_meta_provider(const FrameView& f) {
             const meta::MetaKey key = get_meta_key(r);
             r.expect_end();
             mp.erase(key);
+            return seal_response(f.type, WireWriter());
+        }
+        case MsgType::kMetaPutBatch: {
+            // Decode the whole frame first: a malformed batch stores
+            // nothing.
+            const std::vector<meta::KeyedNode> nodes = get_meta_batch(r);
+            r.expect_end();
+            mp.put_many(nodes);
             return seal_response(f.type, WireWriter());
         }
         default:

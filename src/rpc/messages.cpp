@@ -89,6 +89,28 @@ meta::MetaNode get_meta_node(WireReader& r) {
     return n;
 }
 
+void put_meta_batch(WireWriter& w, std::span<const meta::KeyedNode> nodes) {
+    w.varint(nodes.size());
+    for (const meta::KeyedNode& n : nodes) {
+        put_meta_key(w, n.key);
+        put_meta_node(w, n.node);
+    }
+}
+
+std::vector<meta::KeyedNode> get_meta_batch(WireReader& r) {
+    const std::uint64_t n = r.varint_count(meta::kMetaKeyWireSize);
+    if (n == 0) {
+        throw RpcError("frame decode: empty meta-node batch");
+    }
+    std::vector<meta::KeyedNode> out;
+    out.reserve(n);
+    for (std::uint64_t i = 0; i < n; ++i) {
+        meta::MetaKey key = get_meta_key(r);
+        out.push_back({key, get_meta_node(r)});
+    }
+    return out;
+}
+
 void put_tree_ref(WireWriter& w, const meta::TreeRef& t) {
     w.u64(t.blob);
     w.u64(t.version);

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "chunk/chunk_key.hpp"
@@ -36,6 +37,11 @@ void put_meta_key(WireWriter& w, const meta::MetaKey& k);
 
 void put_meta_node(WireWriter& w, const meta::MetaNode& n);
 [[nodiscard]] meta::MetaNode get_meta_node(WireReader& r);
+
+/// kMetaPutBatch payload: a varint count, then (key, node) records. The
+/// decoder rejects an empty batch and a count the payload cannot hold.
+void put_meta_batch(WireWriter& w, std::span<const meta::KeyedNode> nodes);
+[[nodiscard]] std::vector<meta::KeyedNode> get_meta_batch(WireReader& r);
 
 void put_tree_ref(WireWriter& w, const meta::TreeRef& t);
 [[nodiscard]] meta::TreeRef get_tree_ref(WireReader& r);

@@ -82,7 +82,11 @@ inline constexpr std::uint32_t kFrameMagic = 0x42535250;  // "PRSB" LE
 /// client operation can be followed across every nested RPC, and the
 /// control block gained kMetricsDump (full metrics-registry snapshot
 /// from any node) and kTraceDump (drain the node's span ring).
-inline constexpr std::uint8_t kWireVersion = 7;
+/// v8: batched metadata writes — kMetaPutBatch (a varint count, then
+/// that many (key, node) records) replaces the single-node kMetaPut, so
+/// a writer stores a version's whole tree with one request per owning
+/// metadata provider. Tag 48 (kMetaPut) is reserved and rejected.
+inline constexpr std::uint8_t kWireVersion = 8;
 inline constexpr std::size_t kFrameHeaderSize = 40;
 /// Byte offset of the correlation id within the header.
 inline constexpr std::size_t kFrameCorrOffset = 16;
@@ -135,11 +139,11 @@ enum class MsgType : std::uint16_t {
     kBlobCloneFrom = 28,
     kVmStatus = 29,
 
-    // metadata DHT member service
-    kMetaPut = 48,
+    // metadata DHT member service (48 reserved: v7 single-node put)
     kMetaGet = 49,
     kMetaTryGet = 50,
     kMetaErase = 51,
+    kMetaPutBatch = 52,
 
     // provider manager service
     kPlace = 64,
@@ -183,10 +187,10 @@ enum class MsgType : std::uint16_t {
         case MsgType::kDescriptorOf: return "descriptor-of";
         case MsgType::kBlobCloneFrom: return "blob-clone-from";
         case MsgType::kVmStatus: return "vm-status";
-        case MsgType::kMetaPut: return "meta-put";
         case MsgType::kMetaGet: return "meta-get";
         case MsgType::kMetaTryGet: return "meta-try-get";
         case MsgType::kMetaErase: return "meta-erase";
+        case MsgType::kMetaPutBatch: return "meta-put-batch";
         case MsgType::kPlace: return "place";
         case MsgType::kMarkDead: return "mark-dead";
         case MsgType::kProviderJoin: return "provider-join";

@@ -677,21 +677,14 @@ provider::DataProvider::DedupStatus ServiceClient::dedup_status(NodeId dp) {
 
 // ---- metadata providers ----------------------------------------------------
 
-void ServiceClient::meta_put(NodeId mp, const meta::MetaKey& key,
-                             const meta::MetaNode& node) {
-    meta_put_async(mp, key, node).get();
-}
-
-Future<void> ServiceClient::meta_put_async(NodeId mp,
-                                           const meta::MetaKey& key,
-                                           const meta::MetaNode& node) {
+Future<void> ServiceClient::meta_put_batch_async(
+    NodeId mp, std::span<const meta::KeyedNode> nodes) {
     WireWriter w;
-    put_meta_key(w, key);
-    put_meta_node(w, node);
+    put_meta_batch(w, nodes);
     return map_future<void>(
-        invoke_async(MsgType::kMetaPut, mp, std::move(w)),
+        invoke_async(MsgType::kMetaPutBatch, mp, std::move(w)),
         [](Buffer&& resp) {
-            open_reply(resp, MsgType::kMetaPut).expect_end();
+            open_reply(resp, MsgType::kMetaPutBatch).expect_end();
         });
 }
 

@@ -11,19 +11,22 @@
 /// failed, fail over", NotFoundError means "the replica lacks the data",
 /// and so on.
 ///
-/// The hot data-path RPCs (put_chunk, get_chunk, meta_put, meta_get)
-/// additionally come as *_async variants returning futures: many may be
-/// in flight on one multiplexed connection, and a failed delivery
-/// surfaces as the same exception — from the future's get() instead of
-/// the call itself. The sync methods are plain .get() wrappers over
-/// them. Arguments are fully encoded before an async call returns, so
-/// callers may release payload buffers immediately.
+/// The hot data-path RPCs (put_chunk, get_chunk, meta_get) additionally
+/// come as *_async variants returning futures: many may be in flight on
+/// one multiplexed connection, and a failed delivery surfaces as the
+/// same exception — from the future's get() instead of the call itself.
+/// The sync methods are plain .get() wrappers over them. Metadata writes
+/// exist only as meta_put_batch_async: MetaDht sends one batch per owning
+/// provider and waits on them all. Arguments are fully encoded before an
+/// async call returns, so callers may release payload buffers
+/// immediately.
 
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "chunk/chunk_key.hpp"
@@ -233,11 +236,10 @@ class ServiceClient {
 
     // ---- metadata providers ----------------------------------------------
 
-    void meta_put(NodeId mp, const meta::MetaKey& key,
-                  const meta::MetaNode& node);
-    [[nodiscard]] Future<void> meta_put_async(NodeId mp,
-                                              const meta::MetaKey& key,
-                                              const meta::MetaNode& node);
+    /// Store a batch of nodes on one metadata provider (all the nodes of
+    /// a version that provider owns) in one request.
+    [[nodiscard]] Future<void> meta_put_batch_async(
+        NodeId mp, std::span<const meta::KeyedNode> nodes);
     [[nodiscard]] meta::MetaNode meta_get(NodeId mp, const meta::MetaKey& key);
     [[nodiscard]] Future<meta::MetaNode> meta_get_async(
         NodeId mp, const meta::MetaKey& key);

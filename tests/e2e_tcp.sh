@@ -24,7 +24,24 @@ CLI=$2
 WORK=$(mktemp -d)
 SERVER_PID=""
 EXTRA_PIDS=""
-trap 'kill $SERVER_PID $EXTRA_PIDS 2>/dev/null; rm -rf "$WORK"' EXIT
+# At exit: kill every daemon still up, and fail an otherwise passing run
+# if any survived — each phase must stop the daemons it started.
+on_exit() {
+    local rc=$? pid leaked=""
+    for pid in $SERVER_PID $EXTRA_PIDS; do
+        kill -0 "$pid" 2>/dev/null && leaked="$leaked $pid"
+    done
+    kill $SERVER_PID $EXTRA_PIDS 2>/dev/null
+    rm -rf "$WORK"
+    if [ "$rc" -eq 0 ]; then
+        if [ -n "$leaked" ]; then
+            echo "FAIL: daemon(s) still running at exit:$leaked"
+            exit 1
+        fi
+        echo "PASS"
+    fi
+}
+trap on_exit EXIT
 
 fail() {
     echo "FAIL: $1"
@@ -452,6 +469,16 @@ grep -q "error:" "$WORK/cli9.log" && fail "client-visible error post-repair"
 
 stop_serverd
 
+# Stop the provider daemons too (SIGTERM, as stop_serverd). Their pids
+# stay in EXTRA_PIDS, so the exit check catches any that survive.
+kill -TERM $EXTRA_PIDS 2>/dev/null
+for pid in $EXTRA_PIDS; do
+    for _ in $(seq 1 100); do
+        kill -0 "$pid" 2>/dev/null || break
+        sleep 0.1
+    done
+done
+
 # --- phase 5: observability — /metrics scrape + end-to-end trace tree -------
 
 start_serverd "$WORK/serverd7.log" --data-providers 4 --meta-providers 2 \
@@ -670,5 +697,4 @@ grep -q "error:" "$WORK/cli15.log" && fail "client-visible error after burst"
 
 stop_serverd
 
-echo "PASS"
 exit 0

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <set>
+#include <string>
+
 #include "dht/meta_dht.hpp"
 #include "dht/metadata_provider.hpp"
 #include "net/sim_network.hpp"
@@ -159,6 +164,86 @@ TEST_F(MetaDhtFixture, IdempotentReplicatedPut) {
     dht.put(key_of(1), meta::MetaNode::leaf({1}, 7, 8));
     dht.put(key_of(1), meta::MetaNode::leaf({1}, 7, 8));
     EXPECT_EQ(total_stored(), 2u);
+}
+
+// ---- batched puts --------------------------------------------------------
+
+/// Nodes key_of(0..n) — enough keys that every provider owns some.
+std::vector<meta::KeyedNode> batch_of(std::uint64_t n) {
+    std::vector<meta::KeyedNode> out;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        out.push_back({key_of(i), meta::MetaNode::leaf({1}, 100 + i, 8)});
+    }
+    return out;
+}
+
+TEST_F(MetaDhtFixture, PutManySurvivesOneDeadProvider) {
+    auto dht = make_client(2);
+    const auto nodes = batch_of(30);
+    std::set<NodeId> owners;
+    for (const auto& n : nodes) {
+        owners.insert(ring_.owner(n.key.hash()));
+    }
+    ASSERT_EQ(owners.size(), kProviders) << "batch must span every owner";
+    net_.kill(providers_[0]->node());
+    EXPECT_NO_THROW(dht.put_many(nodes));
+    EXPECT_EQ(dht.puts(), nodes.size());
+    for (const auto& n : nodes) {
+        EXPECT_EQ(dht.get(n.key).chunk_uid, n.node.chunk_uid);
+    }
+}
+
+TEST_F(MetaDhtFixture, PutManyNamesFirstNodeWithoutACopy) {
+    auto dht = make_client(2);
+    const NodeId survivor = providers_[0]->node();
+    net_.kill(providers_[1]->node());
+    net_.kill(providers_[2]->node());
+    // Nodes with a live owner first, then one whose owners are all dead.
+    std::vector<meta::KeyedNode> nodes;
+    std::optional<meta::MetaKey> orphan;
+    for (const auto& n : batch_of(60)) {
+        const auto o = ring_.owners(n.key.hash(), 2);
+        const bool live = std::find(o.begin(), o.end(), survivor) != o.end();
+        if (live && nodes.size() < 5) {
+            nodes.push_back(n);
+        } else if (!live && !orphan) {
+            orphan = n.key;
+        }
+    }
+    ASSERT_TRUE(orphan.has_value());
+    ASSERT_EQ(nodes.size(), 5u);
+    nodes.push_back({*orphan, meta::MetaNode::inner({}, {})});
+    try {
+        dht.put_many(nodes);
+        FAIL() << "expected RpcError";
+    } catch (const RpcError& e) {
+        EXPECT_NE(std::string(e.what()).find(orphan->to_string()),
+                  std::string::npos)
+            << e.what();
+    }
+    // The nodes that had a live owner still landed there.
+    for (std::size_t i = 0; i + 1 < nodes.size(); ++i) {
+        EXPECT_NO_THROW((void)dht.get(nodes[i].key));
+    }
+}
+
+TEST_F(MetaDhtFixture, PutManySendsOneMessagePerOwner) {
+    for (const std::uint32_t replication : {1u, 2u}) {
+        auto dht = make_client(replication);
+        const auto nodes = batch_of(replication == 1 ? 4 : 30);
+        std::set<NodeId> owners;
+        for (const auto& n : nodes) {
+            for (const NodeId o : ring_.owners(n.key.hash(), replication)) {
+                owners.insert(o);
+            }
+        }
+        const std::uint64_t before = net_.node(client_node_).msgs_out.get();
+        dht.put_many(nodes);
+        EXPECT_EQ(net_.node(client_node_).msgs_out.get() - before,
+                  owners.size())
+            << "replication " << replication;
+        EXPECT_GT(nodes.size(), owners.size());
+    }
 }
 
 }  // namespace

@@ -103,9 +103,15 @@ meta::MetaKey key_of(std::uint64_t i) {
     return meta::MetaKey{1, 1, {i, 1}};
 }
 
+void put_one(MetadataProvider& mp, const meta::MetaKey& key,
+             const meta::MetaNode& node) {
+    const meta::KeyedNode one{key, node};
+    mp.put_many({&one, 1});
+}
+
 TEST(MetadataProvider, PutGetErase) {
     MetadataProvider mp(0, 0);
-    mp.put(key_of(1), meta::MetaNode::leaf({NodeId{3}}, 77, 8));
+    put_one(mp, key_of(1), meta::MetaNode::leaf({NodeId{3}}, 77, 8));
     const auto node = mp.get(key_of(1));
     EXPECT_TRUE(node.is_leaf());
     EXPECT_EQ(node.chunk_uid, 77u);
@@ -118,7 +124,7 @@ TEST(MetadataProvider, PutGetErase) {
 TEST(MetadataProvider, CrashLosesState) {
     MetadataProvider mp(0, 0);
     for (std::uint64_t i = 0; i < 16; ++i) {
-        mp.put(key_of(i), meta::MetaNode::inner({}, {}));
+        put_one(mp, key_of(i), meta::MetaNode::inner({}, {}));
     }
     mp.lose_state();
     EXPECT_EQ(mp.stored_nodes(), 0u);
@@ -129,14 +135,28 @@ TEST(MetadataProvider, ServiceCapacityThrottles) {
     MetadataProvider mp(0, 1000);
     const Stopwatch sw;
     for (std::uint64_t i = 0; i < 20; ++i) {
-        mp.put(key_of(i), meta::MetaNode::inner({}, {}));
+        put_one(mp, key_of(i), meta::MetaNode::inner({}, {}));
     }
     EXPECT_GE(sw.elapsed_us(), 15000u);
 }
 
+TEST(MetadataProvider, BatchChargesCapacityPerNode) {
+    // A batch of 20 occupies the server as long as 20 single puts.
+    MetadataProvider mp(0, 1000);
+    std::vector<meta::KeyedNode> batch;
+    for (std::uint64_t i = 0; i < 20; ++i) {
+        batch.push_back({key_of(i), meta::MetaNode::inner({}, {})});
+    }
+    const Stopwatch sw;
+    mp.put_many(batch);
+    EXPECT_GE(sw.elapsed_us(), 15000u);
+    EXPECT_EQ(mp.stored_nodes(), 20u);
+    EXPECT_EQ(mp.stats().ops.get(), 20u);
+}
+
 TEST(MetadataProvider, StatsCount) {
     MetadataProvider mp(0, 0);
-    mp.put(key_of(1), meta::MetaNode::inner({}, {}));
+    put_one(mp, key_of(1), meta::MetaNode::inner({}, {}));
     (void)mp.get(key_of(1));
     EXPECT_THROW((void)mp.get(key_of(2)), NotFoundError);
     EXPECT_EQ(mp.stats().ops.get(), 3u);

@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "common/random.hpp"
+#include "dht/metadata_provider.hpp"
+#include "rpc/dispatcher.hpp"
 #include "rpc/messages.hpp"
 #include "rpc/protocol.hpp"
 #include "rpc/wire.hpp"
@@ -160,6 +162,28 @@ TEST(Codec, MetaNodeRandomRoundTrip) {
         const meta::MetaNode back = get_meta_node(r);
         r.expect_end();
         EXPECT_TRUE(equal(n, back));
+    }
+}
+
+TEST(Codec, MetaBatchRandomRoundTrip) {
+    Rng rng(13);
+    for (int i = 0; i < 100; ++i) {
+        std::vector<meta::KeyedNode> batch(1 + rng() % 20);
+        for (auto& n : batch) {
+            n.key = meta::MetaKey{rng(), rng(), {rng(), rng()}};
+            n.node = random_node(rng);
+        }
+        WireWriter w;
+        put_meta_batch(w, batch);
+        const Buffer buf = w.take();
+        WireReader r{ConstBytes(buf)};
+        const auto back = get_meta_batch(r);
+        r.expect_end();
+        ASSERT_EQ(back.size(), batch.size());
+        for (std::size_t k = 0; k < batch.size(); ++k) {
+            EXPECT_EQ(back[k].key, batch[k].key);
+            EXPECT_TRUE(equal(back[k].node, batch[k].node));
+        }
     }
 }
 
@@ -437,12 +461,88 @@ TEST(Frame, PayloadLengthMismatchThrows) {
     EXPECT_THROW((void)parse_frame(frame), RpcError);
 }
 
+// ---- meta-put-batch frames at the dispatcher ---------------------------------
+
+class MetaBatchFrame : public ::testing::Test {
+  protected:
+    static constexpr NodeId kMp = 5;
+
+    MetaBatchFrame() { dispatcher_.add_metadata_provider(kMp, &mp_); }
+
+    static std::vector<meta::KeyedNode> three_nodes() {
+        return {{meta::MetaKey{1, 2, {0, 1}}, meta::MetaNode::leaf({7}, 1, 8)},
+                {meta::MetaKey{1, 2, {1, 1}}, meta::MetaNode::leaf({7}, 2, 8)},
+                {meta::MetaKey{1, 2, {0, 2}},
+                 meta::MetaNode::inner({1, 2}, {1, 2})}};
+    }
+
+    /// Dispatch a request to the provider; returns the response status.
+    Status send(MsgType type, const Buffer& payload) {
+        WireWriter w;
+        w.raw(payload);
+        const Buffer resp =
+            dispatcher_.dispatch(seal_request(type, kMp, std::move(w)));
+        return parse_frame(resp).status();
+    }
+
+    dht::MetadataProvider mp_{kMp, 0};
+    Dispatcher dispatcher_;
+};
+
+TEST_F(MetaBatchFrame, StoresEveryRecord) {
+    WireWriter w;
+    put_meta_batch(w, three_nodes());
+    EXPECT_EQ(send(MsgType::kMetaPutBatch, w.take()), Status::kOk);
+    EXPECT_EQ(mp_.stored_nodes(), 3u);
+    EXPECT_EQ(mp_.get(meta::MetaKey{1, 2, {1, 1}}).chunk_uid, 2u);
+}
+
+TEST_F(MetaBatchFrame, TruncatedRecordStoresNothing) {
+    WireWriter w;
+    put_meta_batch(w, three_nodes());
+    Buffer payload = w.take();
+    // Cut into the last record: the first two are complete, yet the
+    // whole frame is rejected before anything is stored.
+    payload.resize(payload.size() - 3);
+    EXPECT_EQ(send(MsgType::kMetaPutBatch, payload), Status::kRpcError);
+    EXPECT_EQ(mp_.stored_nodes(), 0u);
+}
+
+TEST_F(MetaBatchFrame, OversizedOrZeroCountStoresNothing) {
+    WireWriter body;
+    put_meta_batch(body, three_nodes());
+    const Buffer records = body.take();
+    const ConstBytes after_count = ConstBytes(records).subspan(1);
+
+    // A count the payload cannot hold (each record carries a 32-byte
+    // key) is refused before any allocation or store.
+    WireWriter huge;
+    huge.varint(1'000'000);
+    huge.raw(after_count);
+    EXPECT_EQ(send(MsgType::kMetaPutBatch, huge.take()), Status::kRpcError);
+
+    WireWriter zero;
+    zero.varint(0);
+    EXPECT_EQ(send(MsgType::kMetaPutBatch, zero.take()), Status::kRpcError);
+    EXPECT_EQ(mp_.stored_nodes(), 0u);
+}
+
+TEST_F(MetaBatchFrame, RetiredSingleNodeTagRejected) {
+    // Tag 48 was the v7 single-node meta-put; it is reserved now.
+    const auto nodes = three_nodes();
+    WireWriter w;
+    put_meta_key(w, nodes[0].key);
+    put_meta_node(w, nodes[0].node);
+    EXPECT_EQ(send(static_cast<MsgType>(48), w.take()), Status::kRpcError);
+    EXPECT_EQ(mp_.stored_nodes(), 0u);
+}
+
 // ---- v7 header layout (wire ABI pin) -----------------------------------------
 
 TEST(FrameV7, GoldenHeaderLayout) {
     // Byte-exact pin of the 40-byte v7 header. If this test breaks, the
     // wire ABI changed: bump kWireVersion and update DESIGN.md §7.
-    static_assert(kWireVersion == 7);
+    static_assert(kWireVersion == 8);
     static_assert(kFrameHeaderSize == 40);
     static_assert(kFrameCorrOffset == 16);
     static_assert(kFrameTraceOffset == 24);
@@ -461,7 +561,7 @@ TEST(FrameV7, GoldenHeaderLayout) {
     ASSERT_EQ(frame.size(), kFrameHeaderSize + 8);
     const std::uint8_t expected_header[kFrameHeaderSize] = {
         0x50, 0x52, 0x53, 0x42,  //  0: magic "PRSB" little-endian
-        0x07,                    //  4: wire version
+        0x08,                    //  4: wire version
         0x00,                    //  5: kind = request
         0x15, 0x00,              //  6: MsgType::kGetVersion tag (21)
         0x0d, 0x0c, 0x0b, 0x0a,  //  8: destination node id

@@ -117,7 +117,11 @@ TEST_P(TransportConformance, MetaRoundTrip) {
     const meta::MetaNode node = meta::MetaNode::leaf({1, 2}, 99, 512);
 
     EXPECT_FALSE(svc_->meta_try_get(mp, key).has_value());
-    svc_->meta_put(mp, key, node);
+    const meta::KeyedNode batch[] = {
+        {key, node},
+        {meta::MetaKey{3, 1, {4, 4}}, meta::MetaNode::inner({3, 1}, {})}};
+    svc_->meta_put_batch_async(mp, batch).get();
+    EXPECT_FALSE(svc_->meta_get(mp, batch[1].key).is_leaf());
     const auto got = svc_->meta_get(mp, key);
     EXPECT_TRUE(got.is_leaf());
     EXPECT_EQ(got.chunk_uid, 99u);
@@ -215,8 +219,8 @@ TEST_P(TransportConformance, AsyncRoundTripsMatchSync) {
                              2000));
 
     const meta::MetaKey mkey{11, 1, {0, 8}};
-    svc_->meta_put_async(mp, mkey, meta::MetaNode::leaf({dp}, 7, 128))
-        .get();
+    const meta::KeyedNode one{mkey, meta::MetaNode::leaf({dp}, 7, 128)};
+    svc_->meta_put_batch_async(mp, {&one, 1}).get();
     const auto node = svc_->meta_get_async(mp, mkey).get();
     EXPECT_EQ(node.chunk_uid, 7u);
 

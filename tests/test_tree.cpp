@@ -4,12 +4,16 @@
 ///        concurrent writers and cross-blob (clone) borrowing.
 ///
 /// These tests drive the real VersionManager for version bookkeeping but
-/// talk to a plain InMemoryMetaStore, so every metadata fetch and node
-/// creation is exactly countable.
+/// talk to a plain InMemoryMetaStore behind a recording wrapper, so every
+/// metadata fetch, node creation and store batch is exactly countable.
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
+#include <span>
+#include <unordered_set>
+#include <vector>
 
 #include "meta/meta_store.hpp"
 #include "meta/tree_builder.hpp"
@@ -26,6 +30,36 @@ using meta::SlotRange;
 using version::VersionManager;
 
 constexpr std::uint64_t kChunk = 8;
+
+/// In-memory store that logs every put_many batch and every fetch of a
+/// key not stored yet.
+class RecordingStore final : public meta::MetaStore {
+  public:
+    void put_many(std::span<const meta::KeyedNode> nodes) override {
+        batches.emplace_back(nodes.begin(), nodes.end());
+        inner_.put_many(nodes);
+    }
+
+    [[nodiscard]] MetaNode get(const meta::MetaKey& key) override {
+        if (!inner_.try_get(key)) {
+            fetched_unstored.push_back(key);
+        }
+        return inner_.get(key);
+    }
+
+    [[nodiscard]] std::optional<MetaNode> try_get(
+        const meta::MetaKey& key) override {
+        return inner_.try_get(key);
+    }
+
+    void erase(const meta::MetaKey& key) override { inner_.erase(key); }
+
+    std::vector<std::vector<meta::KeyedNode>> batches;
+    std::vector<meta::MetaKey> fetched_unstored;
+
+  private:
+    meta::InMemoryMetaStore inner_;
+};
 
 /// Test harness: a blob driven through the real version manager with
 /// metadata in a local store. Leaf uids encode (version, slot) so reads
@@ -77,7 +111,21 @@ class TreeFixture : public ::testing::Test {
                 {NodeId{7}}, uid_for(ar.version, slots.first, i),
                 static_cast<std::uint32_t>(covered)));
         }
-        return build_version_tree(store_, in);
+        const std::size_t batches_before = store_.batches.size();
+        const BuildResult r = build_version_tree(store_, in);
+        // The whole tree goes out in one put_many of distinct keys, and
+        // the descent never fetched a key before it was stored.
+        EXPECT_EQ(store_.batches.size(), batches_before + 1);
+        const auto& batch = store_.batches.back();
+        EXPECT_EQ(batch.size(), r.nodes_created);
+        std::unordered_set<meta::MetaKey, meta::MetaKeyHash> keys;
+        for (const auto& n : batch) {
+            EXPECT_EQ(n.key.version, ar.version);
+            keys.insert(n.key);
+        }
+        EXPECT_EQ(keys.size(), batch.size());
+        EXPECT_TRUE(store_.fetched_unstored.empty());
+        return r;
     }
 
     /// Map each byte of a read plan to the uid serving it (0 = hole).
@@ -118,7 +166,7 @@ class TreeFixture : public ::testing::Test {
 
     VersionManager vm_;
     version::BlobInfo info_;
-    meta::InMemoryMetaStore store_;
+    RecordingStore store_;
 };
 
 TEST_F(TreeFixture, SingleFullWrite) {
@@ -359,6 +407,15 @@ TEST_F(TreeFixture, MetadataReadsLogarithmicInBlobSize) {
     const auto r = apply(512 * kChunk, kChunk);
     EXPECT_EQ(r.nodes_created, 11u);  // path of log2(1024)+1 nodes
     EXPECT_EQ(r.store_reads, 10u);    // borrow descent along the path
+}
+
+TEST_F(TreeFixture, EachVersionStoredInOneBatch) {
+    apply(0, 1024 * kChunk);
+    ASSERT_EQ(store_.batches.size(), 1u);
+    EXPECT_EQ(store_.batches[0].size(), 2047u);  // full 1024-leaf tree
+    const auto r = apply(512 * kChunk, kChunk);
+    ASSERT_EQ(store_.batches.size(), 2u);
+    EXPECT_EQ(store_.batches[1].size(), r.nodes_created);
 }
 
 TEST_F(TreeFixture, BuilderRejectsBadInput) {
