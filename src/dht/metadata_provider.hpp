@@ -42,6 +42,11 @@ class MetadataProvider {
 
     [[nodiscard]] NodeId node() const noexcept { return node_; }
 
+    /// Service capacity; nonzero means every op may sleep in the gate.
+    [[nodiscard]] std::uint64_t ops_per_second() const noexcept {
+        return service_gate_.rate();
+    }
+
     /// Store a batch. Capacity and stats are charged per node, so a
     /// batch of n costs the server what n single puts would.
     void put_many(std::span<const meta::KeyedNode> nodes) {

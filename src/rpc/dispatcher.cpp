@@ -161,6 +161,70 @@ RpcResponse Dispatcher::dispatch_sg(ConstBytes frame,
     return response;
 }
 
+void Dispatcher::add_metadata_provider(NodeId node,
+                                       dht::MetadataProvider* mp) {
+    meta_providers_[node] = mp;
+    meta_gated_ = meta_gated_ || mp->ops_per_second() != 0;
+}
+
+DispatchClass Dispatcher::dispatch_class(MsgType type) const noexcept {
+    switch (type) {
+        // Bounded in-memory work plus page-cache appends (a journal
+        // record, a log record per metadata node); no fsync, no sleep,
+        // no nested RPC.
+        case MsgType::kTopology:
+        case MsgType::kBlobCreate:
+        case MsgType::kBlobClone:
+        case MsgType::kBlobCloneFrom:
+        case MsgType::kBlobInfo:
+        case MsgType::kAssign:
+        case MsgType::kCommit:
+        case MsgType::kGetVersion:
+        case MsgType::kDescriptorOf:
+        case MsgType::kPin:
+        case MsgType::kUnpin:
+        case MsgType::kPlace:
+            return DispatchClass::kLoop;
+        case MsgType::kMetaGet:
+        case MsgType::kMetaTryGet:
+        case MsgType::kMetaErase:
+        case MsgType::kMetaPutBatch:
+            return meta_gated_ ? DispatchClass::kPool : DispatchClass::kLoop;
+
+        // Blocks until publication or its timeout.
+        case MsgType::kWaitPublished:
+            return DispatchClass::kOwnThread;
+
+        // Chunk payloads, the file cache and engine reads; membership and
+        // inventory; history and retire (cost grows with history);
+        // status, metrics and trace dumps.
+        case MsgType::kChunkPut:
+        case MsgType::kChunkGet:
+        case MsgType::kChunkErase:
+        case MsgType::kChunkCheck:
+        case MsgType::kChunkPushStart:
+        case MsgType::kChunkPushSome:
+        case MsgType::kChunkPushEnd:
+        case MsgType::kChunkPullStart:
+        case MsgType::kChunkPullSome:
+        case MsgType::kChunkDecref:
+        case MsgType::kDedupStatus:
+        case MsgType::kHistory:
+        case MsgType::kRetire:
+        case MsgType::kVmStatus:
+        case MsgType::kMarkDead:
+        case MsgType::kProviderJoin:
+        case MsgType::kProviderAnnounce:
+        case MsgType::kProviderBeat:
+        case MsgType::kReportFailure:
+        case MsgType::kRepairStatus:
+        case MsgType::kMetricsDump:
+        case MsgType::kTraceDump:
+            return DispatchClass::kPool;
+    }
+    return DispatchClass::kPool;
+}
+
 RpcResponse Dispatcher::handle(const FrameView& f) {
     // Fault gate: a request addressed to a node the deployment considers
     // down fails exactly like a dead simulated endpoint, so TCP clients

@@ -12,8 +12,9 @@
 ///
 /// Both transports share this object: SimTransport invokes it inline on
 /// the calling thread (after charging the simulated wire), and the TCP
-/// server invokes it on its worker pool, fed by the epoll reactor's io
-/// threads. Service objects are thread-safe, so no additional locking
+/// server invokes it where dispatch_class() says — inline on the io
+/// thread that read the frame, on its worker pool, or on a dedicated
+/// thread. Service objects are thread-safe, so no additional locking
 /// happens here.
 
 #pragma once
@@ -79,6 +80,22 @@ struct RpcResponse {
     }
 };
 
+/// Where a server runs a request's handler (DESIGN.md §15.1).
+enum class DispatchClass : std::uint8_t {
+    /// Inline on the io thread that read the frame. Only for handlers
+    /// that do bounded in-memory work plus page-cache appends (one
+    /// journal record, or one log record per node of a metadata batch;
+    /// never an fsync), never sleep and issue no nested RPC: every
+    /// connection of that loop waits while one runs.
+    kLoop,
+    /// The shared worker pool: anything that may be slow or scale with
+    /// payload or history.
+    kPool,
+    /// A dedicated thread: blocks by design (wait_published), so it must
+    /// hold neither a loop nor a pool worker.
+    kOwnThread,
+};
+
 class Dispatcher {
   public:
     Dispatcher() = default;
@@ -100,9 +117,7 @@ class Dispatcher {
     void add_data_provider(NodeId node, provider::DataProvider* dp) {
         data_providers_[node] = dp;
     }
-    void add_metadata_provider(NodeId node, dht::MetadataProvider* mp) {
-        meta_providers_[node] = mp;
-    }
+    void add_metadata_provider(NodeId node, dht::MetadataProvider* mp);
 
     /// Install the topology advertised to remote clients. client_id in
     /// the template is ignored; each kTopology request gets a fresh one.
@@ -162,6 +177,13 @@ class Dispatcher {
     [[nodiscard]] RpcResponse dispatch_sg(ConstBytes frame,
                                           TimePoint received_at) noexcept;
 
+    /// The one table deciding where a request of \p type runs. Its
+    /// switch has no default, so a new MsgType fails the build until it
+    /// is classified. Tags outside MsgType (corrupt frames) go to the
+    /// pool, as does every metadata family once a registered provider
+    /// has a nonzero service gate: that gate sleeps.
+    [[nodiscard]] DispatchClass dispatch_class(MsgType type) const noexcept;
+
   private:
     /// Per-MsgType telemetry, resolved from the registry on first use and
     /// cached so the steady-state cost is two atomic loads per dispatch.
@@ -185,6 +207,9 @@ class Dispatcher {
     std::unordered_map<NodeId, version::VersionManager*> version_managers_;
     std::unordered_map<NodeId, provider::DataProvider*> data_providers_;
     std::unordered_map<NodeId, dht::MetadataProvider*> meta_providers_;
+    /// Some registered metadata provider models finite capacity, so its
+    /// handlers sleep (bench clusters only; serverd never sets it).
+    bool meta_gated_ = false;
 
     mutable std::mutex topo_mu_;  // guards topology_ (refreshed at runtime)
     Topology topology_;

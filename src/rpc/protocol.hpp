@@ -88,6 +88,10 @@ inline constexpr std::uint32_t kFrameMagic = 0x42535250;  // "PRSB" LE
 /// metadata provider. Tag 48 (kMetaPut) is reserved and rejected.
 inline constexpr std::uint8_t kWireVersion = 8;
 inline constexpr std::size_t kFrameHeaderSize = 40;
+/// Byte offset of the message-type tag (u16) within the header.
+inline constexpr std::size_t kFrameTypeOffset = 6;
+/// Byte offset of the payload length (u32) within the header.
+inline constexpr std::size_t kFrameLenOffset = 12;
 /// Byte offset of the correlation id within the header.
 inline constexpr std::size_t kFrameCorrOffset = 16;
 /// Byte offset of the trace context (trace id u64, span id u32, flags
@@ -326,9 +330,9 @@ namespace detail {
     h[4] = kWireVersion;
     h[5] = response ? 1 : 0;
     const std::uint16_t tag = static_cast<std::uint16_t>(type);
-    std::memcpy(h + 6, &tag, 2);
+    std::memcpy(h + kFrameTypeOffset, &tag, 2);
     std::memcpy(h + 8, &dst_or_status, 4);
-    std::memcpy(h + 12, &len, 4);
+    std::memcpy(h + kFrameLenOffset, &len, 4);
     // Bytes 16..40 stay zero: the correlation id and trace context are
     // stamped later by set_frame_corr / set_frame_trace.
     return body;
@@ -345,6 +349,18 @@ namespace detail {
     std::uint64_t corr = 0;
     std::memcpy(&corr, frame.data() + kFrameCorrOffset, sizeof corr);
     return corr;
+}
+
+/// Read the message-type tag straight out of a sealed frame (the TCP
+/// server routes on it before any full parse).
+[[nodiscard]] inline MsgType frame_type(ConstBytes frame) {
+    if (frame.size() < kFrameHeaderSize) {
+        throw RpcError("frame decode: short frame (" +
+                       std::to_string(frame.size()) + " bytes)");
+    }
+    std::uint16_t tag = 0;
+    std::memcpy(&tag, frame.data() + kFrameTypeOffset, sizeof tag);
+    return static_cast<MsgType>(tag);
 }
 
 /// Stamp \p corr into a sealed frame (request at send time, response at

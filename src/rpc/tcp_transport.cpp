@@ -171,7 +171,7 @@ class FrameAssembler {
             std::uint32_t magic = 0;
             std::uint32_t len = 0;
             std::memcpy(&magic, frame_.data(), 4);
-            std::memcpy(&len, frame_.data() + 12, 4);
+            std::memcpy(&len, frame_.data() + kFrameLenOffset, 4);
             if (magic != kFrameMagic) {
                 *error = "bad frame magic";
                 return false;
@@ -967,35 +967,41 @@ void TcpRpcServer::handle_frame(const std::shared_ptr<ServerConn>& conn,
     loop_dispatch_[conn->loop_idx]->add();
     const TimePoint received_at = Clock::now();
     conn->busy.fetch_add(1);
-    // Requests that block by design must not occupy a pool worker:
-    // enough parked wait_published calls would exhaust the pool and
-    // stall the very commit frame that wakes them.
-    std::uint16_t tag = 0;
-    std::memcpy(&tag, request.data() + 6, sizeof tag);
-    if (static_cast<MsgType>(tag) == MsgType::kWaitPublished) {
-        {
-            const std::scoped_lock lock(mu_);
-            ++blocking_ops_;
-        }
-        std::thread([this, conn, received_at,
-                     req = std::move(request)]() mutable {
-            answer(conn, req, received_at);
+    switch (dispatcher_.dispatch_class(frame_type(request))) {
+        case DispatchClass::kLoop:
+            // Short by contract: run to completion on this loop thread.
+            answer(conn, request, received_at);
             conn->busy.fetch_sub(1);
-            const std::scoped_lock lock(mu_);
-            --blocking_ops_;
-            conn_done_.notify_all();
-        }).detach();
-        return;
+            return;
+        case DispatchClass::kOwnThread: {
+            // Blocks by design: enough parked wait_published calls would
+            // exhaust the pool and stall the very commit that wakes them.
+            {
+                const std::scoped_lock lock(mu_);
+                ++blocking_ops_;
+            }
+            std::thread([this, conn, received_at,
+                         req = std::move(request)]() mutable {
+                answer(conn, req, received_at);
+                conn->busy.fetch_sub(1);
+                const std::scoped_lock lock(mu_);
+                --blocking_ops_;
+                conn_done_.notify_all();
+            }).detach();
+            return;
+        }
+        case DispatchClass::kPool:
+            // A slow handler must block neither the loop nor its sibling
+            // connections. The task shares ownership of the connection
+            // so the response write races neither close nor fd-number
+            // reuse.
+            workers_->post([this, conn, received_at,
+                            req = std::move(request)]() mutable {
+                answer(conn, req, received_at);
+                conn->busy.fetch_sub(1);
+            });
+            return;
     }
-    // Everything else goes to the pool: a slow handler must block
-    // neither the loop nor its sibling connections. The task shares
-    // ownership of the connection so the response write races neither
-    // close nor fd-number reuse.
-    workers_->post([this, conn, received_at,
-                    req = std::move(request)]() mutable {
-        answer(conn, req, received_at);
-        conn->busy.fetch_sub(1);
-    });
 }
 
 void TcpRpcServer::answer(const std::shared_ptr<ServerConn>& conn,

@@ -18,9 +18,13 @@
 /// epoll loop per transport instead of one reader thread per peer, and
 /// the server runs a fixed Reactor of N loops with nonblocking sockets
 /// instead of one thread per connection — 1k+ concurrent connections
-/// cost fds, not stacks. Loops only move bytes; each decoded request is
-/// dispatched on the shared worker ThreadPool, so a slow handler never
-/// blocks a loop. Responses are scatter-gather (sealed head + borrowed
+/// cost fds, not stacks. Each decoded request runs where
+/// Dispatcher::dispatch_class() puts it: short handlers (bounded
+/// in-memory work plus page-cache appends; no fsync, no sleep, no
+/// nested RPC) run to completion on the loop thread that read them;
+/// everything that may be slow goes to the shared worker ThreadPool, and
+/// wait_published to a dedicated thread, so a slow handler never blocks
+/// a loop. Responses are scatter-gather (sealed head + borrowed
 /// payload tail) written with one writev; when the kernel send buffer
 /// fills, the remainder parks in a per-connection frame queue and
 /// EPOLLOUT drains it (backpressure without a blocked thread). stop()
@@ -130,9 +134,11 @@ class TcpRpcServer {
     struct Options {
         std::uint16_t port = 0;  ///< 0 = ephemeral; read back with port()
         std::string bind_addr = "0.0.0.0";
-        /// Dispatch pool size (0 = a hardware-sized default).
+        /// Worker-pool size for kPool families (0 = a hardware-sized
+        /// default).
         std::size_t workers = 0;
-        /// Event-loop (reactor) threads moving bytes (0 = default 2).
+        /// Event-loop (reactor) threads moving bytes and running kLoop
+        /// handlers (0 = default 2).
         std::size_t io_threads = 0;
         /// Close connections idle longer than this (0 = never). Guards
         /// fd exhaustion under thousands of parked clients.
@@ -174,14 +180,17 @@ class TcpRpcServer {
     void on_writable(const std::shared_ptr<ServerConn>& conn);
     /// Loop-thread-only teardown of one connection.
     void close_conn(const std::shared_ptr<ServerConn>& conn);
-    /// Route one complete request frame (loop thread).
+    /// Run one complete request frame where the dispatcher's table
+    /// says: inline, on the pool, or on its own thread (loop thread).
     void handle_frame(const std::shared_ptr<ServerConn>& conn,
                       Buffer request);
 
-    /// Dispatch one request and queue its response (worker-pool task
-    /// body, also run by dedicated blocking-op threads).
-    /// \p received_at is when the loop finished the frame — the gap to
-    /// dispatch is the queue wait the server span reports.
+    /// Dispatch one request and queue its response. Runs on the loop
+    /// thread for kLoop families, else as a pool task or on a dedicated
+    /// blocking-op thread. \p received_at is when the loop finished the
+    /// frame — the gap to dispatch is the queue wait the server span
+    /// reports (worker wait on the pool; near zero inline, where the
+    /// wait behind earlier inline handlers shows up as wire time).
     void answer(const std::shared_ptr<ServerConn>& conn,
                 const Buffer& request, TimePoint received_at);
 
@@ -195,8 +204,8 @@ class TcpRpcServer {
 
     Dispatcher& dispatcher_;
     const Options opts_;
-    /// Dispatch pool shared by all connections; reset (drained + joined)
-    /// by stop() after the reactor loops have been joined.
+    /// Pool for kPool families, shared by all connections; reset
+    /// (drained + joined) by stop() after the reactor loops are joined.
     std::unique_ptr<ThreadPool> workers_;
     std::unique_ptr<net::Reactor> reactor_;
     int listen_fd_ = -1;

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/random.hpp"
@@ -544,6 +547,8 @@ TEST(FrameV7, GoldenHeaderLayout) {
     // wire ABI changed: bump kWireVersion and update DESIGN.md §7.
     static_assert(kWireVersion == 8);
     static_assert(kFrameHeaderSize == 40);
+    static_assert(kFrameTypeOffset == 6);
+    static_assert(kFrameLenOffset == 12);
     static_assert(kFrameCorrOffset == 16);
     static_assert(kFrameTraceOffset == 24);
 
@@ -577,6 +582,103 @@ TEST(FrameV7, GoldenHeaderLayout) {
     }
     EXPECT_EQ(static_cast<std::uint16_t>(MsgType::kGetVersion), 21)
         << "update the golden bytes if the tag moved";
+    EXPECT_EQ(frame_type(frame), MsgType::kGetVersion);
+}
+
+// ---- dispatch classes (where the TCP server runs each family) ----------------
+
+/// Every tag MsgType names; to_string is exhaustive over the enum, so a
+/// new tag joins this list without an edit here.
+std::vector<MsgType> all_types() {
+    std::vector<MsgType> out;
+    for (std::uint32_t tag = 0; tag <= 0xffff; ++tag) {
+        const auto t = static_cast<MsgType>(tag);
+        if (std::string_view(to_string(t)) != "?") {
+            out.push_back(t);
+        }
+    }
+    return out;
+}
+
+TEST(DispatchClass, EveryTagHasExactlyOneClass) {
+    const Dispatcher d;
+    const std::vector<MsgType> types = all_types();
+    ASSERT_EQ(types.size(), 39u);
+    std::set<std::string> loop;
+    std::set<std::string> own_thread;
+    for (const MsgType t : types) {
+        const DispatchClass c = d.dispatch_class(t);
+        ASSERT_TRUE(c == DispatchClass::kLoop || c == DispatchClass::kPool ||
+                    c == DispatchClass::kOwnThread)
+            << to_string(t);
+        if (c == DispatchClass::kLoop) {
+            loop.insert(to_string(t));
+        } else if (c == DispatchClass::kOwnThread) {
+            own_thread.insert(to_string(t));
+        }
+    }
+    // The inline set is deliberate: growing it needs the handler audit
+    // dispatcher.hpp's kLoop contract asks for.
+    const std::set<std::string> expected_loop = {
+        "topology",      "blob-create",  "blob-clone",  "blob-clone-from",
+        "blob-info",     "assign",       "commit",      "get-version",
+        "descriptor-of", "pin",          "unpin",       "meta-get",
+        "meta-try-get",  "meta-erase",   "meta-put-batch", "place"};
+    EXPECT_EQ(loop, expected_loop);
+    EXPECT_EQ(own_thread, std::set<std::string>{"wait-published"});
+    // Unknown or retired tags (corrupt frames) keep the pool.
+    EXPECT_EQ(d.dispatch_class(static_cast<MsgType>(48)), DispatchClass::kPool);
+    EXPECT_EQ(d.dispatch_class(static_cast<MsgType>(0xffff)),
+              DispatchClass::kPool);
+}
+
+TEST(DispatchClass, BlockingOrUnboundedFamiliesNeverRunOnTheLoop) {
+    // Each of these can block, sleep, scale with payload or history, or
+    // issue nested RPCs: on a loop thread it would stall every
+    // connection that loop serves.
+    const Dispatcher d;
+    std::vector<MsgType> never = {
+        MsgType::kWaitPublished,   MsgType::kProviderJoin,
+        MsgType::kProviderAnnounce, MsgType::kProviderBeat,
+        MsgType::kHistory,         MsgType::kRetire,
+        MsgType::kDedupStatus,     MsgType::kVmStatus,
+        MsgType::kRepairStatus,    MsgType::kMetricsDump,
+        MsgType::kTraceDump};
+    for (const MsgType t : all_types()) {
+        if (std::string_view(to_string(t)).starts_with("chunk-")) {
+            never.push_back(t);
+        }
+    }
+    ASSERT_EQ(never.size(), 11u + 10u);  // ten chunk-* families
+    for (const MsgType t : never) {
+        EXPECT_NE(d.dispatch_class(t), DispatchClass::kLoop) << to_string(t);
+    }
+}
+
+TEST(DispatchClass, GatedMetadataProviderKeepsMetaFamiliesOffTheLoop) {
+    // MetadataProvider's capacity gate (meta_ops_per_second, set by the
+    // simulator benches) sleeps in every op. A dispatcher fronting such
+    // a provider sends the metadata families to the pool; without a gate
+    // they run inline.
+    const std::vector<MsgType> meta = {MsgType::kMetaGet, MsgType::kMetaTryGet,
+                                       MsgType::kMetaErase,
+                                       MsgType::kMetaPutBatch};
+    dht::MetadataProvider free_mp(7, 0);
+    Dispatcher ungated;
+    ungated.add_metadata_provider(free_mp.node(), &free_mp);
+    dht::MetadataProvider gated_mp(8, 1000);
+    Dispatcher gated;
+    gated.add_metadata_provider(free_mp.node(), &free_mp);
+    gated.add_metadata_provider(gated_mp.node(), &gated_mp);
+    for (const MsgType t : meta) {
+        EXPECT_EQ(ungated.dispatch_class(t), DispatchClass::kLoop)
+            << to_string(t);
+        EXPECT_EQ(gated.dispatch_class(t), DispatchClass::kPool)
+            << to_string(t);
+    }
+    // The gate is the metadata service's alone.
+    EXPECT_EQ(gated.dispatch_class(MsgType::kAssign), DispatchClass::kLoop);
+    EXPECT_EQ(gated.dispatch_class(MsgType::kPlace), DispatchClass::kLoop);
 }
 
 TEST(FrameV7, TraceContextRoundTrip) {

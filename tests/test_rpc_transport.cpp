@@ -14,7 +14,9 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -627,6 +629,68 @@ TEST_P(TransportConformance, SlowReaderDoesNotBlockLoopSiblings) {
     EXPECT_LT(Clock::now() - t0, seconds(5))
         << "sibling RPCs starved behind a parked writer";
     ::close(slow);
+}
+
+TEST_P(TransportConformance, LoopFamiliesAnswerWhileEveryWorkerIsBusy) {
+    if (is_sim()) {
+        GTEST_SKIP() << "dispatch placement is a TCP server feature";
+    }
+    const NodeId dp = cluster_->data_provider(0).node();
+    const chunk::ChunkKey key{23, 1};
+    const Buffer payload = make_pattern(23, 1, 0, 4096);
+    cluster_->data_provider(0).put_chunk(
+        key, std::make_shared<const Buffer>(payload));
+
+    // The dispatcher's fault gate runs on whichever thread runs the
+    // handler: use it to park the only pool worker inside a chunk read.
+    // The park times out, so a loop family misrouted to the pool fails
+    // the checks below instead of hanging the test.
+    std::mutex mu;
+    std::condition_variable cv;
+    bool parked = false;
+    bool released = false;
+    cluster_->dispatcher().set_fault_check([&](NodeId node) {
+        if (node == dp) {
+            std::unique_lock lock(mu);
+            parked = true;
+            cv.notify_all();
+            cv.wait_for(lock, seconds(5), [&] { return released; });
+        }
+        return true;
+    });
+    TcpRpcServer::Options opts;
+    opts.bind_addr = "127.0.0.1";
+    opts.workers = 1;
+    opts.io_threads = 1;
+    TcpRpcServer server(cluster_->dispatcher(), std::move(opts));
+    TcpTransport tcp("127.0.0.1", server.port());
+    ServiceClient svc(tcp, cluster_->version_manager_nodes(),
+                      cluster_->provider_manager_node());
+
+    auto stuck = svc.get_chunk_async(dp, key, 0, 0);
+    {
+        std::unique_lock lock(mu);
+        ASSERT_TRUE(cv.wait_for(lock, seconds(5), [&] { return parked; }));
+    }
+    // Version-manager, metadata and placement families answer on the
+    // loop while the pool is wedged.
+    const auto info = svc.create_blob(4096, 1);
+    const auto a = svc.assign(info.id, std::nullopt, 4096);
+    svc.commit(info.id, a.version);
+    EXPECT_EQ(svc.get_version(info.id, a.version).version, a.version);
+    const NodeId mp = cluster_->metadata_provider(0).node();
+    EXPECT_FALSE(svc.meta_try_get(mp, meta::MetaKey{23, 1, {0, 4}}));
+    EXPECT_EQ(svc.place(2, 1, 4096).size(), 2u);
+    EXPECT_FALSE(stuck.ready())
+        << "the loop families waited for the parked worker";
+    {
+        const std::scoped_lock lock(mu);
+        released = true;
+    }
+    cv.notify_all();
+    EXPECT_EQ(stuck.get().bytes, payload);
+    server.stop();
+    cluster_->dispatcher().set_fault_check({});
 }
 
 TEST_P(TransportConformance, IdleConnectionsAreReaped) {
