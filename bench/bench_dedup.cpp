@@ -39,11 +39,14 @@ struct ProviderTotals {
 
 [[nodiscard]] ProviderTotals provider_totals(core::Cluster& cluster) {
     ProviderTotals t;
+    const MetricsSnapshot snap = MetricsRegistry::instance().snapshot();
     for (std::size_t i = 0; i < cluster.data_provider_count(); ++i) {
-        const auto st = cluster.data_provider(i).dedup_status();
-        t.stored_bytes += st.stored_bytes;
-        t.chunks_stored += st.chunks_stored;
-        t.reclaimed_bytes += st.reclaimed_bytes;
+        provider::DataProvider& dp = cluster.data_provider(i);
+        t.stored_bytes += dp.stored_bytes();
+        t.chunks_stored += dp.store().count();
+        t.reclaimed_bytes +=
+            sum_series(snap, "cas_reclaimed_bytes_total",
+                       {"node", std::to_string(dp.node())});
     }
     return t;
 }

@@ -4,9 +4,9 @@
 ///        plain-text table printer that mimics the paper's figures.
 ///
 /// Scale note: every bench models a 1 GbE cluster scaled down so the
-/// whole suite runs in minutes on one machine. EXPERIMENTS.md records the
-/// mapping and compares curve *shapes* (who wins, where curves flatten)
-/// rather than absolute MB/s, per DESIGN.md §2.
+/// whole suite runs in minutes on one machine. The benches compare curve
+/// *shapes* (who wins, where curves flatten) rather than absolute MB/s,
+/// per DESIGN.md §2.
 
 #pragma once
 

@@ -105,6 +105,9 @@ class CompressedFileCache {
     [[nodiscard]] const std::filesystem::path& dir() const {
         return cfg_.dir;
     }
+    [[nodiscard]] std::uint64_t budget_bytes() const {
+        return cfg_.budget_bytes;
+    }
 
   private:
     /// [crc | klen | raw_len | stored_len] prefix of every entry.

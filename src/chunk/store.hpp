@@ -2,8 +2,9 @@
 /// \brief Abstract chunk storage backend used by data providers.
 ///
 /// Implementations: RamStore (the paper's original RAM-only prototype,
-/// §IV-A), DiskStore (persistent storage, §IV-B) and TwoTierStore (RAM as
-/// a caching layer over disk, the combination §IV-B describes).
+/// §IV-A), LogStore (persistent storage on the log engine, §IV-B) and
+/// TieredStore (RAM, and optionally a compressed file cache, as caching
+/// layers over LogStore — the combination §IV-B describes).
 ///
 /// Chunks are immutable: put() of an existing key is idempotent (replicas
 /// of the same chunk are bit-identical by construction) and get() returns

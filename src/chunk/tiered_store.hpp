@@ -24,8 +24,9 @@
 /// The middle tier is disposable: corrupt/missing entries fall through
 /// to the backend, and deleting its directory loses nothing.
 ///
-/// Constructed without a file cache this is exactly the old TwoTierStore
-/// (the name survives as an alias in two_tier_store.hpp).
+/// core::make_chunk_store builds it over a LogStore when a durable
+/// deployment sets a RAM budget, with the file cache when it also sets a
+/// file-cache budget.
 
 #pragma once
 
@@ -163,6 +164,10 @@ class TieredStore final : public ChunkStore {
     /// The middle tier, if configured (tests and stats plumbing).
     [[nodiscard]] cache::CompressedFileCache* file_cache() {
         return file_cache_.get();
+    }
+    [[nodiscard]] ChunkStore& backend() noexcept { return *backend_; }
+    [[nodiscard]] std::uint64_t ram_budget() const noexcept {
+        return ram_budget_;
     }
 
     /// Drop every volatile tier (crash of the caching layer; durable

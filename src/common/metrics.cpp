@@ -1,5 +1,6 @@
 #include "common/metrics.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace blobseer {
@@ -64,6 +65,20 @@ void append_series(std::string& out, const std::string& name,
 }
 
 }  // namespace
+
+std::uint64_t sum_series(const MetricsSnapshot& snap,
+                         const std::string& name,
+                         const std::pair<std::string, std::string>& label) {
+    std::uint64_t total = 0;
+    for (const MetricSample& s : snap.samples) {
+        if (s.name == name &&
+            std::find(s.labels.begin(), s.labels.end(), label) !=
+                s.labels.end()) {
+            total += s.value;
+        }
+    }
+    return total;
+}
 
 std::string render_prometheus(const MetricsSnapshot& snap) {
     std::string out;

@@ -6,9 +6,10 @@
 /// compaction totals, thread-pool backlogs — registers here under a stable
 /// name plus a label set, and one snapshot() walks them all. The registry
 /// is what the kMetricsDump RPC, the Prometheus /metrics endpoint and
-/// `blobseer_cli metrics` serve; the bespoke status RPCs (kVmStatus,
-/// kDedupStatus, kRepairStatus) remain as typed views over the same
-/// underlying counters.
+/// `blobseer_cli metrics` serve, and what `blobseer_cli dedup-stats`
+/// renders. The two remaining status RPCs (kVmStatus, kRepairStatus)
+/// carry fields the registry does not: per-shard blob counts, backlog
+/// high-water marks and per-provider membership rows.
 ///
 /// Two registration styles:
 ///
@@ -83,6 +84,13 @@ struct MetricsSnapshot {
 
     bool operator==(const MetricsSnapshot&) const = default;
 };
+
+/// Sum of the values of every series in \p snap named \p name whose
+/// labels include \p label — e.g. one provider's counter, selected by
+/// its ("node", id) label.
+[[nodiscard]] std::uint64_t sum_series(
+    const MetricsSnapshot& snap, const std::string& name,
+    const std::pair<std::string, std::string>& label);
 
 /// Render a snapshot in the Prometheus text exposition format (0.0.4):
 /// counters as `name_total`-style plain series, gauges with a `_peak`

@@ -9,14 +9,12 @@
 #include <cstring>
 
 #include "cache/compressed_file_cache.hpp"
-#include "chunk/disk_store.hpp"
 #include "chunk/log_store.hpp"
 #include "chunk/ram_store.hpp"
-#include "chunk/two_tier_store.hpp"
+#include "chunk/tiered_store.hpp"
 #include "core/client.hpp"
 #include "engine/log_engine.hpp"
 #include "engine/segment_file.hpp"
-#include "meta/disk_meta_store.hpp"
 #include "meta/log_meta_store.hpp"
 #include "rpc/sim_transport.hpp"
 #include "rpc/tcp_transport.hpp"
@@ -25,45 +23,19 @@ namespace blobseer::core {
 
 namespace {
 
-std::unique_ptr<chunk::LogStore> make_log_store(const ClusterConfig& cfg,
-                                                std::size_t index) {
-    engine::EngineConfig ecfg;
-    ecfg.dir = cfg.disk_root / ("dp-" + std::to_string(index));
-    ecfg.compress_on_compact = cfg.compress_cold_segments;
-    return std::make_unique<chunk::LogStore>(std::move(ecfg));
-}
-
-std::unique_ptr<chunk::ChunkStore> make_store(const ClusterConfig& cfg,
-                                              std::size_t index) {
-    switch (cfg.store) {
-        case StoreBackend::kRam:
-            return std::make_unique<chunk::RamStore>();
-        case StoreBackend::kDisk:
-            return std::make_unique<chunk::DiskStore>(
-                cfg.disk_root / ("dp-" + std::to_string(index)));
-        case StoreBackend::kTwoTier:
-            return std::make_unique<chunk::TwoTierStore>(
-                std::make_unique<chunk::DiskStore>(
-                    cfg.disk_root / ("dp-" + std::to_string(index))),
-                cfg.ram_cache_budget);
-        case StoreBackend::kLog:
-            return make_log_store(cfg, index);
-        case StoreBackend::kTwoTierLog:
-            return std::make_unique<chunk::TieredStore>(
-                make_log_store(cfg, index), cfg.ram_cache_budget);
-        case StoreBackend::kThreeTierLog: {
-            cache::FileCacheConfig fcfg;
-            const auto root = cfg.file_cache_dir.empty()
-                                  ? cfg.disk_root / "file-cache"
-                                  : cfg.file_cache_dir;
-            fcfg.dir = root / ("dp-" + std::to_string(index));
-            fcfg.budget_bytes = cfg.file_cache_budget;
-            return std::make_unique<chunk::TieredStore>(
-                make_log_store(cfg, index), cfg.ram_cache_budget,
-                std::make_unique<cache::CompressedFileCache>(fcfg));
-        }
+/// The two storage combinations that mean nothing: a cache tier over a
+/// store that is itself RAM, and a file tier with no RAM tier to demote
+/// into it.
+void check_storage(const ClusterConfig& cfg) {
+    if (!cfg.durable &&
+        (cfg.ram_cache_budget != 0 || cfg.file_cache_budget != 0)) {
+        throw InvalidArgument(
+            "cache tiers need a durable store (set durable or zero the "
+            "ram/file cache budgets)");
     }
-    throw InvalidArgument("unknown store backend");
+    if (cfg.file_cache_budget != 0 && cfg.ram_cache_budget == 0) {
+        throw InvalidArgument("a file-cache tier needs a RAM tier above it");
+    }
 }
 
 /// Read-bump-rewrite the boot counter at \p path (plain decimal file,
@@ -126,40 +98,53 @@ std::uint64_t bump_uid_epoch(const std::filesystem::path& path) {
     return epoch;
 }
 
-/// True when any configured backend persists state under disk_root —
-/// exactly the deployments whose next boot must not re-mint chunk uids.
-bool needs_uid_epoch(const ClusterConfig& cfg) {
-    return cfg.store != StoreBackend::kRam ||
-           cfg.meta_store != ClusterConfig::MetaBackend::kRam ||
-           cfg.durable_version_manager;
-}
-
 std::unique_ptr<meta::LocalMetaStore> make_meta_store(
     const ClusterConfig& cfg, std::size_t index) {
-    switch (cfg.meta_store) {
-        case ClusterConfig::MetaBackend::kRam:
-            return std::make_unique<meta::InMemoryMetaStore>();
-        case ClusterConfig::MetaBackend::kDisk:
-            return std::make_unique<meta::DiskMetaStore>(
-                cfg.disk_root / ("mp-" + std::to_string(index)));
-        case ClusterConfig::MetaBackend::kLog:
-            return std::make_unique<meta::LogMetaStore>(
-                cfg.disk_root / ("mp-" + std::to_string(index)));
+    if (!cfg.durable) {
+        return std::make_unique<meta::InMemoryMetaStore>();
     }
-    throw InvalidArgument("unknown metadata backend");
+    return std::make_unique<meta::LogMetaStore>(
+        cfg.disk_root / ("mp-" + std::to_string(index)));
 }
 
 }  // namespace
+
+std::unique_ptr<chunk::ChunkStore> make_chunk_store(const ClusterConfig& cfg,
+                                                    const std::string& name) {
+    check_storage(cfg);
+    if (!cfg.durable) {
+        return std::make_unique<chunk::RamStore>();
+    }
+    const std::string dir = "dp-" + name;
+    engine::EngineConfig ecfg;
+    ecfg.dir = cfg.disk_root / dir;
+    ecfg.compress_on_compact = cfg.compress_cold_segments;
+    auto log = std::make_unique<chunk::LogStore>(std::move(ecfg));
+    if (cfg.ram_cache_budget == 0) {
+        return log;
+    }
+    std::unique_ptr<cache::CompressedFileCache> file_cache;
+    if (cfg.file_cache_budget != 0) {
+        cache::FileCacheConfig fcfg;
+        fcfg.dir = (cfg.file_cache_dir.empty() ? cfg.disk_root / "file-cache"
+                                               : cfg.file_cache_dir) /
+                   dir;
+        fcfg.budget_bytes = cfg.file_cache_budget;
+        file_cache = std::make_unique<cache::CompressedFileCache>(fcfg);
+    }
+    return std::make_unique<chunk::TieredStore>(
+        std::move(log), cfg.ram_cache_budget, std::move(file_cache));
+}
 
 Cluster::Cluster(ClusterConfig config)
     : config_(config),
       net_(config.network),
       pm_(config.placement, config.seed) {
-    if (needs_uid_epoch(config_)) {
-        // Any durable backend means a later boot on this disk_root will
-        // re-mint client ids; chunk idempotence then needs disjoint uid
-        // spaces per boot (DiskStore and LogStore both keep the FIRST
-        // bytes put under a key).
+    check_storage(config_);
+    if (config_.durable) {
+        // A durable deployment's next boot on this disk_root will re-mint
+        // client ids; chunk idempotence then needs disjoint uid spaces
+        // per boot (LogStore keeps the FIRST bytes put under a key).
         std::filesystem::create_directories(config_.disk_root);
         uid_epoch_ = bump_uid_epoch(config_.disk_root / "uid-epoch");
     }
@@ -177,7 +162,7 @@ Cluster::Cluster(ClusterConfig config)
     for (std::size_t i = 0; i < n_vms; ++i) {
         vms_.push_back(std::make_unique<version::VersionManager>(
             static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(n_vms)));
-        if (config_.durable_version_manager) {
+        if (config_.durable) {
             engine::EngineConfig jc;
             jc.dir = config_.disk_root / ("vm-" + std::to_string(i));
             // Replay depends on append order, so the compactor (which
@@ -196,7 +181,7 @@ Cluster::Cluster(ClusterConfig config)
     for (std::size_t i = 0; i < config_.data_providers; ++i) {
         const NodeId node = net_.add_node("dp-" + std::to_string(i));
         data_providers_.push_back(std::make_unique<provider::DataProvider>(
-            node, make_store(config_, i)));
+            node, make_chunk_store(config_, std::to_string(i))));
         dp_by_node_[node] = data_providers_.back().get();
         pm_.register_provider(node);
     }
@@ -233,7 +218,7 @@ Cluster::Cluster(ClusterConfig config)
 
     // ---- membership & repair (protocol v6) ------------------------------
     pm_.set_repair_floor(config_.default_replication);
-    if (needs_uid_epoch(config_)) {
+    if (config_.durable) {
         // Durable deployments also persist the pending-repair set, so a
         // manager restart mid-outage resumes instead of forgetting.
         pm_.open_repair_journal(

@@ -42,6 +42,17 @@ namespace blobseer::core {
 
 class BlobSeerClient;
 
+/// Build the chunk store of the data provider named \p name — the one
+/// place a provider's storage stack is chosen, for in-process clusters
+/// (name = index) and standalone provider daemons (name = --name) alike.
+/// Non-durable: a RamStore. Durable: a LogStore at disk_root / "dp-<name>",
+/// under a TieredStore when ram_cache_budget > 0, whose compressed file
+/// cache (at <file-cache root> / "dp-<name>") exists when
+/// file_cache_budget > 0. Throws InvalidArgument for a cache tier over a
+/// non-durable store or a file tier without a RAM tier.
+[[nodiscard]] std::unique_ptr<chunk::ChunkStore> make_chunk_store(
+    const ClusterConfig& cfg, const std::string& name);
+
 class Cluster {
   public:
     explicit Cluster(ClusterConfig config);
@@ -154,9 +165,9 @@ class Cluster {
     ClusterConfig config_;
     net::SimNetwork net_;
 
-    /// Per-shard operation journals backing vms_ when
-    /// durable_version_manager is set (each shard shares ownership of
-    /// its own; see VersionManager::attach_journal).
+    /// Per-shard operation journals backing vms_ in a durable
+    /// deployment (each shard shares ownership of its own; see
+    /// VersionManager::attach_journal).
     std::vector<std::shared_ptr<engine::LogEngine>> vm_journals_;
     /// Boot counter of this disk root (0 = volatile deployment): keeps
     /// chunk uids minted by restarted deployments disjoint from every

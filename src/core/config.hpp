@@ -3,9 +3,9 @@
 ///
 /// One struct drives every deployment knob the experiments sweep:
 /// provider counts (striping width), metadata decentralization degree,
-/// placement strategy, storage backend, replication, network costs and
-/// client-side caching. EXPERIMENTS.md documents which knobs each bench
-/// varies.
+/// placement strategy, durability and cache tiers, replication, network
+/// costs and client-side caching. Each bench's header says which knobs
+/// it varies.
 
 #pragma once
 
@@ -17,20 +17,6 @@
 #include "provider/provider_manager.hpp"
 
 namespace blobseer::core {
-
-/// Which chunk-store backend data providers run.
-enum class StoreBackend : std::uint8_t {
-    kRam,         ///< the paper's initial RAM-only prototype (§IV-A)
-    kDisk,        ///< persistent file-per-chunk storage (§IV-B)
-    kTwoTier,     ///< disk with a RAM cache on top (§IV-B)
-    kLog,         ///< log-structured engine (DESIGN.md §8)
-    kTwoTierLog,  ///< log engine with a RAM cache on top
-    /// Log engine with a compressed file-cache middle tier under the RAM
-    /// cache (DESIGN.md §14): RAM evictions demote into the file cache,
-    /// hits promote back, so working sets well past the RAM budget stay
-    /// off the engine-read path.
-    kThreeTierLog,
-};
 
 struct ClusterConfig {
     /// Number of data providers (striping width).
@@ -68,39 +54,35 @@ struct ClusterConfig {
     /// (0 = infinite). The knob that makes centralization hurt.
     std::uint64_t meta_ops_per_second = 0;
 
-    StoreBackend store = StoreBackend::kRam;
-    /// Root directory for kDisk/kTwoTier backends.
+    /// Persistence (paper §IV-B). false: the RAM-only prototype of §IV-A
+    /// — RamStore chunks, in-memory metadata, an unjournaled version
+    /// manager. true: every service persists under disk_root — LogStore
+    /// chunks (disk_root / "dp-<i>"), LogMetaStore metadata ("mp-<i>")
+    /// and a version manager journaled through a log engine ("vm-<i>",
+    /// replayed when the cluster is constructed), so a full restart on
+    /// the same disk_root recovers every published blob end-to-end.
+    bool durable = false;
+    /// Root directory of durable state.
     std::filesystem::path disk_root = "/tmp/blobseer-store";
-    /// RAM budget of the two-tier cache per provider (bytes).
-    std::uint64_t ram_cache_budget = 64ULL << 20;
-
-    /// kThreeTierLog only: byte budget of the compressed file cache per
-    /// provider. Evicted RAM entries are demoted here (LZ4-compressed,
+    /// Byte budget of the RAM cache tier over each durable chunk store;
+    /// 0 = no RAM tier.
+    std::uint64_t ram_cache_budget = 0;
+    /// Byte budget of the compressed file-cache tier (DESIGN.md §14)
+    /// between the RAM tier and each durable chunk store; 0 = no file
+    /// tier. Evicted RAM entries are demoted here (LZ4-compressed,
     /// CRC-checked) and promoted back on hit. The cache is disposable —
-    /// deleting its directory loses no data.
-    std::uint64_t file_cache_budget = 256ULL << 20;
-    /// kThreeTierLog only: root directory for per-provider file caches
-    /// (provider i uses file_cache_dir / "dp-<i>"). Empty = put them
-    /// under disk_root / "file-cache".
+    /// deleting its directory loses no data. Needs a RAM tier; a tier
+    /// over a non-durable store is rejected (Cluster throws
+    /// InvalidArgument).
+    std::uint64_t file_cache_budget = 0;
+    /// Root directory for per-provider file caches (provider i uses
+    /// file_cache_dir / "dp-<i>"). Empty = put them under
+    /// disk_root / "file-cache".
     std::filesystem::path file_cache_dir;
-    /// Log-family backends: recompress cold records at compaction time
-    /// (engine format v2, DESIGN.md §14.3). Off by default so existing
-    /// deployments keep producing byte-identical v1 files.
+    /// Recompress cold records of durable chunk stores at compaction
+    /// time (engine format v2, DESIGN.md §14.3). Off by default so
+    /// existing deployments keep producing byte-identical v1 files.
     bool compress_cold_segments = false;
-
-    /// Metadata durability: RAM-only (the paper's initial prototype),
-    /// file-per-node with a RAM cache (§IV-B's persistent metadata), or
-    /// the log-structured engine (DESIGN.md §8). Durable metadata lives
-    /// under disk_root / "mp-<i>".
-    enum class MetaBackend : std::uint8_t { kRam, kDisk, kLog };
-    MetaBackend meta_store = MetaBackend::kRam;
-
-    /// Persist version-manager state by journaling its operations through
-    /// a log engine at disk_root / "vm", replayed when the cluster is
-    /// constructed. Combined with a durable store and metadata backend
-    /// this makes a full daemon restart on the same disk_root recover
-    /// every published blob end-to-end.
-    bool durable_version_manager = false;
 
     /// Replica transfer topology. Direct: the client sends every copy
     /// itself (simple, costs r x client uplink). Pipelined: the client

@@ -25,8 +25,8 @@ namespace blobseer::dht {
 class MetadataProvider {
   public:
     /// \param ops_per_second service capacity; 0 = infinite (unit tests).
-    /// Stores nodes in RAM by default; pass a DiskMetaStore for the
-    /// persistent-metadata configuration of paper SIV-B.
+    /// Stores nodes in RAM by default; pass a LogMetaStore for the
+    /// persistent-metadata configuration of paper §IV-B.
     MetadataProvider(NodeId node, std::uint64_t ops_per_second,
                      std::unique_ptr<meta::LocalMetaStore> store =
                          std::make_unique<meta::InMemoryMetaStore>())

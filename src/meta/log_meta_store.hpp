@@ -1,16 +1,14 @@
 /// \file log_meta_store.hpp
 /// \brief Persistent metadata node store backed by the log engine.
 ///
-/// Replaces DiskMetaStore's file-per-node layout: tree nodes are tiny
-/// (tens of bytes), so one inode plus a write+rename pair per node is
-/// nearly all overhead. Nodes serialize with the same binary layout as
-/// DiskMetaStore (serialize_node/deserialize_node) and append to an
-/// engine::LogEngine (DESIGN.md §8) keyed by the 32-byte MetaKey
-/// encoding; restart recovery is the engine's checkpoint load instead of
-/// a directory scan. As in DiskMetaStore, every node read or written is
-/// mirrored in a RAM map — the paper keeps the RAM scheme "as an
-/// underlying caching mechanism" — and lose_volatile() drops only that
-/// cache; get() then falls back to the engine.
+/// The durable metadata backend (ClusterConfig::durable): tree nodes are
+/// tiny (tens of bytes), so they serialize with serialize_node
+/// (meta_node.hpp) and append to an engine::LogEngine (DESIGN.md §8)
+/// keyed by the 32-byte MetaKey encoding; restart recovery is the
+/// engine's checkpoint load. Every node read or written is mirrored in a
+/// RAM map — the paper keeps the RAM scheme "as an underlying caching
+/// mechanism" — and lose_volatile() drops only that cache; get() then
+/// falls back to the engine.
 
 #pragma once
 
@@ -21,7 +19,7 @@
 #include <utility>
 
 #include "engine/log_engine.hpp"
-#include "meta/disk_meta_store.hpp"
+#include "meta/meta_store.hpp"
 
 namespace blobseer::meta {
 
@@ -69,8 +67,8 @@ class LogMetaStore final : public LocalMetaStore {
         engine_.remove(encode_key(key));
     }
 
-    /// RAM-tier population (mirrors DiskMetaStore: count of cached nodes,
-    /// which equals the durable count except right after lose_volatile).
+    /// RAM-tier population: count of cached nodes, which equals the
+    /// durable count except right after lose_volatile.
     [[nodiscard]] std::size_t count() const override {
         const std::scoped_lock lock(mu_);
         return cache_.size();

@@ -19,6 +19,8 @@
 #include <vector>
 
 #include "chunk/chunk_key.hpp"
+#include "common/buffer.hpp"
+#include "common/error.hpp"
 #include "common/hash.hpp"
 #include "common/types.hpp"
 #include "meta/slot_range.hpp"
@@ -155,5 +157,94 @@ struct KeyedNode {
     MetaKey key;
     MetaNode node;
 };
+
+/// Binary node serialization (little-endian, fixed layout): the record
+/// format of LogMetaStore files, so a change here must stay readable
+/// (pinned byte-for-byte in test_meta_persistence).
+[[nodiscard]] inline Buffer serialize_node(const MetaNode& node) {
+    Buffer out;
+    auto put64 = [&out](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            out.push_back(static_cast<std::uint8_t>(v >> (i * 8)));
+        }
+    };
+    auto put32 = [&out](std::uint32_t v) {
+        for (int i = 0; i < 4; ++i) {
+            out.push_back(static_cast<std::uint8_t>(v >> (i * 8)));
+        }
+    };
+    out.push_back(node.is_leaf() ? 1 : 0);
+    // Flags byte (was a zero pad before v5, so old records decode as
+    // flags = 0): bit 0 marks a content-addressed leaf.
+    out.push_back(node.cas ? 1 : 0);
+    out.push_back(0);
+    out.push_back(0);
+    if (node.is_leaf()) {
+        put64(node.chunk_uid);
+        if (node.cas) {
+            put64(node.chunk_uid_hi);
+        }
+        put32(node.chunk_bytes);
+        put32(static_cast<std::uint32_t>(node.replicas.size()));
+        for (const NodeId r : node.replicas) {
+            put32(r);
+        }
+    } else {
+        put64(node.left.blob);
+        put64(node.left.version);
+        put64(node.right.blob);
+        put64(node.right.version);
+    }
+    return out;
+}
+
+[[nodiscard]] inline MetaNode deserialize_node(ConstBytes in) {
+    std::size_t pos = 0;
+    auto get64 = [&in, &pos]() {
+        if (pos + 8 > in.size()) {
+            throw ConsistencyError("truncated metadata node");
+        }
+        std::uint64_t v = 0;
+        for (int i = 0; i < 8; ++i) {
+            v |= static_cast<std::uint64_t>(in[pos++]) << (i * 8);
+        }
+        return v;
+    };
+    auto get32 = [&in, &pos]() {
+        if (pos + 4 > in.size()) {
+            throw ConsistencyError("truncated metadata node");
+        }
+        std::uint32_t v = 0;
+        for (int i = 0; i < 4; ++i) {
+            v |= static_cast<std::uint32_t>(in[pos++]) << (i * 8);
+        }
+        return v;
+    };
+    if (in.empty()) {
+        throw ConsistencyError("empty metadata node");
+    }
+    const bool leaf = in[0] == 1;
+    const bool cas = in.size() > 1 && (in[1] & 1) != 0;
+    pos = 4;
+    MetaNode node;
+    if (leaf) {
+        const std::uint64_t uid = get64();
+        const std::uint64_t hi = cas ? get64() : 0;
+        const std::uint32_t bytes = get32();
+        const std::uint32_t n = get32();
+        std::vector<NodeId> replicas;
+        replicas.reserve(n);
+        for (std::uint32_t i = 0; i < n; ++i) {
+            replicas.push_back(get32());
+        }
+        node = cas ? MetaNode::cas_leaf(std::move(replicas), hi, uid, bytes)
+                   : MetaNode::leaf(std::move(replicas), uid, bytes);
+    } else {
+        ChildRef left{get64(), get64()};
+        ChildRef right{get64(), get64()};
+        node = MetaNode::inner(left, right);
+    }
+    return node;
+}
 
 }  // namespace blobseer::meta

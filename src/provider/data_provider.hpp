@@ -25,7 +25,7 @@
 #include "cas/sha256.hpp"
 #include "chunk/ram_store.hpp"
 #include "chunk/store.hpp"
-#include "chunk/two_tier_store.hpp"
+#include "chunk/tiered_store.hpp"
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/stats.hpp"
@@ -36,20 +36,6 @@ namespace blobseer::provider {
 
 class DataProvider {
   public:
-    /// Per-boot dedup/GC observability (mirrors ServiceStats semantics:
-    /// counters start at zero each boot, the store snapshots are live).
-    struct DedupStatus {
-        std::uint64_t chunks_stored = 0;  ///< store record count (live)
-        std::uint64_t stored_bytes = 0;   ///< store payload bytes (live)
-        std::uint64_t check_hits = 0;
-        std::uint64_t check_misses = 0;
-        std::uint64_t bytes_skipped = 0;  ///< transfer+store suppressed
-        std::uint64_t dup_puts = 0;       ///< pushes that landed on a dup
-        std::uint64_t decrefs = 0;
-        std::uint64_t reclaimed_chunks = 0;
-        std::uint64_t reclaimed_bytes = 0;
-    };
-
     DataProvider(NodeId node, std::unique_ptr<chunk::ChunkStore> store)
         : node_(node), store_(std::move(store)) {
         const MetricLabels labels{{"service", "data-provider"},
@@ -67,7 +53,8 @@ class DataProvider {
         metrics_.counter("cas_reclaimed_bytes_total", labels,
                          reclaimed_bytes_);
         // Live store occupancy: ChunkStore serializes internally, the
-        // callbacks are snapshot-time only.
+        // callbacks are snapshot-time only. These, the dedup_* and the
+        // cas_* series are what `blobseer_cli dedup-stats` renders.
         metrics_.callback("provider_chunks_stored", labels,
                           [this] { return store_->count(); });
         metrics_.callback("provider_stored_bytes", labels,
@@ -328,22 +315,10 @@ class DataProvider {
         return remaining;
     }
 
-    [[nodiscard]] DedupStatus dedup_status() {
-        DedupStatus s;
-        s.chunks_stored = store_->count();
-        s.stored_bytes = store_->bytes();
-        s.check_hits = check_hits_.get();
-        s.check_misses = check_misses_.get();
-        s.bytes_skipped = bytes_skipped_.get();
-        s.dup_puts = dup_puts_.get();
-        s.decrefs = decrefs_.get();
-        s.reclaimed_chunks = reclaimed_chunks_.get();
-        s.reclaimed_bytes = reclaimed_bytes_.get();
-        return s;
-    }
-
     /// Crash simulation: lose whatever is volatile. A RAM-only store
-    /// loses everything; a two-tier store only loses its cache.
+    /// loses everything; a tiered store loses its caching tiers (the
+    /// file cache's index is in memory) but keeps the log engine below
+    /// them; a bare LogStore loses nothing.
     void lose_volatile_state() {
         if (auto* ram = dynamic_cast<chunk::RamStore*>(store_.get())) {
             ram->clear();
@@ -351,9 +326,9 @@ class DataProvider {
             inventory_.clear();
             delta_added_.clear();
             delta_removed_.clear();
-        } else if (auto* two =
-                       dynamic_cast<chunk::TwoTierStore*>(store_.get())) {
-            two->drop_cache();
+        } else if (auto* tiered =
+                       dynamic_cast<chunk::TieredStore*>(store_.get())) {
+            tiered->drop_cache();
         }
     }
 

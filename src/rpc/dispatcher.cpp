@@ -208,7 +208,6 @@ DispatchClass Dispatcher::dispatch_class(MsgType type) const noexcept {
         case MsgType::kChunkPullStart:
         case MsgType::kChunkPullSome:
         case MsgType::kChunkDecref:
-        case MsgType::kDedupStatus:
         case MsgType::kHistory:
         case MsgType::kRetire:
         case MsgType::kVmStatus:
@@ -249,7 +248,6 @@ RpcResponse Dispatcher::handle(const FrameView& f) {
         case MsgType::kChunkPullStart:
         case MsgType::kChunkPullSome:
         case MsgType::kChunkDecref:
-        case MsgType::kDedupStatus:
             return handle_data_provider(f);
 
         case MsgType::kBlobCreate:
@@ -423,21 +421,6 @@ RpcResponse Dispatcher::handle_data_provider(const FrameView& f) {
             r.expect_end();
             WireWriter w;
             w.u64(dp.decref_chunk(key));
-            return seal_response(f.type, std::move(w));
-        }
-        case MsgType::kDedupStatus: {
-            r.expect_end();
-            const auto s = dp.dedup_status();
-            WireWriter w;
-            w.u64(s.chunks_stored);
-            w.u64(s.stored_bytes);
-            w.u64(s.check_hits);
-            w.u64(s.check_misses);
-            w.u64(s.bytes_skipped);
-            w.u64(s.dup_puts);
-            w.u64(s.decrefs);
-            w.u64(s.reclaimed_chunks);
-            w.u64(s.reclaimed_bytes);
             return seal_response(f.type, std::move(w));
         }
         default:

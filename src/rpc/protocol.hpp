@@ -69,7 +69,7 @@ inline constexpr std::uint32_t kFrameMagic = 0x42535250;  // "PRSB" LE
 /// digest's high half, Topology a content_addressed flag, and the data
 /// provider block gained kChunkCheck (check-before-push dedup),
 /// streaming kChunkPushStart/Some/End, ranged kChunkPullStart/Some,
-/// kChunkDecref (refcounted GC) and kDedupStatus.
+/// kChunkDecref (refcounted GC) and kDedupStatus (retired in v9).
 /// v6: active membership — the provider manager block gained
 /// kProviderJoin / kProviderAnnounce / kProviderBeat (external provider
 /// daemons register, advertise their endpoint + inventory and heartbeat
@@ -86,7 +86,10 @@ inline constexpr std::uint32_t kFrameMagic = 0x42535250;  // "PRSB" LE
 /// that many (key, node) records) replaces the single-node kMetaPut, so
 /// a writer stores a version's whole tree with one request per owning
 /// metadata provider. Tag 48 (kMetaPut) is reserved and rejected.
-inline constexpr std::uint8_t kWireVersion = 8;
+/// v9: one status surface — kDedupStatus is retired; its every field is
+/// a data provider's dedup_* / cas_* / provider_* series, which
+/// kMetricsDump already serves. Tag 11 is reserved and rejected.
+inline constexpr std::uint8_t kWireVersion = 9;
 inline constexpr std::size_t kFrameHeaderSize = 40;
 /// Byte offset of the message-type tag (u16) within the header.
 inline constexpr std::size_t kFrameTypeOffset = 6;
@@ -125,7 +128,7 @@ enum class MsgType : std::uint16_t {
     kChunkPullStart = 8,
     kChunkPullSome = 9,
     kChunkDecref = 10,
-    kDedupStatus = 11,
+    // 11 reserved: v8 dedup-status (served by kMetricsDump since v9)
 
     // version manager service
     kBlobCreate = 16,
@@ -176,7 +179,6 @@ enum class MsgType : std::uint16_t {
         case MsgType::kChunkPullStart: return "chunk-pull-start";
         case MsgType::kChunkPullSome: return "chunk-pull-some";
         case MsgType::kChunkDecref: return "chunk-decref";
-        case MsgType::kDedupStatus: return "dedup-status";
         case MsgType::kBlobCreate: return "blob-create";
         case MsgType::kBlobClone: return "blob-clone";
         case MsgType::kBlobInfo: return "blob-info";

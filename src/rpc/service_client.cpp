@@ -658,23 +658,6 @@ Future<std::uint64_t> ServiceClient::chunk_decref_async(
         });
 }
 
-provider::DataProvider::DedupStatus ServiceClient::dedup_status(NodeId dp) {
-    const Buffer resp = invoke(MsgType::kDedupStatus, dp, WireWriter());
-    auto r = open_reply(resp, MsgType::kDedupStatus);
-    provider::DataProvider::DedupStatus s;
-    s.chunks_stored = r.u64();
-    s.stored_bytes = r.u64();
-    s.check_hits = r.u64();
-    s.check_misses = r.u64();
-    s.bytes_skipped = r.u64();
-    s.dup_puts = r.u64();
-    s.decrefs = r.u64();
-    s.reclaimed_chunks = r.u64();
-    s.reclaimed_bytes = r.u64();
-    r.expect_end();
-    return s;
-}
-
 // ---- metadata providers ----------------------------------------------------
 
 Future<void> ServiceClient::meta_put_batch_async(

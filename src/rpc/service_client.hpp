@@ -231,9 +231,6 @@ class ServiceClient {
     [[nodiscard]] Future<std::uint64_t> chunk_decref_async(
         NodeId dp, const chunk::ChunkKey& key);
 
-    /// Dedup/GC observability snapshot of one data provider.
-    [[nodiscard]] provider::DataProvider::DedupStatus dedup_status(NodeId dp);
-
     // ---- metadata providers ----------------------------------------------
 
     /// Store a batch of nodes on one metadata provider (all the nodes of

@@ -283,8 +283,8 @@ class VersionManager {
     /// every subsequent state-changing operation into it. The journal
     /// engine must have background compaction disabled (replay depends on
     /// append order) — core::Cluster configures this when
-    /// ClusterConfig::durable_version_manager is set. Each shard owns its
-    /// own journal, so replay is deterministic per shard: journal order
+    /// ClusterConfig::durable is set. Each shard owns its own journal,
+    /// so replay is deterministic per shard: journal order
     /// preserves per-blob operation order and blob-id allocation order
     /// (both appended under the lock that serialized the operation).
     /// Call before any concurrent use; throws ConsistencyError on a

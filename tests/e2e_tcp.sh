@@ -15,6 +15,8 @@
 # three standalone provider daemons (--provider), SIGKILLs one mid-
 # workload, and asserts heartbeat-driven death detection, repair, and
 # rejoin rebalancing — with byte-identical readbacks throughout.
+# Before any of that, serverd must refuse the removed storage flags
+# (--store disk, --store two-tier, --meta-store) with exit status 2.
 #
 # Usage: e2e_tcp.sh <path-to-blobseer_serverd> <path-to-blobseer_cli>
 set -u
@@ -86,6 +88,19 @@ stop_serverd() {
     done
     fail "serverd did not shut down"
 }
+
+# --- removed storage flags are refused, not remapped ------------------------
+
+for removed in "--store disk" "--store two-tier" "--meta-store log"; do
+    # shellcheck disable=SC2086  # split "--flag value" into two words
+    timeout 10 "$SERVERD" --port 0 --bind 127.0.0.1 \
+        --disk-root "$WORK/refused" $removed >"$WORK/refused.log" 2>&1
+    RC=$?
+    if [ "$RC" -ne 2 ]; then
+        cat "$WORK/refused.log"
+        fail "serverd $removed exited $RC, want 2"
+    fi
+done
 
 start_serverd "$WORK/serverd.log" --data-providers 4 --meta-providers 2 \
     --replication 2

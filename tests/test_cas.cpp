@@ -43,12 +43,20 @@ core::ClusterConfig cas_config() {
     return cfg;
 }
 
-/// Sum of one field of every provider's dedup status.
-template <typename F>
-std::uint64_t sum_dedup(core::Cluster& cluster, F field) {
+/// Sum of the named data-provider series (provider_chunks_stored,
+/// dedup_check_hits_total, ...) over every provider of \p cluster, read
+/// from the metrics registry by each provider's node label — the same
+/// series `blobseer_cli dedup-stats` renders.
+std::uint64_t sum_dedup(core::Cluster& cluster,
+                        std::initializer_list<const char*> names) {
+    const MetricsSnapshot snap = MetricsRegistry::instance().snapshot();
     std::uint64_t total = 0;
     for (std::size_t i = 0; i < cluster.data_provider_count(); ++i) {
-        total += field(cluster.data_provider(i).dedup_status());
+        const std::string node =
+            std::to_string(cluster.data_provider(i).node());
+        for (const char* name : names) {
+            total += sum_series(snap, name, {"node", node});
+        }
     }
     return total;
 }
@@ -158,8 +166,8 @@ TEST(CasCluster, IdenticalBlobsShareOnePhysicalCopy) {
     core::Blob a = client->create(chunk);
     core::Blob b = client->create(chunk);
     a.write(0, data);
-    const std::uint64_t stored_after_a = sum_dedup(
-        cluster, [](const auto& s) { return s.chunks_stored; });
+    const std::uint64_t stored_after_a =
+        sum_dedup(cluster, {"provider_chunks_stored"});
     const std::uint64_t sent_after_a = client->stats().cas_bytes_sent.get();
     EXPECT_EQ(stored_after_a, 8u);
     EXPECT_EQ(sent_after_a, size);
@@ -167,8 +175,7 @@ TEST(CasCluster, IdenticalBlobsShareOnePhysicalCopy) {
     b.write(0, data);
     // The second blob's bytes never left the client, and no new chunks
     // were stored — every check-before-push hit.
-    EXPECT_EQ(sum_dedup(cluster,
-                        [](const auto& s) { return s.chunks_stored; }),
+    EXPECT_EQ(sum_dedup(cluster, {"provider_chunks_stored"}),
               stored_after_a);
     EXPECT_EQ(client->stats().cas_bytes_sent.get(), sent_after_a);
     EXPECT_EQ(client->stats().cas_dedup_hits.get(), 8u);
@@ -197,15 +204,11 @@ TEST(CasCluster, DuplicateChunksWithinOneWriteDedup) {
     core::Blob blob = client->create(chunk);
     blob.write(0, data);
 
-    EXPECT_EQ(sum_dedup(cluster,
-                        [](const auto& s) { return s.chunks_stored; }),
-              1u);
+    EXPECT_EQ(sum_dedup(cluster, {"provider_chunks_stored"}), 1u);
     // Three of the four references arrived as check hits or duplicate
     // puts (the exact split depends on RPC interleaving).
-    EXPECT_EQ(sum_dedup(cluster,
-                        [](const auto& s) {
-                            return s.check_hits + s.dup_puts;
-                        }),
+    EXPECT_EQ(sum_dedup(cluster, {"dedup_check_hits_total",
+                                  "dedup_dup_puts_total"}),
               3u);
 
     Buffer out(data.size());
@@ -226,9 +229,7 @@ TEST(CasCluster, ReplicatedCasWriteReadsBack) {
     blob.write(0, blobseer::testing::tagged(blob.id(), 1, 0, size));
 
     // Each chunk landed on two distinct ring owners.
-    EXPECT_EQ(sum_dedup(cluster,
-                        [](const auto& s) { return s.chunks_stored; }),
-              12u);
+    EXPECT_EQ(sum_dedup(cluster, {"provider_chunks_stored"}), 12u);
     Buffer out(size);
     EXPECT_EQ(client->read(blob.id(), kLatestVersion, 0, out), size);
     EXPECT_TRUE(blobseer::testing::matches(blob.id(), 1, 0, out));
@@ -275,16 +276,15 @@ TEST(CasCluster, DeleteReclaimsOnlyUnsharedReferences) {
     // b also holds bytes of its own: deleting a must not touch them.
     b.append(blobseer::testing::tagged(b.id(), 6, 0, size));
 
-    const std::uint64_t stored_before = sum_dedup(
-        cluster, [](const auto& s) { return s.stored_bytes; });
+    const std::uint64_t stored_before =
+        sum_dedup(cluster, {"provider_stored_bytes"});
 
     const auto del = client->delete_blob(a.id());
     EXPECT_EQ(del.chunks, 4u);
 
     // The shared chunks lost one of two references each — nothing was
     // reclaimed, and the survivor reads byte-identical.
-    EXPECT_EQ(sum_dedup(cluster,
-                        [](const auto& s) { return s.stored_bytes; }),
+    EXPECT_EQ(sum_dedup(cluster, {"provider_stored_bytes"}),
               stored_before);
     Buffer out(size);
     EXPECT_EQ(client->read(b.id(), kLatestVersion, 0, out), size);
@@ -293,12 +293,8 @@ TEST(CasCluster, DeleteReclaimsOnlyUnsharedReferences) {
     // Deleting the survivor drops the last references: all bytes gone.
     const auto del_b = client->delete_blob(b.id());
     EXPECT_EQ(del_b.chunks, 8u);
-    EXPECT_EQ(sum_dedup(cluster,
-                        [](const auto& s) { return s.stored_bytes; }),
-              0u);
-    EXPECT_GT(sum_dedup(cluster,
-                        [](const auto& s) { return s.reclaimed_chunks; }),
-              0u);
+    EXPECT_EQ(sum_dedup(cluster, {"provider_stored_bytes"}), 0u);
+    EXPECT_GT(sum_dedup(cluster, {"cas_reclaimed_chunks_total"}), 0u);
 }
 
 TEST(CasCluster, DeleteReclaimsRetiredHistoryToo) {
@@ -315,9 +311,7 @@ TEST(CasCluster, DeleteReclaimsRetiredHistoryToo) {
     }
     const auto del = client->delete_blob(blob.id());
     EXPECT_EQ(del.versions, 3u);
-    EXPECT_EQ(sum_dedup(cluster,
-                        [](const auto& s) { return s.stored_bytes; }),
-              0u);
+    EXPECT_EQ(sum_dedup(cluster, {"provider_stored_bytes"}), 0u);
 }
 
 // ---- restart survival ------------------------------------------------------
@@ -325,9 +319,7 @@ TEST(CasCluster, DeleteReclaimsRetiredHistoryToo) {
 TEST(CasLogRestart, DedupAndRefcountsSurviveRestart) {
     TempDir dir;
     auto cfg = cas_config();
-    cfg.store = core::StoreBackend::kLog;
-    cfg.meta_store = core::ClusterConfig::MetaBackend::kLog;
-    cfg.durable_version_manager = true;
+    cfg.durable = true;
     cfg.disk_root = dir.path();
 
     const std::uint64_t chunk = 4096;

@@ -107,14 +107,15 @@ TEST_P(FullStackProperty, RandomOpsMatchModel) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FullStackProperty,
                          ::testing::Range<std::uint64_t>(1, 9));
 
-/// Same check with replication and a two-tier (disk-backed) store: the
-/// data path must be byte-identical regardless of backend.
+/// Same check with replication and a durable store under a small RAM
+/// tier (a TieredStore over the log engine): the data path must be
+/// byte-identical regardless of backend.
 class BackendProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(BackendProperty, DiskBackedMatchesModel) {
     Rng rng(GetParam() * 1009);
     auto cfg = blobseer::testing::fast_config();
-    cfg.store = StoreBackend::kTwoTier;
+    cfg.durable = true;
     cfg.ram_cache_budget = 4 * kChunk;  // force evictions
     cfg.disk_root = std::filesystem::temp_directory_path() /
                     ("blobseer-prop-" + std::to_string(GetParam()) + "-" +

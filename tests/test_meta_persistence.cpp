@@ -1,15 +1,22 @@
 /// \file test_meta_persistence.cpp
 /// \brief Tests of the persistent metadata path (§IV-B): node
-///        serialization, the disk and log store recovery semantics, and
-///        end-to-end clusters whose metadata — and, with the log engine,
-///        whose entire state — survives crashes and full restarts.
+///        serialization (byte-pinned), the log store's recovery
+///        semantics, how the durable switch and the tier budgets pick a
+///        deployment's storage stack, and end-to-end durable clusters
+///        whose metadata — and entire state — survives crashes and full
+///        restarts.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <set>
+#include <string>
 
 #include "engine/log_engine.hpp"
-#include "meta/disk_meta_store.hpp"
+#include "cache/compressed_file_cache.hpp"
+#include "chunk/log_store.hpp"
+#include "chunk/ram_store.hpp"
+#include "chunk/tiered_store.hpp"
 #include "meta/log_meta_store.hpp"
 #include "testing_util.hpp"
 #include "version/version_manager.hpp"
@@ -65,49 +72,47 @@ TEST(NodeSerialization, TruncatedInputRejected) {
     EXPECT_THROW(deserialize_node({}), ConsistencyError);
 }
 
+TEST(NodeSerialization, GoldenBytes) {
+    // Byte-exact pin of the record format inside LogMetaStore files: a
+    // change here makes every existing durable deployment unreadable.
+    const auto bytes = [](const MetaNode& n) {
+        const Buffer b = serialize_node(n);
+        return std::vector<std::uint8_t>(b.begin(), b.end());
+    };
+    const MetaNode inner =
+        MetaNode::inner({0x0102030405060708ULL, 42}, {kInvalidBlob, 0});
+    EXPECT_EQ(bytes(inner),
+              (std::vector<std::uint8_t>{
+                  0x00, 0x00, 0x00, 0x00,                          // inner
+                  0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // l.blob
+                  0x2a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // l.ver
+                  0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,  // hole
+                  0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00}));
+
+    const MetaNode leaf = MetaNode::leaf({3, 0x0100}, 0xDEADBEEF, 65536);
+    EXPECT_EQ(bytes(leaf),
+              (std::vector<std::uint8_t>{
+                  0x01, 0x00, 0x00, 0x00,                          // leaf
+                  0xef, 0xbe, 0xad, 0xde, 0x00, 0x00, 0x00, 0x00,  // uid
+                  0x00, 0x00, 0x01, 0x00,                          // bytes
+                  0x02, 0x00, 0x00, 0x00,                          // n
+                  0x03, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00}));
+
+    const MetaNode cas =
+        MetaNode::cas_leaf({4}, 0x1112131415161718ULL, 0x2122232425262728ULL,
+                           4096);
+    EXPECT_EQ(bytes(cas),
+              (std::vector<std::uint8_t>{
+                  0x01, 0x01, 0x00, 0x00,                          // cas leaf
+                  0x28, 0x27, 0x26, 0x25, 0x24, 0x23, 0x22, 0x21,  // lo
+                  0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11,  // hi
+                  0x00, 0x10, 0x00, 0x00,                          // bytes
+                  0x01, 0x00, 0x00, 0x00,                          // n
+                  0x04, 0x00, 0x00, 0x00}));
+    EXPECT_TRUE(deserialize_node(serialize_node(cas)).cas);
+}
+
 MetaKey key_of(std::uint64_t i) { return MetaKey{9, 3, {i * 2, 2}}; }
-
-TEST(DiskMetaStore, PersistsAcrossReopen) {
-    TempDir dir;
-    {
-        DiskMetaStore store(dir.path());
-        store.put(key_of(1), MetaNode::inner({1, 1}, {1, 2}));
-        store.put(key_of(2), MetaNode::leaf({5}, 77, 64));
-        EXPECT_EQ(store.count(), 2u);
-    }
-    DiskMetaStore reopened(dir.path());
-    EXPECT_EQ(reopened.count(), 2u);
-    EXPECT_EQ(reopened.get(key_of(1)).left.version, 1u);
-    EXPECT_EQ(reopened.get(key_of(2)).chunk_uid, 77u);
-}
-
-TEST(DiskMetaStore, VolatileLossFallsBackToDisk) {
-    TempDir dir;
-    DiskMetaStore store(dir.path());
-    store.put(key_of(1), MetaNode::leaf({5}, 123, 64));
-    store.lose_volatile();
-    EXPECT_EQ(store.count(), 0u);  // RAM tier empty...
-    EXPECT_EQ(store.get(key_of(1)).chunk_uid, 123u);  // ...disk serves
-    EXPECT_EQ(store.count(), 1u);  // and re-populates
-}
-
-TEST(DiskMetaStore, EraseRemovesFile) {
-    TempDir dir;
-    DiskMetaStore store(dir.path());
-    store.put(key_of(1), MetaNode::inner({}, {}));
-    store.erase(key_of(1));
-    EXPECT_FALSE(store.try_get(key_of(1)).has_value());
-    DiskMetaStore reopened(dir.path());
-    EXPECT_EQ(reopened.count(), 0u);
-}
-
-TEST(DiskMetaStore, IdempotentPut) {
-    TempDir dir;
-    DiskMetaStore store(dir.path());
-    store.put(key_of(1), MetaNode::leaf({1}, 5, 8));
-    store.put(key_of(1), MetaNode::leaf({1}, 5, 8));
-    EXPECT_EQ(store.count(), 1u);
-}
 
 // ---- LogMetaStore -----------------------------------------------------------
 
@@ -164,10 +169,10 @@ TEST(LogMetaStore, IdempotentPut) {
     EXPECT_EQ(store.engine().stats().appends, 1u);
 }
 
-TEST(ClusterMetaPersistence, MetadataSurvivesVolatileCrash) {
+TEST(ClusterLogPersistence, MetadataSurvivesVolatileCrash) {
     TempDir dir;
     auto cfg = blobseer::testing::fast_config();
-    cfg.meta_store = core::ClusterConfig::MetaBackend::kDisk;
+    cfg.durable = true;
     cfg.disk_root = dir.path();
     cfg.meta_replication = 1;  // no DHT replica to hide behind
     core::Cluster cluster(cfg);
@@ -178,8 +183,8 @@ TEST(ClusterMetaPersistence, MetadataSurvivesVolatileCrash) {
 
     // Crash every metadata provider, losing all volatile state. With
     // RAM-backed metadata this kills the blob (see
-    // Fault.MetadataLossWithoutReplicationBreaksReads); with disk-backed
-    // metadata reads recover from the files.
+    // Fault.MetadataLossWithoutReplicationBreaksReads); durable metadata
+    // recovers from the log.
     for (std::size_t i = 0; i < cluster.metadata_provider_count(); ++i) {
         cluster.metadata_provider(i).lose_state();
     }
@@ -190,26 +195,84 @@ TEST(ClusterMetaPersistence, MetadataSurvivesVolatileCrash) {
     EXPECT_EQ(out, data);
 }
 
-TEST(ClusterLogPersistence, MetadataSurvivesVolatileCrash) {
+/// The durable switch and the two tier budgets are the whole storage
+/// choice: each valid combination builds one chunk-store stack with one
+/// on-disk layout, and the two meaningless ones are refused before any
+/// state is touched.
+TEST(ClusterStorage, DurableSwitchAndTierBudgetsPickTheStack) {
     TempDir dir;
-    auto cfg = blobseer::testing::fast_config();
-    cfg.meta_store = core::ClusterConfig::MetaBackend::kLog;
+    auto cfg = blobseer::testing::fast_config();  // 4 data, 2 meta
     cfg.disk_root = dir.path();
-    cfg.meta_replication = 1;
-    core::Cluster cluster(cfg);
-    auto client = cluster.make_client();
-    core::Blob blob = client->create(64);
-    const Buffer data = make_pattern(blob.id(), 1, 0, 64 * 16);
-    blob.write(0, data);
+    const auto entries = [&dir] {
+        std::set<std::string> out;
+        if (std::filesystem::exists(dir.path())) {
+            for (const auto& e :
+                 std::filesystem::directory_iterator(dir.path())) {
+                out.insert(e.path().filename().string());
+            }
+        }
+        return out;
+    };
+    const auto store_of = [](core::Cluster& cluster, std::size_t i) {
+        return &cluster.data_provider(i).store();
+    };
 
-    for (std::size_t i = 0; i < cluster.metadata_provider_count(); ++i) {
-        cluster.metadata_provider(i).lose_state();
+    {  // Volatile: RAM stores, nothing on disk.
+        core::Cluster cluster(cfg);
+        EXPECT_NE(dynamic_cast<chunk::RamStore*>(store_of(cluster, 0)),
+                  nullptr);
+        EXPECT_TRUE(entries().empty());
     }
+    cfg.durable = true;
+    {  // Durable, no tiers: a bare LogStore per provider.
+        core::Cluster cluster(cfg);
+        EXPECT_NE(dynamic_cast<chunk::LogStore*>(store_of(cluster, 0)),
+                  nullptr);
+    }
+    cfg.ram_cache_budget = 4ULL << 20;
+    {  // One tier: RAM over the LogStore.
+        core::Cluster cluster(cfg);
+        auto* tiered = dynamic_cast<chunk::TieredStore*>(store_of(cluster, 0));
+        ASSERT_NE(tiered, nullptr);
+        EXPECT_NE(dynamic_cast<chunk::LogStore*>(&tiered->backend()), nullptr);
+        EXPECT_EQ(tiered->ram_budget(), 4ULL << 20);
+        EXPECT_EQ(tiered->file_cache(), nullptr);
+    }
+    cfg.file_cache_budget = 64ULL << 20;
+    {  // Two tiers — the benchmark deployment (serverd --store
+       // three-tier-log --ram-cache-mb 4 --file-cache-mb 64).
+        core::Cluster cluster(cfg);
+        for (std::size_t i = 0; i < cluster.data_provider_count(); ++i) {
+            auto* tiered =
+                dynamic_cast<chunk::TieredStore*>(store_of(cluster, i));
+            ASSERT_NE(tiered, nullptr);
+            EXPECT_NE(dynamic_cast<chunk::LogStore*>(&tiered->backend()),
+                      nullptr);
+            EXPECT_EQ(tiered->ram_budget(), 4ULL << 20);
+            ASSERT_NE(tiered->file_cache(), nullptr);
+            EXPECT_EQ(tiered->file_cache()->budget_bytes(), 64ULL << 20);
+            EXPECT_EQ(tiered->file_cache()->dir(),
+                      dir.path() / "file-cache" / ("dp-" + std::to_string(i)));
+        }
+    }
+    // Chunks, metadata (LogMetaStore), the version-manager journal and
+    // the boot counter all live under disk_root.
+    EXPECT_EQ(entries(),
+              (std::set<std::string>{"dp-0", "dp-1", "dp-2", "dp-3",
+                                     "file-cache", "mp-0", "mp-1", "vm-0",
+                                     "uid-epoch", "pm-repair.journal"}));
 
-    auto reader = cluster.make_client();
-    Buffer out(data.size());
-    EXPECT_EQ(reader->read(blob.id(), 1, 0, out), data.size());
-    EXPECT_EQ(out, data);
+    auto bad = blobseer::testing::fast_config();
+    bad.disk_root = dir.path() / "refused";
+    bad.ram_cache_budget = 4ULL << 20;  // a RAM tier over RAM
+    EXPECT_THROW(core::Cluster{bad}, InvalidArgument);
+    bad.ram_cache_budget = 0;
+    bad.file_cache_budget = 64ULL << 20;  // a file tier over RAM
+    EXPECT_THROW(core::Cluster{bad}, InvalidArgument);
+    bad.durable = true;  // a file tier without a RAM tier above it
+    EXPECT_THROW(core::Cluster{bad}, InvalidArgument);
+    EXPECT_THROW((void)core::make_chunk_store(bad, "x"), InvalidArgument);
+    EXPECT_FALSE(std::filesystem::exists(bad.disk_root));
 }
 
 /// The whole-deployment restart path: chunk data, metadata trees and the
@@ -219,9 +282,7 @@ TEST(ClusterLogPersistence, MetadataSurvivesVolatileCrash) {
 TEST(ClusterLogPersistence, FullRestartRoundTrip) {
     TempDir dir;
     auto cfg = blobseer::testing::fast_config();
-    cfg.store = core::StoreBackend::kLog;
-    cfg.meta_store = core::ClusterConfig::MetaBackend::kLog;
-    cfg.durable_version_manager = true;
+    cfg.durable = true;
     cfg.disk_root = dir.path();
     cfg.default_replication = 2;
 
@@ -326,9 +387,7 @@ TEST(VmJournal, CloneReplaysAcrossRestart) {
 TEST(VmJournal, ShardedClusterRestartReplaysClientClone) {
     TempDir dir;
     auto cfg = blobseer::testing::fast_config();
-    cfg.store = core::StoreBackend::kLog;
-    cfg.meta_store = core::ClusterConfig::MetaBackend::kLog;
-    cfg.durable_version_manager = true;
+    cfg.durable = true;
     cfg.disk_root = dir.path();
     cfg.num_version_managers = 2;
 

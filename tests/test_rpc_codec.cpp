@@ -10,8 +10,10 @@
 #include <string_view>
 #include <vector>
 
+#include "chunk/ram_store.hpp"
 #include "common/random.hpp"
 #include "dht/metadata_provider.hpp"
+#include "provider/data_provider.hpp"
 #include "rpc/dispatcher.hpp"
 #include "rpc/messages.hpp"
 #include "rpc/protocol.hpp"
@@ -540,12 +542,24 @@ TEST_F(MetaBatchFrame, RetiredSingleNodeTagRejected) {
     EXPECT_EQ(mp_.stored_nodes(), 0u);
 }
 
+TEST(RetiredTag, DedupStatusTagRejected) {
+    // Tag 11 was the v8 dedup-status RPC; every field it carried is a
+    // registry series kMetricsDump serves, and the tag is reserved now.
+    provider::DataProvider dp(3, std::make_unique<chunk::RamStore>());
+    Dispatcher d;
+    d.add_data_provider(dp.node(), &dp);
+    EXPECT_STREQ(to_string(static_cast<MsgType>(11)), "?");
+    const Buffer resp = d.dispatch(
+        seal_request(static_cast<MsgType>(11), dp.node(), WireWriter{}));
+    EXPECT_EQ(parse_frame(resp).status(), Status::kRpcError);
+}
+
 // ---- v7 header layout (wire ABI pin) -----------------------------------------
 
 TEST(FrameV7, GoldenHeaderLayout) {
     // Byte-exact pin of the 40-byte v7 header. If this test breaks, the
     // wire ABI changed: bump kWireVersion and update DESIGN.md §7.
-    static_assert(kWireVersion == 8);
+    static_assert(kWireVersion == 9);
     static_assert(kFrameHeaderSize == 40);
     static_assert(kFrameTypeOffset == 6);
     static_assert(kFrameLenOffset == 12);
@@ -566,7 +580,7 @@ TEST(FrameV7, GoldenHeaderLayout) {
     ASSERT_EQ(frame.size(), kFrameHeaderSize + 8);
     const std::uint8_t expected_header[kFrameHeaderSize] = {
         0x50, 0x52, 0x53, 0x42,  //  0: magic "PRSB" little-endian
-        0x08,                    //  4: wire version
+        0x09,                    //  4: wire version
         0x00,                    //  5: kind = request
         0x15, 0x00,              //  6: MsgType::kGetVersion tag (21)
         0x0d, 0x0c, 0x0b, 0x0a,  //  8: destination node id
@@ -603,7 +617,7 @@ std::vector<MsgType> all_types() {
 TEST(DispatchClass, EveryTagHasExactlyOneClass) {
     const Dispatcher d;
     const std::vector<MsgType> types = all_types();
-    ASSERT_EQ(types.size(), 39u);
+    ASSERT_EQ(types.size(), 38u);
     std::set<std::string> loop;
     std::set<std::string> own_thread;
     for (const MsgType t : types) {
@@ -628,6 +642,7 @@ TEST(DispatchClass, EveryTagHasExactlyOneClass) {
     EXPECT_EQ(own_thread, std::set<std::string>{"wait-published"});
     // Unknown or retired tags (corrupt frames) keep the pool.
     EXPECT_EQ(d.dispatch_class(static_cast<MsgType>(48)), DispatchClass::kPool);
+    EXPECT_EQ(d.dispatch_class(static_cast<MsgType>(11)), DispatchClass::kPool);
     EXPECT_EQ(d.dispatch_class(static_cast<MsgType>(0xffff)),
               DispatchClass::kPool);
 }
@@ -641,15 +656,14 @@ TEST(DispatchClass, BlockingOrUnboundedFamiliesNeverRunOnTheLoop) {
         MsgType::kWaitPublished,   MsgType::kProviderJoin,
         MsgType::kProviderAnnounce, MsgType::kProviderBeat,
         MsgType::kHistory,         MsgType::kRetire,
-        MsgType::kDedupStatus,     MsgType::kVmStatus,
-        MsgType::kRepairStatus,    MsgType::kMetricsDump,
-        MsgType::kTraceDump};
+        MsgType::kVmStatus,        MsgType::kRepairStatus,
+        MsgType::kMetricsDump,     MsgType::kTraceDump};
     for (const MsgType t : all_types()) {
         if (std::string_view(to_string(t)).starts_with("chunk-")) {
             never.push_back(t);
         }
     }
-    ASSERT_EQ(never.size(), 11u + 10u);  // ten chunk-* families
+    ASSERT_EQ(never.size(), 10u + 10u);  // ten chunk-* families
     for (const MsgType t : never) {
         EXPECT_NE(d.dispatch_class(t), DispatchClass::kLoop) << to_string(t);
     }

@@ -23,6 +23,7 @@
 ///   $ ./tools/blobseer_cli --connect 127.0.0.1:4400 --parallel 32
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <iostream>
 #include <map>
@@ -474,31 +475,40 @@ class Shell {
     }
 
     void print_dedup_stats() {
-        // One kDedupStatus RPC per data provider, so the same command
-        // works over --connect and in-process alike (the counters are
-        // per-boot, the store snapshots live — same contract as stats).
+        // Rendered from each data provider's registry series, fetched
+        // from the process serving that node (an external provider
+        // daemon answers for itself), so the same command works over
+        // --connect and in-process alike (the counters are per-boot, the
+        // store snapshots live — same contract as stats).
+        static constexpr const char* kSeries[] = {
+            "provider_chunks_stored",     "provider_stored_bytes",
+            "dedup_check_hits_total",     "dedup_check_misses_total",
+            "dedup_bytes_skipped_total",  "dedup_dup_puts_total",
+            "cas_decrefs_total",          "cas_reclaimed_chunks_total",
+            "cas_reclaimed_bytes_total"};
+        enum : std::size_t {
+            kChunks, kBytes, kHits, kMisses, kSkipped, kDups, kDecrefs,
+            kReclaimedChunks, kReclaimedBytes, kFields
+        };
         auto& svc = client_->services();
-        provider::DataProvider::DedupStatus total;
+        std::array<std::uint64_t, kFields> total{};
         for (const NodeId node : client_->data_nodes()) {
-            const auto s = svc.dedup_status(node);
+            const auto snap = svc.metrics_dump(node);
+            std::array<std::uint64_t, kFields> s{};
+            for (std::size_t i = 0; i < kFields; ++i) {
+                s[i] = sum_series(snap, kSeries[i],
+                                  {"node", std::to_string(node)});
+                total[i] += s[i];
+            }
             std::printf("  dp node %u: %llu chunks / %llu bytes stored, "
                         "%llu dup refs, %llu bytes skipped, %llu chunks / "
                         "%llu bytes reclaimed\n",
-                        node, (unsigned long long)s.chunks_stored,
-                        (unsigned long long)s.stored_bytes,
-                        (unsigned long long)(s.check_hits + s.dup_puts),
-                        (unsigned long long)s.bytes_skipped,
-                        (unsigned long long)s.reclaimed_chunks,
-                        (unsigned long long)s.reclaimed_bytes);
-            total.chunks_stored += s.chunks_stored;
-            total.stored_bytes += s.stored_bytes;
-            total.check_hits += s.check_hits;
-            total.check_misses += s.check_misses;
-            total.bytes_skipped += s.bytes_skipped;
-            total.dup_puts += s.dup_puts;
-            total.decrefs += s.decrefs;
-            total.reclaimed_chunks += s.reclaimed_chunks;
-            total.reclaimed_bytes += s.reclaimed_bytes;
+                        node, (unsigned long long)s[kChunks],
+                        (unsigned long long)s[kBytes],
+                        (unsigned long long)(s[kHits] + s[kDups]),
+                        (unsigned long long)s[kSkipped],
+                        (unsigned long long)s[kReclaimedChunks],
+                        (unsigned long long)s[kReclaimedBytes]);
         }
         const auto& st = client_->stats();
         std::printf(
@@ -511,16 +521,16 @@ class Shell {
             "reclaimed\n"
             "  client cas: %llu chunks, %llu dedup hits, %llu bytes "
             "skipped, %llu bytes sent, %llu stream pushes\n",
-            (unsigned long long)total.chunks_stored,
-            (unsigned long long)total.stored_bytes,
-            (unsigned long long)(total.check_hits + total.dup_puts),
-            (unsigned long long)total.check_hits,
-            (unsigned long long)total.check_misses,
-            (unsigned long long)total.dup_puts,
-            (unsigned long long)total.bytes_skipped,
-            (unsigned long long)total.decrefs,
-            (unsigned long long)total.reclaimed_chunks,
-            (unsigned long long)total.reclaimed_bytes,
+            (unsigned long long)total[kChunks],
+            (unsigned long long)total[kBytes],
+            (unsigned long long)(total[kHits] + total[kDups]),
+            (unsigned long long)total[kHits],
+            (unsigned long long)total[kMisses],
+            (unsigned long long)total[kDups],
+            (unsigned long long)total[kSkipped],
+            (unsigned long long)total[kDecrefs],
+            (unsigned long long)total[kReclaimedChunks],
+            (unsigned long long)total[kReclaimedBytes],
             (unsigned long long)st.cas_chunks.get(),
             (unsigned long long)st.cas_dedup_hits.get(),
             (unsigned long long)st.cas_bytes_skipped.get(),

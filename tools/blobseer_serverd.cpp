@@ -29,11 +29,6 @@
 #include <string>
 #include <thread>
 
-#include "cache/compressed_file_cache.hpp"
-#include "chunk/disk_store.hpp"
-#include "chunk/log_store.hpp"
-#include "chunk/ram_store.hpp"
-#include "chunk/two_tier_store.hpp"
 #include "common/logging.hpp"
 #include "core/cluster.hpp"
 #include "net/metrics_http.hpp"
@@ -56,13 +51,17 @@ void usage(const char* argv0) {
         "                        (background sweep; default 0 = off)\n"
         "  --replication <n>     default chunk replication (default 2)\n"
         "  --meta-replication <n> metadata replication (default 1)\n"
-        "  --store <ram|disk|two-tier|log|two-tier-log|three-tier-log>\n"
-        "                        chunk store backend (default ram);\n"
-        "                        three-tier-log adds a compressed file\n"
-        "                        cache between the RAM tier and the log\n"
-        "                        engine\n"
+        "  --store <ram|log|two-tier-log|three-tier-log>\n"
+        "                        storage preset (default ram: RAM only,\n"
+        "                        nothing survives a restart). log: chunks,\n"
+        "                        metadata and version-manager journal\n"
+        "                        persist under --disk-root on the log\n"
+        "                        engine. two-tier-log adds a RAM cache\n"
+        "                        over each chunk store; three-tier-log\n"
+        "                        also a compressed file cache between\n"
+        "                        the RAM tier and the log engine\n"
         "  --ram-cache-mb <n>    RAM cache budget per provider in MiB\n"
-        "                        (tiered stores; default 64)\n"
+        "                        (two/three-tier-log; default 64)\n"
         "  --file-cache-mb <n>   compressed file-cache budget per\n"
         "                        provider in MiB (three-tier-log;\n"
         "                        default 256)\n"
@@ -70,13 +69,11 @@ void usage(const char* argv0) {
         "                        caches (default: <disk-root>/file-cache;\n"
         "                        disposable, safe on tmpfs)\n"
         "  --compress-cold       recompress cold records at compaction\n"
-        "                        time (log-family stores; engine files\n"
+        "                        time (log presets; engine files\n"
         "                        become format v2)\n"
         "  --cas                 content-addressed chunks: dedup by\n"
         "                        SHA-256, check-before-push, refcounted GC\n"
-        "  --meta-store <ram|disk|log>  metadata backend (default ram;\n"
-        "                        log when --store is log-family)\n"
-        "  --disk-root <path>    root for disk-backed stores\n"
+        "  --disk-root <path>    root of durable state (log presets)\n"
         "  --sim-latency-us <n>  simulated intra-daemon latency (default 0)\n"
         "  --workers <n>         RPC dispatch worker threads (default:\n"
         "                        hardware-sized; min 4)\n"
@@ -106,44 +103,6 @@ void usage(const char* argv0) {
         "  --beat-interval-ms <n> heartbeat period (default 500)\n"
         "  --help\n",
         argv0);
-}
-
-std::unique_ptr<chunk::ChunkStore> make_provider_store(
-    const core::ClusterConfig& cfg, const std::string& name) {
-    const auto root = cfg.disk_root / ("dp-" + name);
-    const auto make_log = [&] {
-        engine::EngineConfig ecfg;
-        ecfg.dir = root;
-        ecfg.compress_on_compact = cfg.compress_cold_segments;
-        return std::make_unique<chunk::LogStore>(std::move(ecfg));
-    };
-    switch (cfg.store) {
-        case core::StoreBackend::kRam:
-            return std::make_unique<chunk::RamStore>();
-        case core::StoreBackend::kDisk:
-            return std::make_unique<chunk::DiskStore>(root);
-        case core::StoreBackend::kTwoTier:
-            return std::make_unique<chunk::TwoTierStore>(
-                std::make_unique<chunk::DiskStore>(root),
-                cfg.ram_cache_budget);
-        case core::StoreBackend::kLog:
-            return make_log();
-        case core::StoreBackend::kTwoTierLog:
-            return std::make_unique<chunk::TieredStore>(
-                make_log(), cfg.ram_cache_budget);
-        case core::StoreBackend::kThreeTierLog: {
-            cache::FileCacheConfig fcfg;
-            const auto cache_root = cfg.file_cache_dir.empty()
-                                        ? cfg.disk_root / "file-cache"
-                                        : cfg.file_cache_dir;
-            fcfg.dir = cache_root / ("dp-" + name);
-            fcfg.budget_bytes = cfg.file_cache_budget;
-            return std::make_unique<chunk::TieredStore>(
-                make_log(), cfg.ram_cache_budget,
-                std::make_unique<cache::CompressedFileCache>(fcfg));
-        }
-    }
-    throw InvalidArgument("unknown store backend");
 }
 
 /// Standalone data-provider daemon: join the manager by name, serve the
@@ -187,7 +146,7 @@ int run_provider(const core::ClusterConfig& cfg, const std::string& join,
                            topo.client_id);
 
     const auto joined = svc.provider_join(name);
-    provider::DataProvider dp(joined.node, make_provider_store(cfg, name));
+    provider::DataProvider dp(joined.node, core::make_chunk_store(cfg, name));
 
     rpc::Dispatcher dispatcher;
     dispatcher.add_data_provider(joined.node, &dp);
@@ -289,7 +248,11 @@ int main(int argc, char** argv) {
     std::string bind_addr = "0.0.0.0";
     // workers 0 = hardware-sized default; io_threads 0 = reactor default.
     rpc::TcpRpcServer::Options server_opts;
-    bool meta_store_set = false;
+    // Tier sizes; only the tiers the --store preset enables get them.
+    std::uint64_t ram_cache_mb = 64;
+    std::uint64_t file_cache_mb = 256;
+    bool ram_tier = false;
+    bool file_tier = false;
     long long abort_stalled_ms = 0;  // 0 = no background stalled sweep
 
     bool provider_mode = false;
@@ -331,47 +294,22 @@ int main(int argc, char** argv) {
                 static_cast<std::uint32_t>(std::atoi(next()));
         } else if (arg == "--store") {
             const std::string s = next();
-            if (s == "ram") {
-                cfg.store = core::StoreBackend::kRam;
-            } else if (s == "disk") {
-                cfg.store = core::StoreBackend::kDisk;
-            } else if (s == "two-tier") {
-                cfg.store = core::StoreBackend::kTwoTier;
-            } else if (s == "log") {
-                cfg.store = core::StoreBackend::kLog;
-            } else if (s == "two-tier-log") {
-                cfg.store = core::StoreBackend::kTwoTierLog;
-            } else if (s == "three-tier-log") {
-                cfg.store = core::StoreBackend::kThreeTierLog;
-            } else {
+            cfg.durable = s != "ram";
+            ram_tier = s == "two-tier-log" || s == "three-tier-log";
+            file_tier = s == "three-tier-log";
+            if (s != "ram" && s != "log" && !ram_tier) {
                 std::fprintf(stderr, "unknown store backend '%s'\n",
                              s.c_str());
                 return 2;
             }
-        } else if (arg == "--meta-store") {
-            const std::string s = next();
-            if (s == "ram") {
-                cfg.meta_store = core::ClusterConfig::MetaBackend::kRam;
-            } else if (s == "disk") {
-                cfg.meta_store = core::ClusterConfig::MetaBackend::kDisk;
-            } else if (s == "log") {
-                cfg.meta_store = core::ClusterConfig::MetaBackend::kLog;
-            } else {
-                std::fprintf(stderr, "unknown metadata backend '%s'\n",
-                             s.c_str());
-                return 2;
-            }
-            meta_store_set = true;
         } else if (arg == "--cas") {
             cfg.content_addressed = true;
         } else if (arg == "--disk-root") {
             cfg.disk_root = next();
         } else if (arg == "--ram-cache-mb") {
-            cfg.ram_cache_budget =
-                static_cast<std::uint64_t>(std::atoll(next())) << 20;
+            ram_cache_mb = static_cast<std::uint64_t>(std::atoll(next()));
         } else if (arg == "--file-cache-mb") {
-            cfg.file_cache_budget =
-                static_cast<std::uint64_t>(std::atoll(next())) << 20;
+            file_cache_mb = static_cast<std::uint64_t>(std::atoll(next()));
         } else if (arg == "--file-cache-dir") {
             cfg.file_cache_dir = next();
         } else if (arg == "--compress-cold") {
@@ -420,17 +358,8 @@ int main(int argc, char** argv) {
         }
     }
 
-    // A log-family chunk store makes the whole daemon restartable: default
-    // metadata onto the same engine and journal the version manager so a
-    // restart on the same --disk-root serves every published blob again.
-    if (cfg.store == core::StoreBackend::kLog ||
-        cfg.store == core::StoreBackend::kTwoTierLog ||
-        cfg.store == core::StoreBackend::kThreeTierLog) {
-        if (!meta_store_set) {
-            cfg.meta_store = core::ClusterConfig::MetaBackend::kLog;
-        }
-        cfg.durable_version_manager = true;
-    }
+    cfg.ram_cache_budget = ram_tier ? ram_cache_mb << 20 : 0;
+    cfg.file_cache_budget = file_tier ? file_cache_mb << 20 : 0;
 
     // Block the shutdown signals before any thread spawns so the accept
     // and connection threads inherit the mask and sigwait gets them.
