@@ -126,7 +126,8 @@ int main() {
     const NodeId bench_node = cluster.network().add_node("bench-rpc");
     rpc::SimTransport sim(cluster.network(), bench_node,
                           cluster.dispatcher());
-    rpc::TcpRpcServer server(cluster.dispatcher(), 0, "127.0.0.1");
+    rpc::TcpRpcServer server(cluster.dispatcher(),
+                             {.bind_addr = "127.0.0.1"});
     rpc::TcpTransport tcp("127.0.0.1", server.port());
 
     rpc::ServiceClient sim_svc(sim, cluster.version_manager_nodes(),
@@ -193,8 +194,8 @@ int main() {
     // transfers on few-core hosts). The sweep server gets 2 dispatch
     // workers: enough to overlap request parse with response write,
     // without preemption noise on small machines.
-    rpc::TcpRpcServer sweep_server(cluster.dispatcher(), 0, "127.0.0.1",
-                                   2);
+    rpc::TcpRpcServer sweep_server(cluster.dispatcher(),
+                                   {.bind_addr = "127.0.0.1", .workers = 2});
     rpc::TcpTransport sweep_tcp("127.0.0.1", sweep_server.port());
     rpc::ServiceClient sweep_svc(sweep_tcp,
                                  cluster.version_manager_nodes(),

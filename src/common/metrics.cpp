@@ -68,13 +68,15 @@ void append_series(std::string& out, const std::string& name,
 
 std::uint64_t sum_series(const MetricsSnapshot& snap,
                          const std::string& name,
-                         const std::pair<std::string, std::string>& label) {
+                         const std::pair<std::string, std::string>& label,
+                         std::uint64_t MetricSample::*field) {
     std::uint64_t total = 0;
     for (const MetricSample& s : snap.samples) {
         if (s.name == name &&
-            std::find(s.labels.begin(), s.labels.end(), label) !=
-                s.labels.end()) {
-            total += s.value;
+            (label.first.empty() ||
+             std::find(s.labels.begin(), s.labels.end(), label) !=
+                 s.labels.end())) {
+            total += s.*field;
         }
     }
     return total;
@@ -268,6 +270,16 @@ std::uint64_t MetricsRegistry::bind_callback(
     return insert_locked(std::move(e));
 }
 
+std::uint64_t MetricsRegistry::bind_collector(
+    const std::string& name,
+    std::function<std::vector<MetricSample>()> fn) {
+    const std::scoped_lock lock(mu_);
+    Entry e;
+    e.name = name;
+    e.collector = std::move(fn);
+    return insert_locked(std::move(e));
+}
+
 void MetricsRegistry::unbind(std::uint64_t id) {
     const std::scoped_lock lock(mu_);
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
@@ -283,6 +295,14 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     MetricsSnapshot snap;
     snap.samples.reserve(entries_.size());
     for (const auto& [key, e] : entries_) {
+        if (e.collector) {
+            for (MetricSample& s : e.collector()) {
+                s.labels.insert(s.labels.end(), e.labels.begin(),
+                                e.labels.end());
+                snap.samples.push_back(std::move(s));
+            }
+            continue;
+        }
         MetricSample s;
         s.name = e.name;
         s.labels = e.labels;

@@ -5,11 +5,10 @@
 /// RPC stats, version-manager gauges, repair/dedup/CAS counters, engine
 /// compaction totals, thread-pool backlogs — registers here under a stable
 /// name plus a label set, and one snapshot() walks them all. The registry
-/// is what the kMetricsDump RPC, the Prometheus /metrics endpoint and
-/// `blobseer_cli metrics` serve, and what `blobseer_cli dedup-stats`
-/// renders. The two remaining status RPCs (kVmStatus, kRepairStatus)
-/// carry fields the registry does not: per-shard blob counts, backlog
-/// high-water marks and per-provider membership rows.
+/// is the one status surface: the kMetricsDump RPC, the Prometheus
+/// /metrics scrape (answered on every daemon's RPC port) and
+/// `blobseer_cli metrics` serve it, and `blobseer_cli vm-status`,
+/// `repair-status` and `dedup-stats` render their lines from it.
 ///
 /// Two registration styles:
 ///
@@ -26,7 +25,10 @@
 /// Callback metrics cover quantities that already live behind a service's
 /// own lock (repair backlog, chunks stored, pool queue depth): the
 /// registry samples the std::function at snapshot time. Callbacks must be
-/// cheap and must not call back into the registry.
+/// cheap and must not call back into the registry. A collector is the
+/// same idea for a family whose members come and go (one row of series
+/// per provider): one callback returns every sample at snapshot time,
+/// so members never register or unregister themselves.
 ///
 /// Name collisions (two live DataProviders with the same node id in two
 /// test clusters) are made unique with an automatic "inst" label instead
@@ -85,12 +87,14 @@ struct MetricsSnapshot {
     bool operator==(const MetricsSnapshot&) const = default;
 };
 
-/// Sum of the values of every series in \p snap named \p name whose
+/// Sum of \p field over every series in \p snap named \p name whose
 /// labels include \p label — e.g. one provider's counter, selected by
-/// its ("node", id) label.
+/// its ("node", id) label. An empty label matches every series; \p field
+/// defaults to the value (a gauge's peak is &MetricSample::high_water).
 [[nodiscard]] std::uint64_t sum_series(
     const MetricsSnapshot& snap, const std::string& name,
-    const std::pair<std::string, std::string>& label);
+    const std::pair<std::string, std::string>& label = {},
+    std::uint64_t MetricSample::*field = &MetricSample::value);
 
 /// Render a snapshot in the Prometheus text exposition format (0.0.4):
 /// counters as `name_total`-style plain series, gauges with a `_peak`
@@ -128,11 +132,18 @@ class MetricsRegistry {
                        const Meter* m);
     std::uint64_t bind_callback(const std::string& name, MetricLabels labels,
                                 std::function<std::uint64_t()> fn);
+    /// Bind a collector: \p fn returns whole samples at snapshot time.
+    /// \p name only keys the registration; the samples carry their own
+    /// names and labels (plus an "inst" label if \p name collides).
+    std::uint64_t bind_collector(
+        const std::string& name,
+        std::function<std::vector<MetricSample>()> fn);
 
     void unbind(std::uint64_t id);
 
-    /// Sample every registered metric. Callback metrics run their
-    /// functions here, under the registry lock — keep them cheap.
+    /// Sample every registered metric. Callback metrics and collectors
+    /// run their functions here, under the registry lock — keep them
+    /// cheap.
     [[nodiscard]] MetricsSnapshot snapshot() const;
 
     /// Registered series count (tests).
@@ -150,6 +161,7 @@ class MetricsRegistry {
         const Histogram* histogram = nullptr;
         const Meter* meter = nullptr;
         std::function<std::uint64_t()> callback;
+        std::function<std::vector<MetricSample>()> collector;
         // Owned metrics keep their storage here (bound ones leave it
         // empty); unique_ptr keeps the address stable across rehashes.
         std::unique_ptr<Counter> owned_counter;
@@ -209,6 +221,11 @@ class MetricsGroup {
                   std::function<std::uint64_t()> fn) {
         ids_.push_back(
             registry_->bind_callback(name, std::move(labels), std::move(fn)));
+    }
+
+    void collector(const std::string& name,
+                   std::function<std::vector<MetricSample>()> fn) {
+        ids_.push_back(registry_->bind_collector(name, std::move(fn)));
     }
 
     /// Unbind everything now (also called by the destructor).

@@ -64,41 +64,6 @@ enum class PlacementStrategy : std::uint8_t {
 /// replication, live providers)).
 using PlacementPlan = std::vector<std::vector<NodeId>>;
 
-/// Per-provider membership snapshot (one row of kRepairStatus).
-struct ProviderHealth {
-    NodeId node = kInvalidNode;
-    bool alive = false;
-    /// Provider is expected to heartbeat (an external daemon; in-process
-    /// providers are observed synchronously instead).
-    bool heartbeating = false;
-    std::uint64_t beats = 0;
-    /// Milliseconds since the last beat; ~0 when the provider has never
-    /// beaten.
-    std::uint64_t last_beat_age_ms = ~0ull;
-    std::uint64_t chunks = 0;
-    std::uint64_t bytes = 0;
-
-    friend bool operator==(const ProviderHealth&,
-                           const ProviderHealth&) = default;
-};
-
-/// Repair-subsystem gauges + per-provider membership (kRepairStatus).
-struct RepairStatus {
-    std::uint64_t backlog = 0;
-    std::uint64_t high_water = 0;
-    std::uint64_t enqueued = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t skipped = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t deferred = 0;
-    /// Keys currently below their live-replica target (full index scan).
-    std::uint64_t under_replicated = 0;
-    std::vector<ProviderHealth> providers;
-
-    friend bool operator==(const RepairStatus&,
-                           const RepairStatus&) = default;
-};
-
 class ProviderManager {
     /// mu_ held. Liveness predicate for the index's target calibration.
     /// Defined before its call sites: the deduced (lambda) return type
@@ -143,10 +108,21 @@ class ProviderManager {
             const std::scoped_lock lock(mu_);
             return queue_->counters().deferred;
         });
+        metrics_.callback("repair_backlog_peak", {}, [this] {
+            const std::scoped_lock lock(mu_);
+            return queue_->counters().high_water;
+        });
+        metrics_.callback("repair_under_replicated", {},
+                          [this] { return under_replicated(); });
         metrics_.callback("pm_providers", {}, [this] {
             const std::scoped_lock lock(mu_);
             return entries_.size();
         });
+        // One collector for the membership rows: providers join under
+        // mu_, and binding per provider there would invert the
+        // registry-lock -> mu_ order.
+        metrics_.collector("pm_provider",
+                           [this] { return membership_rows(now_ms()); });
     }
 
     /// Register an in-process data provider node (observed
@@ -566,44 +542,17 @@ class ProviderManager {
         return queue_->backlog();
     }
 
-    [[nodiscard]] RepairStatus repair_status(
-        std::uint64_t at_ms = now_ms()) const {
+    /// Keys currently below their live-replica target (full index
+    /// scan; the repair_under_replicated series).
+    [[nodiscard]] std::uint64_t under_replicated() const {
         const std::scoped_lock lock(mu_);
-        RepairStatus st;
-        st.backlog = queue_->backlog();
-        const RepairQueue::Counters& c = queue_->counters();
-        st.high_water = c.high_water;
-        st.enqueued = c.enqueued;
-        st.completed = c.completed;
-        st.skipped = c.skipped;
-        st.failed = c.failed;
-        st.deferred = c.deferred;
+        std::uint64_t n = 0;
         index_.scan_under_replicated(
-            repair_floor_,
-            [this](NodeId n) {
-                const Entry* e = find_entry(n);
-                return e != nullptr && e->alive;
-            },
-            [&st](const chunk::ChunkKey&, std::size_t, std::size_t) {
-                ++st.under_replicated;
+            repair_floor_, holder_alive(),
+            [&n](const chunk::ChunkKey&, std::size_t, std::size_t) {
+                ++n;
             });
-        st.providers.reserve(entries_.size());
-        for (const auto& e : entries_) {
-            ProviderHealth h;
-            h.node = e.node;
-            h.alive = e.alive;
-            h.heartbeating = e.expected;
-            h.beats = e.beats;
-            if (e.last_beat_ms >= 0) {
-                const std::uint64_t last =
-                    static_cast<std::uint64_t>(e.last_beat_ms);
-                h.last_beat_age_ms = at_ms > last ? at_ms - last : 0;
-            }
-            h.chunks = index_.holdings_of(e.node);
-            h.bytes = index_.bytes_held_by(e.node);
-            st.providers.push_back(std::move(h));
-        }
-        return st;
+        return n;
     }
 
     [[nodiscard]] std::size_t chunk_holdings(NodeId node) const {
@@ -627,6 +576,40 @@ class ProviderManager {
         std::uint64_t beat_seq = 0;
         std::uint64_t beats = 0;
     };
+
+    /// One row of pm_provider_* series per provider, labelled by node.
+    /// The last-beat age is absent until the provider first beats.
+    [[nodiscard]] std::vector<MetricSample> membership_rows(
+        std::uint64_t at_ms) const {
+        const std::scoped_lock lock(mu_);
+        std::vector<MetricSample> out;
+        out.reserve(entries_.size() * 6);
+        for (const auto& e : entries_) {
+            const auto row = [&](const char* name, MetricKind kind,
+                                 std::uint64_t value) {
+                MetricSample s;
+                s.name = name;
+                s.labels = {{"node", std::to_string(e.node)}};
+                s.kind = kind;
+                s.value = value;
+                out.push_back(std::move(s));
+            };
+            row("pm_provider_alive", MetricKind::kCallback, e.alive ? 1 : 0);
+            row("pm_provider_heartbeating", MetricKind::kCallback,
+                e.expected ? 1 : 0);
+            row("pm_provider_beats_total", MetricKind::kCounter, e.beats);
+            if (e.last_beat_ms >= 0) {
+                const auto last = static_cast<std::uint64_t>(e.last_beat_ms);
+                row("pm_provider_last_beat_age_ms", MetricKind::kCallback,
+                    at_ms > last ? at_ms - last : 0);
+            }
+            row("pm_provider_chunks", MetricKind::kCallback,
+                index_.holdings_of(e.node));
+            row("pm_provider_bytes", MetricKind::kCallback,
+                index_.bytes_held_by(e.node));
+        }
+        return out;
+    }
 
     void set_alive(NodeId node, bool alive) {
         const std::scoped_lock lock(mu_);
@@ -662,11 +645,7 @@ class ProviderManager {
         (void)node;
         (void)queue_->rearm_deferred();
         index_.scan_under_replicated(
-            repair_floor_,
-            [this](NodeId n) {
-                const Entry* e = find_entry(n);
-                return e != nullptr && e->alive;
-            },
+            repair_floor_, holder_alive(),
             [this](const chunk::ChunkKey& key, std::size_t, std::size_t) {
                 (void)queue_->enqueue(key);
             });

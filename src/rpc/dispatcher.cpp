@@ -197,7 +197,7 @@ DispatchClass Dispatcher::dispatch_class(MsgType type) const noexcept {
 
         // Chunk payloads, the file cache and engine reads; membership and
         // inventory; history and retire (cost grows with history);
-        // status, metrics and trace dumps.
+        // metrics and trace dumps.
         case MsgType::kChunkPut:
         case MsgType::kChunkGet:
         case MsgType::kChunkErase:
@@ -210,13 +210,11 @@ DispatchClass Dispatcher::dispatch_class(MsgType type) const noexcept {
         case MsgType::kChunkDecref:
         case MsgType::kHistory:
         case MsgType::kRetire:
-        case MsgType::kVmStatus:
         case MsgType::kMarkDead:
         case MsgType::kProviderJoin:
         case MsgType::kProviderAnnounce:
         case MsgType::kProviderBeat:
         case MsgType::kReportFailure:
-        case MsgType::kRepairStatus:
         case MsgType::kMetricsDump:
         case MsgType::kTraceDump:
             return DispatchClass::kPool;
@@ -263,7 +261,6 @@ RpcResponse Dispatcher::handle(const FrameView& f) {
         case MsgType::kRetire:
         case MsgType::kDescriptorOf:
         case MsgType::kBlobCloneFrom:
-        case MsgType::kVmStatus:
             return handle_version_manager(f);
 
         case MsgType::kMetaGet:
@@ -278,7 +275,6 @@ RpcResponse Dispatcher::handle(const FrameView& f) {
         case MsgType::kProviderAnnounce:
         case MsgType::kProviderBeat:
         case MsgType::kReportFailure:
-        case MsgType::kRepairStatus:
             return handle_provider_manager(f);
 
         case MsgType::kTopology: {
@@ -549,12 +545,6 @@ Buffer Dispatcher::handle_version_manager(const FrameView& f) {
                           vm.clone_from(chunk_size, replication, origin));
             return seal_response(f.type, std::move(w));
         }
-        case MsgType::kVmStatus: {
-            r.expect_end();
-            WireWriter w;
-            put_shard_status(w, vm.status());
-            return seal_response(f.type, std::move(w));
-        }
         default:
             throw RpcError("bad version-manager message");
     }
@@ -669,12 +659,6 @@ Buffer Dispatcher::handle_provider_manager(const FrameView& f) {
             r.expect_end();
             WireWriter w;
             w.u8(pm.report_failure(suspect, reporter) ? 1 : 0);
-            return seal_response(f.type, std::move(w));
-        }
-        case MsgType::kRepairStatus: {
-            r.expect_end();
-            WireWriter w;
-            put_repair_status(w, pm.repair_status());
             return seal_response(f.type, std::move(w));
         }
         default:

@@ -274,30 +274,6 @@ version::VersionManager::RetireInfo get_retire_info(WireReader& r) {
     return i;
 }
 
-void put_shard_status(WireWriter& w, const version::ShardStatus& s) {
-    w.u32(s.shard);
-    w.u64(s.blobs);
-    w.u64(s.assigns);
-    w.u64(s.commits);
-    w.u64(s.aborts);
-    w.u64(s.publishes);
-    w.u64(s.backlog);
-    w.u64(s.backlog_high_water);
-}
-
-version::ShardStatus get_shard_status(WireReader& r) {
-    version::ShardStatus s;
-    s.shard = r.u32();
-    s.blobs = r.u64();
-    s.assigns = r.u64();
-    s.commits = r.u64();
-    s.aborts = r.u64();
-    s.publishes = r.u64();
-    s.backlog = r.u64();
-    s.backlog_high_water = r.u64();
-    return s;
-}
-
 void put_placement_plan(WireWriter& w, const provider::PlacementPlan& p) {
     w.varint(p.size());
     for (const auto& targets : p) {
@@ -379,61 +355,6 @@ std::vector<chunk::ChunkKey> get_chunk_keys(WireReader& r) {
         v.push_back(get_chunk_key(r));
     }
     return v;
-}
-
-void put_provider_health(WireWriter& w, const provider::ProviderHealth& h) {
-    w.u32(h.node);
-    w.u8(h.alive ? 1 : 0);
-    w.u8(h.heartbeating ? 1 : 0);
-    w.u64(h.beats);
-    w.u64(h.last_beat_age_ms);
-    w.u64(h.chunks);
-    w.u64(h.bytes);
-}
-
-provider::ProviderHealth get_provider_health(WireReader& r) {
-    provider::ProviderHealth h;
-    h.node = r.u32();
-    h.alive = r.u8() != 0;
-    h.heartbeating = r.u8() != 0;
-    h.beats = r.u64();
-    h.last_beat_age_ms = r.u64();
-    h.chunks = r.u64();
-    h.bytes = r.u64();
-    return h;
-}
-
-void put_repair_status(WireWriter& w, const provider::RepairStatus& s) {
-    w.u64(s.backlog);
-    w.u64(s.high_water);
-    w.u64(s.enqueued);
-    w.u64(s.completed);
-    w.u64(s.skipped);
-    w.u64(s.failed);
-    w.u64(s.deferred);
-    w.u64(s.under_replicated);
-    w.varint(s.providers.size());
-    for (const auto& h : s.providers) {
-        put_provider_health(w, h);
-    }
-}
-
-provider::RepairStatus get_repair_status(WireReader& r) {
-    provider::RepairStatus s;
-    s.backlog = r.u64();
-    s.high_water = r.u64();
-    s.enqueued = r.u64();
-    s.completed = r.u64();
-    s.skipped = r.u64();
-    s.failed = r.u64();
-    s.deferred = r.u64();
-    s.under_replicated = r.u64();
-    const std::uint64_t n = r.varint_count(38);  // encoded ProviderHealth
-    s.providers.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        s.providers.push_back(get_provider_health(r));
-    }
-    return s;
 }
 
 // ---- observability (protocol v7) -------------------------------------------

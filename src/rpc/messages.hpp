@@ -71,9 +71,6 @@ void put_retire_info(WireWriter& w,
 [[nodiscard]] version::VersionManager::RetireInfo get_retire_info(
     WireReader& r);
 
-void put_shard_status(WireWriter& w, const version::ShardStatus& s);
-[[nodiscard]] version::ShardStatus get_shard_status(WireReader& r);
-
 void put_placement_plan(WireWriter& w, const provider::PlacementPlan& p);
 [[nodiscard]] provider::PlacementPlan get_placement_plan(WireReader& r);
 
@@ -93,12 +90,6 @@ void put_chunk_holdings(WireWriter& w,
 void put_chunk_keys(WireWriter& w,
                     const std::vector<chunk::ChunkKey>& v);
 [[nodiscard]] std::vector<chunk::ChunkKey> get_chunk_keys(WireReader& r);
-
-void put_provider_health(WireWriter& w, const provider::ProviderHealth& h);
-[[nodiscard]] provider::ProviderHealth get_provider_health(WireReader& r);
-
-void put_repair_status(WireWriter& w, const provider::RepairStatus& s);
-[[nodiscard]] provider::RepairStatus get_repair_status(WireReader& r);
 
 // ---- observability (protocol v7) -------------------------------------------
 

@@ -63,7 +63,7 @@ inline constexpr std::uint32_t kFrameMagic = 0x42535250;  // "PRSB" LE
 /// v4: the version-manager layer is sharded — Topology advertises a
 /// vm_nodes list instead of a single vm_node, and the version-manager
 /// block gained kBlobCloneFrom (cross-shard clone) and kVmStatus
-/// (per-shard observability).
+/// (per-shard observability; retired in v10).
 /// v5: content-addressed storage — ChunkKey carries a kind byte (uid vs
 /// SHA-256-derived content key), meta-node leaves a flags byte plus the
 /// digest's high half, Topology a content_addressed flag, and the data
@@ -75,8 +75,9 @@ inline constexpr std::uint32_t kFrameMagic = 0x42535250;  // "PRSB" LE
 /// daemons register, advertise their endpoint + inventory and heartbeat
 /// with incremental inventory deltas), kReportFailure (clients report
 /// suspected deaths for corroboration) and kRepairStatus (repair-queue
-/// observability); Topology advertises provider endpoints after the
-/// content_addressed flag so remote clients can dial providers directly.
+/// observability; retired in v10); Topology advertises provider
+/// endpoints after the content_addressed flag so remote clients can dial
+/// providers directly.
 /// v7: observability — the header grew a 16-byte trace context (trace
 /// id, span id, sampled flag, reserved bytes; offsets 24-39) so one
 /// client operation can be followed across every nested RPC, and the
@@ -89,7 +90,11 @@ inline constexpr std::uint32_t kFrameMagic = 0x42535250;  // "PRSB" LE
 /// v9: one status surface — kDedupStatus is retired; its every field is
 /// a data provider's dedup_* / cas_* / provider_* series, which
 /// kMetricsDump already serves. Tag 11 is reserved and rejected.
-inline constexpr std::uint8_t kWireVersion = 9;
+/// v10: kVmStatus and kRepairStatus are retired the same way — the
+/// per-shard vm_* series (vm_blobs included), the repair_* series and
+/// the per-provider pm_provider_* rows carry every field they did. Tags
+/// 29 and 70 are reserved and rejected.
+inline constexpr std::uint8_t kWireVersion = 10;
 inline constexpr std::size_t kFrameHeaderSize = 40;
 /// Byte offset of the message-type tag (u16) within the header.
 inline constexpr std::size_t kFrameTypeOffset = 6;
@@ -144,7 +149,7 @@ enum class MsgType : std::uint16_t {
     kRetire = 26,
     kDescriptorOf = 27,
     kBlobCloneFrom = 28,
-    kVmStatus = 29,
+    // 29 reserved: v9 vm-status (served by kMetricsDump since v10)
 
     // metadata DHT member service (48 reserved: v7 single-node put)
     kMetaGet = 49,
@@ -159,7 +164,7 @@ enum class MsgType : std::uint16_t {
     kProviderAnnounce = 67,
     kProviderBeat = 68,
     kReportFailure = 69,
-    kRepairStatus = 70,
+    // 70 reserved: v9 repair-status (served by kMetricsDump since v10)
 
     // control plane
     kTopology = 80,
@@ -192,7 +197,6 @@ enum class MsgType : std::uint16_t {
         case MsgType::kRetire: return "retire";
         case MsgType::kDescriptorOf: return "descriptor-of";
         case MsgType::kBlobCloneFrom: return "blob-clone-from";
-        case MsgType::kVmStatus: return "vm-status";
         case MsgType::kMetaGet: return "meta-get";
         case MsgType::kMetaTryGet: return "meta-try-get";
         case MsgType::kMetaErase: return "meta-erase";
@@ -203,7 +207,6 @@ enum class MsgType : std::uint16_t {
         case MsgType::kProviderAnnounce: return "provider-announce";
         case MsgType::kProviderBeat: return "provider-beat";
         case MsgType::kReportFailure: return "report-failure";
-        case MsgType::kRepairStatus: return "repair-status";
         case MsgType::kTopology: return "topology";
         case MsgType::kMetricsDump: return "metrics-dump";
         case MsgType::kTraceDump: return "trace-dump";

@@ -214,14 +214,6 @@ version::BlobInfo ServiceClient::clone_from(std::uint64_t chunk_size,
     return out;
 }
 
-version::ShardStatus ServiceClient::vm_status(NodeId vm_node) {
-    const Buffer resp = invoke(MsgType::kVmStatus, vm_node, WireWriter());
-    auto r = open_reply(resp, MsgType::kVmStatus);
-    auto out = get_shard_status(r);
-    r.expect_end();
-    return out;
-}
-
 version::BlobInfo ServiceClient::blob_info(BlobId blob) {
     WireWriter w;
     w.u64(blob);
@@ -421,15 +413,6 @@ bool ServiceClient::provider_beat(
     const bool known = r.u8() != 0;
     r.expect_end();
     return known;
-}
-
-provider::RepairStatus ServiceClient::repair_status() {
-    const Buffer resp =
-        invoke(MsgType::kRepairStatus, pm_node_, WireWriter());
-    auto r = open_reply(resp, MsgType::kRepairStatus);
-    auto out = get_repair_status(r);
-    r.expect_end();
-    return out;
 }
 
 // ---- observability (protocol v7) -------------------------------------------

@@ -80,8 +80,6 @@ class ServiceClient {
     [[nodiscard]] version::BlobInfo clone_from(std::uint64_t chunk_size,
                                                std::uint32_t replication,
                                                const meta::TreeRef& origin);
-    /// Observability snapshot of the shard living on \p vm_node.
-    [[nodiscard]] version::ShardStatus vm_status(NodeId vm_node);
     [[nodiscard]] version::BlobInfo blob_info(BlobId blob);
     [[nodiscard]] version::AssignResult assign(
         BlobId blob, std::optional<std::uint64_t> offset, std::uint64_t size);
@@ -132,9 +130,6 @@ class ServiceClient {
         NodeId node, std::uint64_t seq,
         const std::vector<provider::ChunkHolding>& added,
         const std::vector<chunk::ChunkKey>& removed);
-
-    /// Repair-queue gauges + per-provider membership snapshot.
-    [[nodiscard]] provider::RepairStatus repair_status();
 
     // ---- observability (protocol v7) -------------------------------------
 

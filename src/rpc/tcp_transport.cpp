@@ -14,6 +14,7 @@
 #include <cerrno>
 #include <cstring>
 #include <deque>
+#include <string_view>
 #include <utility>
 
 #include "common/error.hpp"
@@ -86,12 +87,18 @@ void set_nonblocking(int fd) {
 /// Small frames coalesce through a bounce buffer (one recv() can yield
 /// many frames); payload remainders that dwarf it recv straight into the
 /// frame's own storage. One owner per socket (the loop thread), no locks.
+///
+/// A connection whose first bytes are "GET " carries an HTTP request,
+/// not frames: no frame can start that way (every one opens with the
+/// BSRP magic), so the assembler stops there and hands what it buffered
+/// to the caller via take_buffered().
 class FrameAssembler {
   public:
     enum class Status {
         kAgain,  ///< socket drained (or budget spent) cleanly
         kEof,    ///< peer closed between frames
         kError,  ///< protocol violation, mid-frame EOF, or socket error
+        kHttp,   ///< the connection opened with "GET "
     };
 
     Status pump(int fd, const std::function<void(Buffer)>& sink,
@@ -104,7 +111,7 @@ class FrameAssembler {
         for (;;) {
             while (pos_ < end_) {
                 if (!step(sink, error)) {
-                    return Status::kError;
+                    return http_ ? Status::kHttp : Status::kError;
                 }
             }
             if (consumed >= kBudget) {
@@ -151,6 +158,16 @@ class FrameAssembler {
         }
     }
 
+    /// Every byte received but not yet framed (after kHttp: the start
+    /// of the request head).
+    [[nodiscard]] std::string take_buffered() {
+        std::string out(frame_.begin(), frame_.begin() + have_);
+        out.append(bounce_.begin() + pos_, bounce_.begin() + end_);
+        have_ = 0;
+        pos_ = end_ = 0;
+        return out;
+    }
+
   private:
     /// Move buffered bytes into the current frame; false on a header
     /// that fails validation.
@@ -164,17 +181,24 @@ class FrameAssembler {
             std::memcpy(frame_.data() + have_, bounce_.data() + pos_, take);
             have_ += take;
             pos_ += take;
+            std::uint32_t magic = 0;
             if (have_ < kFrameHeaderSize) {
+                // An HTTP request head may be shorter than a frame
+                // header: judge the magic as soon as it is in.
+                if (have_ >= sizeof magic) {
+                    std::memcpy(&magic, frame_.data(), sizeof magic);
+                    if (magic != kFrameMagic) {
+                        return reject_magic(error);
+                    }
+                }
                 return true;
             }
             // Validate the header before trusting its length field.
-            std::uint32_t magic = 0;
             std::uint32_t len = 0;
             std::memcpy(&magic, frame_.data(), 4);
             std::memcpy(&len, frame_.data() + kFrameLenOffset, 4);
             if (magic != kFrameMagic) {
-                *error = "bad frame magic";
-                return false;
+                return reject_magic(error);
             }
             if (len > kMaxPayload) {
                 *error = "oversized frame (" + std::to_string(len) +
@@ -199,11 +223,20 @@ class FrameAssembler {
         return true;
     }
 
+    /// Always false: a bad magic ends framing, as an HTTP request when
+    /// the connection's first bytes are "GET ".
+    bool reject_magic(std::string* error) {
+        http_ = fresh_ && std::memcmp(frame_.data(), "GET ", 4) == 0;
+        *error = http_ ? "http request" : "bad frame magic";
+        return false;
+    }
+
     void finish(const std::function<void(Buffer)>& sink) {
         Buffer done;
         done.swap(frame_);
         have_ = 0;
         sized_ = false;
+        fresh_ = false;
         sink(std::move(done));
     }
 
@@ -213,6 +246,8 @@ class FrameAssembler {
     Buffer frame_;
     std::size_t have_ = 0;  ///< bytes of frame_ filled
     bool sized_ = false;    ///< header validated, frame_ at full size
+    bool fresh_ = true;     ///< no frame completed yet
+    bool http_ = false;     ///< framing ended on an HTTP request
 };
 
 /// Queue of outbound frames awaiting socket room. Each entry keeps its
@@ -337,6 +372,31 @@ class FrameQueue {
 };
 
 constexpr std::uint32_t kConnEvents = EPOLLIN | EPOLLRDHUP;
+
+/// Longest HTTP request head the server reads; a connection that sends
+/// more without ending its head is closed unanswered.
+constexpr std::size_t kMaxHttpHead = 4096;
+
+/// HTTP/1.0 reply to one request head: the metrics registry in the
+/// Prometheus text format for `GET /metrics`, 404 for any other path.
+/// Connection: close — a scraper opens a fresh connection per scrape.
+[[nodiscard]] Buffer http_reply(std::string_view head) {
+    std::string_view path = head.substr(4);  // past "GET "
+    path = path.substr(0, path.find_first_of(" \r\n"));
+    const bool metrics = path == "/metrics";
+    const std::string body =
+        metrics ? render_prometheus(MetricsRegistry::instance().snapshot())
+                : "only /metrics is served here\n";
+    std::string out = metrics ? "HTTP/1.0 200 OK\r\n"
+                                "Content-Type: text/plain; version=0.0.4; "
+                                "charset=utf-8\r\n"
+                              : "HTTP/1.0 404 Not Found\r\n"
+                                "Content-Type: text/plain\r\n";
+    out += "Content-Length: " + std::to_string(body.size()) +
+           "\r\nConnection: close\r\n\r\n";
+    out += body;
+    return Buffer(out.begin(), out.end());
+}
 
 }  // namespace
 
@@ -733,12 +793,26 @@ struct TcpRpcServer::ServerConn {
 
     FrameAssembler rd;  ///< loop thread only
 
-    std::mutex wmu;  ///< guards wq, epollout, closed
+    /// An HTTP connection reads its request head, then waits for its
+    /// one reply (loop thread only).
+    enum class Http : std::uint8_t { kNone, kHead, kReply };
+    Http http = Http::kNone;
+    std::string http_head;  ///< loop thread only
+
+    std::mutex wmu;  ///< guards wq, epollout, closed, close_when_drained
     FrameQueue wq;
     bool epollout = false;
     /// Loop registration removed; set by close_conn (loop thread) so
     /// late response writes and posted EPOLLOUT arming stand down.
     bool closed = false;
+    /// The queued reply is the last (HTTP): close once wq drains. Until
+    /// then the socket is armed for writability only.
+    bool close_when_drained = false;
+
+    /// Readiness interest while EPOLLOUT is armed (wmu held).
+    [[nodiscard]] std::uint32_t write_events() const {
+        return close_when_drained ? EPOLLOUT : kConnEvents | EPOLLOUT;
+    }
 };
 
 TcpRpcServer::TcpRpcServer(Dispatcher& dispatcher, Options opts)
@@ -808,12 +882,10 @@ TcpRpcServer::TcpRpcServer(Dispatcher& dispatcher, Options opts)
     }
     metrics_.callback("rpc_server_worker_backlog", labels,
                       [this] { return workers_ ? workers_->backlog() : 0; });
-    const auto conn_gauge = [this]() -> std::uint64_t {
+    metrics_.callback("rpc_server_connections", labels, [this] {
         const std::scoped_lock lock(mu_);
         return conns_.size();
-    };
-    metrics_.callback("rpc_server_connections", labels, conn_gauge);
-    metrics_.callback("rpc_connections", labels, conn_gauge);
+    });
 
     reactor_->loop(0).post([this] {
         reactor_->loop(0).add_fd(
@@ -821,10 +893,6 @@ TcpRpcServer::TcpRpcServer(Dispatcher& dispatcher, Options opts)
             [this](std::uint32_t events) { on_accept(events); });
     });
 }
-
-TcpRpcServer::TcpRpcServer(Dispatcher& dispatcher, std::uint16_t port,
-                           const std::string& bind_addr, std::size_t workers)
-    : TcpRpcServer(dispatcher, Options{port, bind_addr, workers}) {}
 
 TcpRpcServer::~TcpRpcServer() { stop(); }
 
@@ -942,6 +1010,17 @@ void TcpRpcServer::register_conn(const std::shared_ptr<ServerConn>& conn) {
 
 void TcpRpcServer::on_readable(const std::shared_ptr<ServerConn>& conn,
                                std::uint32_t /*events*/) {
+    switch (conn->http) {
+        case ServerConn::Http::kNone:
+            break;
+        case ServerConn::Http::kHead:
+            read_http_head(conn);
+            return;
+        case ServerConn::Http::kReply:
+            // Reads are off while the reply is pending: this is a hangup.
+            close_conn(conn);
+            return;
+    }
     std::string err;
     const auto st = conn->rd.pump(
         conn->fd,
@@ -949,6 +1028,11 @@ void TcpRpcServer::on_readable(const std::shared_ptr<ServerConn>& conn,
         &err);
     switch (st) {
         case FrameAssembler::Status::kAgain:
+            return;
+        case FrameAssembler::Status::kHttp:
+            conn->http = ServerConn::Http::kHead;
+            conn->http_head = conn->rd.take_buffered();
+            read_http_head(conn);
             return;
         case FrameAssembler::Status::kEof:
             break;  // peer closed cleanly
@@ -959,6 +1043,43 @@ void TcpRpcServer::on_readable(const std::shared_ptr<ServerConn>& conn,
             break;
     }
     close_conn(conn);
+}
+
+void TcpRpcServer::read_http_head(const std::shared_ptr<ServerConn>& conn) {
+    std::string& head = conn->http_head;
+    while (head.find("\r\n\r\n") == std::string::npos &&
+           head.find("\n\n") == std::string::npos) {
+        if (head.size() >= kMaxHttpHead) {
+            log_debug("rpc-server", "http request head over the cap");
+            close_conn(conn);
+            return;
+        }
+        char buf[1024];
+        const ssize_t n = ::recv(
+            conn->fd, buf, std::min(sizeof buf, kMaxHttpHead - head.size()),
+            0);
+        if (n > 0) {
+            head.append(buf, static_cast<std::size_t>(n));
+            continue;
+        }
+        if (n < 0 && errno == EINTR) {
+            continue;
+        }
+        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+            return;
+        }
+        close_conn(conn);  // EOF or error before the head ended
+        return;
+    }
+    // Anything after the head is ignored. The registry snapshot runs
+    // every callback (index scans included), so it renders on the pool.
+    conn->http = ServerConn::Http::kReply;
+    conn->loop->mod_fd(conn->fd, 0);
+    conn->busy.fetch_add(1);
+    workers_->post([this, conn, head = std::move(head)] {
+        send_response(conn, http_reply(head), /*last=*/true);
+        conn->busy.fetch_sub(1);
+    });
 }
 
 void TcpRpcServer::handle_frame(const std::shared_ptr<ServerConn>& conn,
@@ -1017,12 +1138,15 @@ void TcpRpcServer::answer(const std::shared_ptr<ServerConn>& conn,
 }
 
 void TcpRpcServer::send_response(const std::shared_ptr<ServerConn>& conn,
-                                 RpcResponse&& resp) {
+                                 RpcResponse&& resp, bool last) {
     bool doom = false;
     {
         const std::scoped_lock lock(conn->wmu);
         if (conn->closed || !conn->ok.load()) {
             return;
+        }
+        if (last) {
+            conn->close_when_drained = true;
         }
         conn->wq.push(std::move(resp.head), std::move(resp.tail));
         if (conn->epollout) {
@@ -1036,13 +1160,12 @@ void TcpRpcServer::send_response(const std::shared_ptr<ServerConn>& conn,
             // backpressure without a blocked thread.
             conn->epollout = true;
             if (conn->loop->on_loop_thread()) {
-                conn->loop->mod_fd(conn->fd, kConnEvents | EPOLLOUT);
+                conn->loop->mod_fd(conn->fd, conn->write_events());
             } else {
                 conn->loop->post([conn] {
                     const std::scoped_lock l2(conn->wmu);
                     if (!conn->closed && conn->epollout) {
-                        conn->loop->mod_fd(conn->fd,
-                                           kConnEvents | EPOLLOUT);
+                        conn->loop->mod_fd(conn->fd, conn->write_events());
                     }
                 });
             }
@@ -1051,6 +1174,8 @@ void TcpRpcServer::send_response(const std::shared_ptr<ServerConn>& conn,
             // responses stop writing into the void.
             conn->wq.clear();
             doom = true;
+        } else {
+            doom = last;  // the reply is in the kernel: close after it
         }
     }
     if (doom) {
@@ -1071,7 +1196,11 @@ void TcpRpcServer::on_writable(const std::shared_ptr<ServerConn>& conn) {
         const auto st = conn->wq.flush(conn->fd, nullptr, &err);
         if (st == FrameQueue::Flush::kDrained) {
             conn->epollout = false;
-            conn->loop->mod_fd(conn->fd, kConnEvents);
+            if (conn->close_when_drained) {
+                doom = true;
+            } else {
+                conn->loop->mod_fd(conn->fd, kConnEvents);
+            }
         } else if (st == FrameQueue::Flush::kError) {
             conn->wq.clear();
             doom = true;

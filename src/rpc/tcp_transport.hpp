@@ -30,6 +30,13 @@
 /// EPOLLOUT drains it (backpressure without a blocked thread). stop()
 /// (or destruction) shuts down the listener and every live connection,
 /// stops the loops, drains the worker pool and joins all threads.
+///
+/// The same port answers a Prometheus scrape (DESIGN.md §13): a
+/// connection whose first bytes are "GET " (never a frame's, which all
+/// open with the BSRP magic) has its request head read on the loop, up
+/// to 4 KiB; the pool renders the registry for `GET /metrics` (404 for
+/// any other path), the reply leaves through the connection's frame
+/// queue, and the connection closes once it has drained.
 
 #pragma once
 
@@ -150,12 +157,6 @@ class TcpRpcServer {
     };
 
     TcpRpcServer(Dispatcher& dispatcher, Options opts);
-
-    /// Back-compat convenience: bind \p bind_addr:\p port with default
-    /// reactor sizing.
-    explicit TcpRpcServer(Dispatcher& dispatcher, std::uint16_t port = 0,
-                          const std::string& bind_addr = "0.0.0.0",
-                          std::size_t workers = 0);
     ~TcpRpcServer();
 
     TcpRpcServer(const TcpRpcServer&) = delete;
@@ -178,6 +179,9 @@ class TcpRpcServer {
     void on_readable(const std::shared_ptr<ServerConn>& conn,
                      std::uint32_t events);
     void on_writable(const std::shared_ptr<ServerConn>& conn);
+    /// Read an HTTP request head (loop thread), then render its reply
+    /// on the pool.
+    void read_http_head(const std::shared_ptr<ServerConn>& conn);
     /// Loop-thread-only teardown of one connection.
     void close_conn(const std::shared_ptr<ServerConn>& conn);
     /// Run one complete request frame where the dispatcher's table
@@ -195,9 +199,10 @@ class TcpRpcServer {
                 const Buffer& request, TimePoint received_at);
 
     /// Queue + opportunistically flush one response; arms EPOLLOUT when
-    /// the kernel buffer is full (backpressure).
+    /// the kernel buffer is full (backpressure). \p last closes the
+    /// connection once the response has drained (an HTTP reply).
     void send_response(const std::shared_ptr<ServerConn>& conn,
-                       RpcResponse&& resp);
+                       RpcResponse&& resp, bool last = false);
 
     /// Idle-timeout tick body for one loop.
     void sweep_idle(net::EventLoop* loop);

@@ -43,6 +43,7 @@ VersionManager::VersionManager(std::uint32_t shard,
     metrics_.counter("vm_aborts_total", labels, aborts_);
     metrics_.counter("vm_publishes_total", labels, publishes_);
     metrics_.gauge("vm_publish_backlog", labels, publish_backlog_);
+    metrics_.callback("vm_blobs", labels, [this] { return blob_count(); });
 }
 
 BlobInfo VersionManager::create_blob(std::uint64_t chunk_size,
@@ -539,19 +540,6 @@ meta::TreeRef VersionManager::published_base(const BlobState& b) const {
 std::uint64_t VersionManager::size_of_version(const BlobState& b,
                                               Version v) const {
     return v == 0 ? b.v0_size : b.records[v - 1].desc.size_after;
-}
-
-ShardStatus VersionManager::status() const {
-    ShardStatus s;
-    s.shard = shard_;
-    s.blobs = blob_count();
-    s.assigns = assigns_.get();
-    s.commits = commits_.get();
-    s.aborts = aborts_.get();
-    s.publishes = publishes_.get();
-    s.backlog = publish_backlog_.get();
-    s.backlog_high_water = publish_backlog_.high_water();
-    return s;
 }
 
 // ---- durability (operation journal) ------------------------------------------

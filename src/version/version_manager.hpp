@@ -121,26 +121,6 @@ struct VersionInfo {
     meta::TreeRef tree;
 };
 
-/// Point-in-time observability snapshot of one shard (kVmStatus RPC,
-/// serverd shutdown dump, `blobseer_cli vm-status`).
-struct ShardStatus {
-    std::uint32_t shard = 0;
-    std::uint64_t blobs = 0;
-    std::uint64_t assigns = 0;
-    std::uint64_t commits = 0;
-    std::uint64_t aborts = 0;
-    /// Versions that ever flipped to kPublished (the shard's publication
-    /// cursor summed over its blobs).
-    std::uint64_t publishes = 0;
-    /// Publish backlog right now: assigned-but-unpublished versions
-    /// (sum of max_assigned - pub_cursor over the shard's blobs).
-    std::uint64_t backlog = 0;
-    /// Deepest backlog the shard ever reached.
-    std::uint64_t backlog_high_water = 0;
-
-    friend bool operator==(const ShardStatus&, const ShardStatus&) = default;
-};
-
 class VersionManager {
   public:
     /// \param shard this instance's shard index; every blob it creates
@@ -305,9 +285,6 @@ class VersionManager {
     [[nodiscard]] const Gauge& publish_backlog() const noexcept {
         return publish_backlog_;
     }
-
-    /// Everything above in one snapshot.
-    [[nodiscard]] ShardStatus status() const;
 
   private:
     struct VersionRecord {

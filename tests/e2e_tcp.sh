@@ -16,7 +16,8 @@
 # workload, and asserts heartbeat-driven death detection, repair, and
 # rejoin rebalancing — with byte-identical readbacks throughout.
 # Before any of that, serverd must refuse the removed storage flags
-# (--store disk, --store two-tier, --meta-store) with exit status 2.
+# (--store disk, --store two-tier, --meta-store) and the removed
+# --metrics-port (the RPC port answers GET /metrics) with exit status 2.
 #
 # Usage: e2e_tcp.sh <path-to-blobseer_serverd> <path-to-blobseer_cli>
 set -u
@@ -89,9 +90,10 @@ stop_serverd() {
     fail "serverd did not shut down"
 }
 
-# --- removed storage flags are refused, not remapped ------------------------
+# --- removed flags are refused, not remapped --------------------------------
 
-for removed in "--store disk" "--store two-tier" "--meta-store log"; do
+for removed in "--store disk" "--store two-tier" "--meta-store log" \
+    "--metrics-port 0"; do
     # shellcheck disable=SC2086  # split "--flag value" into two words
     timeout 10 "$SERVERD" --port 0 --bind 127.0.0.1 \
         --disk-root "$WORK/refused" $removed >"$WORK/refused.log" 2>&1
@@ -497,25 +499,17 @@ done
 # --- phase 5: observability — /metrics scrape + end-to-end trace tree -------
 
 start_serverd "$WORK/serverd7.log" --data-providers 4 --meta-providers 2 \
-    --replication 2 --metrics-port 0 --log-level info
+    --replication 2 --log-level info
 
-METRICS_PORT=$(sed -n \
-    's|.*metrics on http://127\.0\.0\.1:\([0-9]*\)/metrics.*|\1|p' \
-    "$WORK/serverd7.log")
-[ -n "$METRICS_PORT" ] || {
-    cat "$WORK/serverd7.log"
-    fail "serverd never reported a metrics port"
-}
-
-# GET a path from the metrics endpoint; curl when available, raw
-# /dev/tcp otherwise (HTTP/1.0 + Connection: close reads to EOF).
+# GET a path from the daemon's RPC port, which also answers HTTP; curl
+# when available, raw /dev/tcp otherwise (HTTP/1.0 + Connection: close
+# reads to EOF).
 http_get() {
     local path=$1 out=$2
     if command -v curl >/dev/null 2>&1; then
-        curl -sf --max-time 10 "http://127.0.0.1:$METRICS_PORT$path" \
-            >"$out"
+        curl -sf --max-time 10 "http://127.0.0.1:$PORT$path" >"$out"
     else
-        exec 9<>"/dev/tcp/127.0.0.1/$METRICS_PORT" || return 1
+        exec 9<>"/dev/tcp/127.0.0.1/$PORT" || return 1
         printf 'GET %s HTTP/1.0\r\n\r\n' "$path" >&9
         sed -e '1,/^\r*$/d' <&9 >"$out"
         exec 9<&- 9>&-
@@ -579,6 +573,9 @@ assert_series '^rpc_server_requests_total{op="chunk-put"} [1-9]'
 assert_series '^rpc_server_latency_us_bucket{op="chunk-put",le="+Inf"} [1-9]'
 assert_series '^rpc_server_latency_us_count{op="get-version"} [1-9]'
 assert_series '^vm_publishes_total{shard="0"} [1-9]'
+assert_series '^vm_blobs{shard="0"} [1-9]'
+assert_series '^pm_provider_alive{node="[0-9]*"} 1$'
+assert_series '^repair_under_replicated 0$'
 assert_series '^pm_placements_total [1-9]'
 assert_series '^provider_chunks_stored{'
 assert_series '^trace_spans_recorded_total [1-9]'

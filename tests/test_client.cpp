@@ -8,6 +8,7 @@
 
 #include <set>
 
+#include "common/metrics.hpp"
 #include "rpc/sim_transport.hpp"
 #include "testing_util.hpp"
 
@@ -420,16 +421,19 @@ TEST(ShardedVm, FullAccessInterfaceAcrossShards) {
         EXPECT_EQ(client->history(blob.id()).size(), 2u);
     }
 
-    // Per-shard status over the wire adds up to the whole deployment.
+    // Per-shard series over the wire add up to the whole deployment.
     auto& svc = client->services();
     EXPECT_EQ(svc.vm_nodes().size(), 3u);
+    const MetricsSnapshot snap = svc.metrics_dump();
     std::uint64_t blob_total = 0;
     std::uint64_t assign_total = 0;
-    for (const NodeId node : svc.vm_nodes()) {
-        const auto st = svc.vm_status(node);
-        blob_total += st.blobs;
-        assign_total += st.assigns;
-        EXPECT_EQ(st.backlog, 0u);  // everything published
+    for (std::size_t i = 0; i < svc.vm_nodes().size(); ++i) {
+        const std::pair<std::string, std::string> shard{"shard",
+                                                        std::to_string(i)};
+        blob_total += sum_series(snap, "vm_blobs", shard);
+        assign_total += sum_series(snap, "vm_assigns_total", shard);
+        // everything published
+        EXPECT_EQ(sum_series(snap, "vm_publish_backlog", shard), 0u);
     }
     EXPECT_EQ(blob_total, blobs.size());
     EXPECT_EQ(assign_total, 2 * blobs.size());

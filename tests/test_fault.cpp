@@ -50,7 +50,8 @@ class FaultTransport : public ::testing::TestWithParam<const char*> {
         if (std::string_view(GetParam()) == "tcp") {
             if (server_ == nullptr) {
                 server_ = std::make_unique<rpc::TcpRpcServer>(
-                    cluster_->dispatcher(), 0, "127.0.0.1");
+                    cluster_->dispatcher(),
+                    rpc::TcpRpcServer::Options{.bind_addr = "127.0.0.1"});
             }
             return std::make_unique<BlobSeerClient>(
                 connect_tcp("127.0.0.1", server_->port()));

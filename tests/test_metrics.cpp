@@ -1,6 +1,7 @@
 /// \file test_metrics.cpp
 /// \brief Histogram bucket math, the Meter ring bound, and the metrics
-/// registry (ownership, binding, collisions, concurrency, rendering).
+/// registry (ownership, binding, collectors, collisions, concurrency,
+/// rendering).
 
 #include <gtest/gtest.h>
 
@@ -239,6 +240,73 @@ TEST(MetricsRegistry, DuplicateKeyGetsInstanceLabel) {
     EXPECT_EQ(inst_labels, 1);
 }
 
+TEST(MetricsRegistry, CollectorSamplesJoinSnapshotUntilUnbound) {
+    // One collector emits a row per member at snapshot time; members
+    // come and go without registering anything themselves.
+    MetricsRegistry reg;
+    std::vector<std::string> members{"7", "9"};
+    const auto rows = [&members] {
+        std::vector<MetricSample> out;
+        for (const std::string& node : members) {
+            MetricSample s;
+            s.name = "member_up";
+            s.labels = {{"node", node}};
+            s.kind = MetricKind::kCallback;
+            s.value = 1;
+            out.push_back(std::move(s));
+        }
+        return out;
+    };
+    {
+        MetricsGroup group(reg);
+        group.collector("members", rows);
+        reg.counter("other_total").add(3);
+        EXPECT_EQ(reg.size(), 2u);
+
+        MetricsSnapshot snap = reg.snapshot();
+        ASSERT_EQ(snap.samples.size(), 3u);
+        EXPECT_EQ(sum_series(snap, "member_up"), 2u);
+        EXPECT_EQ(sum_series(snap, "member_up", {"node", "9"}), 1u);
+        EXPECT_EQ(sum_series(snap, "other_total"), 3u);
+        const std::string text = render_prometheus(snap);
+        EXPECT_NE(text.find("member_up{node=\"7\"} 1\n"), std::string::npos)
+            << text;
+        EXPECT_NE(text.find("member_up{node=\"9\"} 1\n"), std::string::npos);
+
+        members.emplace_back("11");  // a member joins: no registration
+        snap = reg.snapshot();
+        EXPECT_EQ(sum_series(snap, "member_up"), 3u);
+        EXPECT_EQ(reg.size(), 2u);
+
+        // A second collector under the same name keeps its rows apart
+        // with the instance label, like any colliding series.
+        MetricsGroup twin(reg);
+        twin.collector("members", rows);
+        snap = reg.snapshot();
+        EXPECT_EQ(sum_series(snap, "member_up", {"node", "11"}), 2u);
+    }
+    // Unbinding the collector removes every row it emitted.
+    const MetricsSnapshot after = reg.snapshot();
+    ASSERT_EQ(after.samples.size(), 1u);
+    EXPECT_EQ(after.samples[0].name, "other_total");
+    EXPECT_EQ(render_prometheus(after).find("member_up"), std::string::npos);
+}
+
+TEST(MetricsRegistry, SumSeriesSelectsByLabelAndField) {
+    MetricsRegistry reg;
+    reg.gauge("depth", {{"shard", "0"}}).add(4);
+    reg.gauge("depth", {{"shard", "0"}}).sub(3);
+    reg.gauge("depth", {{"shard", "1"}}).add(2);
+    const MetricsSnapshot snap = reg.snapshot();
+    EXPECT_EQ(sum_series(snap, "depth"), 3u);  // empty label: every series
+    EXPECT_EQ(sum_series(snap, "depth", {"shard", "0"}), 1u);
+    EXPECT_EQ(sum_series(snap, "depth", {"shard", "0"},
+                         &MetricSample::high_water),
+              4u);
+    EXPECT_EQ(sum_series(snap, "depth", {"shard", "2"}), 0u);
+    EXPECT_EQ(sum_series(snap, "absent"), 0u);
+}
+
 TEST(MetricsRegistry, ConcurrentRegisterBindAndSnapshot) {
     // Satellite coverage for TSan: owned-metric creation, bind/unbind
     // churn and snapshots race against each other on one registry.
@@ -269,6 +337,9 @@ TEST(MetricsRegistry, ConcurrentRegisterBindAndSnapshot) {
                 ephemeral.add(1);
                 group.callback("ephemeral_cb", {},
                                [] { return 1ULL; });
+                group.collector("ephemeral_rows", [] {
+                    return std::vector<MetricSample>(2);
+                });
             }
         });
     }

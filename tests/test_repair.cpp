@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 
+#include "common/metrics.hpp"
 #include "provider/provider_manager.hpp"
 #include "provider/repair_queue.hpp"
 #include "qos/failure_schedule.hpp"
@@ -93,9 +95,41 @@ TEST(Heartbeat, FlapDoesNotRepairTwice) {
     EXPECT_EQ(plan.action, ProviderManager::RepairPlan::Action::kSkip);
     f.pm.finish_repair(*key, false);
     EXPECT_EQ(f.pm.repair_backlog(), 0u);
-    const auto st = f.pm.repair_status(/*at_ms=*/1700);
-    EXPECT_EQ(st.skipped, 1u);
-    EXPECT_EQ(st.completed, 0u);
+    const MetricsSnapshot snap = MetricsRegistry::instance().snapshot();
+    EXPECT_EQ(sum_series(snap, "repair_skipped_total"), 1u);
+    EXPECT_EQ(sum_series(snap, "repair_completed_total"), 0u);
+    EXPECT_EQ(sum_series(snap, "repair_backlog_peak"), 1u);
+}
+
+TEST(Membership, ProviderRowsAreRegistrySeries) {
+    ManagerFixture f;  // dpA: heartbeating, announced one chunk
+    f.pm.register_provider(7);  // in-process: never beats
+    EXPECT_TRUE(f.pm.heartbeat(f.node, 1, {}, {}, /*at_ms=*/500));
+
+    // The rows repair-status renders, one per provider, by node label.
+    const MetricsSnapshot snap = MetricsRegistry::instance().snapshot();
+    const std::pair<std::string, std::string> dp_a{"node",
+                                                   std::to_string(f.node)};
+    const std::pair<std::string, std::string> dp_7{"node", "7"};
+    EXPECT_EQ(sum_series(snap, "pm_provider_alive", dp_a), 1u);
+    EXPECT_EQ(sum_series(snap, "pm_provider_heartbeating", dp_a), 1u);
+    EXPECT_EQ(sum_series(snap, "pm_provider_beats_total", dp_a), 1u);
+    EXPECT_EQ(sum_series(snap, "pm_provider_chunks", dp_a), 1u);
+    EXPECT_EQ(sum_series(snap, "pm_provider_bytes", dp_a), kChunk);
+    EXPECT_EQ(sum_series(snap, "pm_provider_alive", dp_7), 1u);
+    EXPECT_EQ(sum_series(snap, "pm_provider_heartbeating", dp_7), 0u);
+    // No beat yet, so no age: the row renders "no beat yet".
+    const auto has_age = [&](const std::pair<std::string, std::string>& n) {
+        return std::any_of(snap.samples.begin(), snap.samples.end(),
+                           [&](const MetricSample& s) {
+                               return s.name ==
+                                          "pm_provider_last_beat_age_ms" &&
+                                      s.labels.front() == n;
+                           });
+    };
+    EXPECT_TRUE(has_age(dp_a));
+    EXPECT_FALSE(has_age(dp_7));
+    EXPECT_EQ(sum_series(snap, "pm_providers"), 2u);
 }
 
 TEST(Heartbeat, UnknownNodeBeatsAreRejected) {
@@ -206,7 +240,7 @@ core::ClusterConfig repair_config(std::size_t dps, std::uint32_t repl) {
 std::size_t live_index_replicas(core::Cluster& cluster) {
     // Min live replica count over every key the index knows (via the
     // under-replicated gauge: 0 means everything is at target).
-    return cluster.provider_manager().repair_status().under_replicated;
+    return cluster.provider_manager().under_replicated();
 }
 
 TEST(Repair, DrainRestoresReplicasAfterKillWithDataLoss) {

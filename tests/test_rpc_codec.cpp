@@ -326,65 +326,6 @@ TEST(Codec, ChunkKeysRandomRoundTrip) {
     }
 }
 
-TEST(Codec, ProviderHealthRoundTrip) {
-    provider::ProviderHealth h;
-    h.node = 1u << 21;
-    h.alive = true;
-    h.heartbeating = true;
-    h.beats = 420;
-    h.last_beat_age_ms = 1234;
-    h.chunks = 77;
-    h.bytes = 1ULL << 33;
-    WireWriter w;
-    put_provider_health(w, h);
-    const Buffer buf = w.take();
-    WireReader r{ConstBytes(buf)};
-    EXPECT_EQ(get_provider_health(r), h);
-    r.expect_end();
-
-    // The never-beaten sentinel (~0) must survive the wire unchanged —
-    // the CLI renders it as "never", not as a huge age.
-    provider::ProviderHealth silent;
-    silent.node = 3;
-    silent.last_beat_age_ms = ~0ull;
-    WireWriter w2;
-    put_provider_health(w2, silent);
-    const Buffer buf2 = w2.take();
-    WireReader r2{ConstBytes(buf2)};
-    EXPECT_EQ(get_provider_health(r2).last_beat_age_ms, ~0ull);
-    r2.expect_end();
-}
-
-TEST(Codec, RepairStatusRoundTrip) {
-    Rng rng(37);
-    provider::RepairStatus s;
-    s.backlog = rng();
-    s.high_water = rng();
-    s.enqueued = rng();
-    s.completed = rng();
-    s.skipped = rng();
-    s.failed = rng();
-    s.deferred = rng();
-    s.under_replicated = rng();
-    for (int i = 0; i < 5; ++i) {
-        provider::ProviderHealth h;
-        h.node = static_cast<NodeId>(rng());
-        h.alive = rng() % 2 == 0;
-        h.heartbeating = rng() % 2 == 0;
-        h.beats = rng();
-        h.last_beat_age_ms = rng();
-        h.chunks = rng();
-        h.bytes = rng();
-        s.providers.push_back(h);
-    }
-    WireWriter w;
-    put_repair_status(w, s);
-    const Buffer buf = w.take();
-    WireReader r{ConstBytes(buf)};
-    EXPECT_EQ(get_repair_status(r), s);
-    r.expect_end();
-}
-
 TEST(Codec, VersionStatusRejectsUnknownValue) {
     Buffer buf{0x17};
     WireReader r{ConstBytes(buf)};
@@ -542,16 +483,26 @@ TEST_F(MetaBatchFrame, RetiredSingleNodeTagRejected) {
     EXPECT_EQ(mp_.stored_nodes(), 0u);
 }
 
-TEST(RetiredTag, DedupStatusTagRejected) {
-    // Tag 11 was the v8 dedup-status RPC; every field it carried is a
-    // registry series kMetricsDump serves, and the tag is reserved now.
+TEST(RetiredTag, StatusTagsRejected) {
+    // Tags 11 (v8 dedup-status), 29 and 70 (v9 vm-status and
+    // repair-status) are reserved: the dedup_*/cas_*, vm_*, repair_*
+    // and pm_provider_* series kMetricsDump serves carry every field.
     provider::DataProvider dp(3, std::make_unique<chunk::RamStore>());
+    version::VersionManager vm;
+    provider::ProviderManager pm(provider::PlacementStrategy::kRoundRobin);
     Dispatcher d;
     d.add_data_provider(dp.node(), &dp);
-    EXPECT_STREQ(to_string(static_cast<MsgType>(11)), "?");
-    const Buffer resp = d.dispatch(
-        seal_request(static_cast<MsgType>(11), dp.node(), WireWriter{}));
-    EXPECT_EQ(parse_frame(resp).status(), Status::kRpcError);
+    d.add_version_manager(1, &vm);
+    d.set_provider_manager(2, &pm);
+    for (const auto& [tag, node] :
+         {std::pair{11, dp.node()}, std::pair{29, NodeId{1}},
+          std::pair{70, NodeId{2}}}) {
+        const auto type = static_cast<MsgType>(tag);
+        EXPECT_STREQ(to_string(type), "?");
+        EXPECT_EQ(d.dispatch_class(type), DispatchClass::kPool);
+        const Buffer resp = d.dispatch(seal_request(type, node, WireWriter{}));
+        EXPECT_EQ(parse_frame(resp).status(), Status::kRpcError) << tag;
+    }
 }
 
 // ---- v7 header layout (wire ABI pin) -----------------------------------------
@@ -559,7 +510,7 @@ TEST(RetiredTag, DedupStatusTagRejected) {
 TEST(FrameV7, GoldenHeaderLayout) {
     // Byte-exact pin of the 40-byte v7 header. If this test breaks, the
     // wire ABI changed: bump kWireVersion and update DESIGN.md §7.
-    static_assert(kWireVersion == 9);
+    static_assert(kWireVersion == 10);
     static_assert(kFrameHeaderSize == 40);
     static_assert(kFrameTypeOffset == 6);
     static_assert(kFrameLenOffset == 12);
@@ -580,7 +531,7 @@ TEST(FrameV7, GoldenHeaderLayout) {
     ASSERT_EQ(frame.size(), kFrameHeaderSize + 8);
     const std::uint8_t expected_header[kFrameHeaderSize] = {
         0x50, 0x52, 0x53, 0x42,  //  0: magic "PRSB" little-endian
-        0x09,                    //  4: wire version
+        0x0a,                    //  4: wire version
         0x00,                    //  5: kind = request
         0x15, 0x00,              //  6: MsgType::kGetVersion tag (21)
         0x0d, 0x0c, 0x0b, 0x0a,  //  8: destination node id
@@ -617,7 +568,7 @@ std::vector<MsgType> all_types() {
 TEST(DispatchClass, EveryTagHasExactlyOneClass) {
     const Dispatcher d;
     const std::vector<MsgType> types = all_types();
-    ASSERT_EQ(types.size(), 38u);
+    ASSERT_EQ(types.size(), 36u);
     std::set<std::string> loop;
     std::set<std::string> own_thread;
     for (const MsgType t : types) {
@@ -640,9 +591,9 @@ TEST(DispatchClass, EveryTagHasExactlyOneClass) {
         "meta-try-get",  "meta-erase",   "meta-put-batch", "place"};
     EXPECT_EQ(loop, expected_loop);
     EXPECT_EQ(own_thread, std::set<std::string>{"wait-published"});
-    // Unknown or retired tags (corrupt frames) keep the pool.
+    // Unknown or retired tags (corrupt frames) keep the pool; see also
+    // RetiredTag.StatusTagsRejected.
     EXPECT_EQ(d.dispatch_class(static_cast<MsgType>(48)), DispatchClass::kPool);
-    EXPECT_EQ(d.dispatch_class(static_cast<MsgType>(11)), DispatchClass::kPool);
     EXPECT_EQ(d.dispatch_class(static_cast<MsgType>(0xffff)),
               DispatchClass::kPool);
 }
@@ -656,14 +607,13 @@ TEST(DispatchClass, BlockingOrUnboundedFamiliesNeverRunOnTheLoop) {
         MsgType::kWaitPublished,   MsgType::kProviderJoin,
         MsgType::kProviderAnnounce, MsgType::kProviderBeat,
         MsgType::kHistory,         MsgType::kRetire,
-        MsgType::kVmStatus,        MsgType::kRepairStatus,
         MsgType::kMetricsDump,     MsgType::kTraceDump};
     for (const MsgType t : all_types()) {
         if (std::string_view(to_string(t)).starts_with("chunk-")) {
             never.push_back(t);
         }
     }
-    ASSERT_EQ(never.size(), 10u + 10u);  // ten chunk-* families
+    ASSERT_EQ(never.size(), 8u + 10u);  // ten chunk-* families
     for (const MsgType t : never) {
         EXPECT_NE(d.dispatch_class(t), DispatchClass::kLoop) << to_string(t);
     }

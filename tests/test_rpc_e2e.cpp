@@ -17,7 +17,7 @@ class RpcEndToEnd : public ::testing::Test {
   protected:
     RpcEndToEnd()
         : cluster_(testing::fast_config()),
-          server_(cluster_.dispatcher(), 0, "127.0.0.1") {}
+          server_(cluster_.dispatcher(), {.bind_addr = "127.0.0.1"}) {}
 
     [[nodiscard]] std::unique_ptr<BlobSeerClient> remote_client() {
         return std::make_unique<BlobSeerClient>(

@@ -11,8 +11,11 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <condition_variable>
 #include <cstring>
@@ -42,7 +45,8 @@ class TransportConformance : public ::testing::TestWithParam<Mode> {
             std::make_unique<core::Cluster>(testing::fast_config());
         if (GetParam() == Mode::kTcp) {
             server_ = std::make_unique<TcpRpcServer>(
-                cluster_->dispatcher(), 0, "127.0.0.1");
+                cluster_->dispatcher(),
+                TcpRpcServer::Options{.bind_addr = "127.0.0.1"});
             transport_ = std::make_unique<TcpTransport>("127.0.0.1",
                                                         server_->port());
         } else {
@@ -416,7 +420,8 @@ TEST_P(TransportConformance, StopMidFlightFailsEveryOutstandingFuture) {
     // for its full timeout, so raw async wait_published frames are
     // genuinely outstanding — all multiplexed on one connection — when
     // the daemon stops. Every future must fail with RpcError.
-    TcpRpcServer doomed(cluster_->dispatcher(), 0, "127.0.0.1", 1);
+    TcpRpcServer doomed(cluster_->dispatcher(),
+                        {.bind_addr = "127.0.0.1", .workers = 1});
     TcpTransport transport("127.0.0.1", doomed.port());
     ServiceClient svc(transport, cluster_->version_manager_nodes(),
                       cluster_->provider_manager_node());
@@ -465,8 +470,9 @@ TEST_P(TransportConformance, DaemonRestartReconnectsTransparently) {
     // Same dispatcher, same port: the daemon came back. The pooled
     // connection is stale; acquire() must detect that and reconnect
     // instead of surfacing an error (or replaying onto a dead socket).
-    server_ = std::make_unique<TcpRpcServer>(cluster_->dispatcher(), port,
-                                             "127.0.0.1");
+    server_ = std::make_unique<TcpRpcServer>(
+        cluster_->dispatcher(),
+        TcpRpcServer::Options{.port = port, .bind_addr = "127.0.0.1"});
     EXPECT_NO_THROW((void)svc_->blob_info(info.id));
 }
 
@@ -525,6 +531,46 @@ bool read_exact(int fd, std::uint8_t* dst, std::size_t n) {
         n -= static_cast<std::size_t>(got);
     }
     return true;
+}
+
+/// Send \p request on a fresh connection (\p chunk bytes per send,
+/// pausing between sends) and read until the server closes. Returns
+/// everything received; a reset counts as the close.
+std::string http_exchange(std::uint16_t port, const std::string& request,
+                          std::size_t chunk = 0) {
+    const int fd = connect_raw(port, 0);
+    EXPECT_GE(fd, 0);
+    if (fd < 0) {
+        return "";
+    }
+    const timeval timeout{10, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+    const auto* bytes = reinterpret_cast<const std::uint8_t*>(request.data());
+    const std::size_t step = chunk == 0 ? request.size() : chunk;
+    for (std::size_t off = 0; off < request.size(); off += step) {
+        if (!write_all(fd, bytes + off, std::min(step, request.size() - off))) {
+            break;  // the server may close before taking it all
+        }
+        if (chunk != 0) {
+            std::this_thread::sleep_for(milliseconds(2));
+        }
+    }
+    std::string reply;
+    char buf[4096];
+    for (;;) {
+        const ssize_t got = ::recv(fd, buf, sizeof buf, 0);
+        if (got < 0 && errno == EINTR) {
+            continue;
+        }
+        EXPECT_FALSE(got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+            << "server neither answered nor closed";
+        if (got <= 0) {
+            break;
+        }
+        reply.append(buf, static_cast<std::size_t>(got));
+    }
+    ::close(fd);
+    return reply;
 }
 
 /// Pipeline \p count whole-chunk kChunkGet frames (corr 1..count) onto a
@@ -737,6 +783,82 @@ TEST_P(TransportConformance, IdleConnectionsAreReaped) {
     // ...and the survivor still answers.
     EXPECT_EQ(active.blob_info(info.id).id, info.id);
     ::close(idle);
+}
+
+// ---- /metrics on the RPC port (real wire) -----------------------------------
+
+TEST_P(TransportConformance, HttpScrapeSharesTheRpcPort) {
+    if (is_sim()) {
+        GTEST_SKIP() << "the scrape is a TCP server feature";
+    }
+    (void)svc_->create_blob(4096, 1);  // at least one counted request
+
+    const std::string ok =
+        http_exchange(server_->port(), "GET /metrics HTTP/1.0\r\n\r\n");
+    EXPECT_TRUE(ok.starts_with("HTTP/1.0 200 OK\r\n")) << ok;
+    EXPECT_NE(ok.find("\r\n\r\n"), std::string::npos);
+    EXPECT_NE(ok.find("\nrpc_server_requests_total{op=\"blob-create\"} "),
+              std::string::npos)
+        << ok;
+
+    const std::string missing =
+        http_exchange(server_->port(), "GET /nope HTTP/1.0\r\n\r\n");
+    EXPECT_TRUE(missing.starts_with("HTTP/1.0 404 Not Found\r\n"))
+        << missing;
+
+    // A head trickling in one byte per segment (the magic check sees
+    // "G", "GE", ... first) is still read to its end and answered.
+    const std::string slow = http_exchange(
+        server_->port(), "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n", 1);
+    EXPECT_TRUE(slow.starts_with("HTTP/1.0 200 OK\r\n")) << slow;
+}
+
+TEST_P(TransportConformance, HttpHeadCapAndBadMagicCloseUnanswered) {
+    if (is_sim()) {
+        GTEST_SKIP() << "the scrape is a TCP server feature";
+    }
+    // A head that reaches the 4 KiB cap unfinished is closed at the cap:
+    // nothing more is sent, so a server that kept buffering would leave
+    // this read to time out.
+    const std::string unfinished = "GET /" + std::string(4096, 'a');
+    EXPECT_EQ(http_exchange(server_->port(), unfinished), "");
+
+    // Any other first four bytes are a bad frame magic, dropped as ever.
+    const std::uint16_t port = server_->port();
+    EXPECT_EQ(http_exchange(port, "PUT /metrics HTTP/1.0\r\n\r\n"), "");
+    EXPECT_EQ(http_exchange(port, std::string(kFrameHeaderSize, 'x')), "");
+    // "GET " is an HTTP request only as a connection's first bytes.
+    Buffer frame = seal_request(MsgType::kTopology, kControlNode, WireWriter{});
+    const std::string after_frame =
+        http_exchange(server_->port(),
+                      std::string(frame.begin(), frame.end()) +
+                          "GET /metrics HTTP/1.0\r\n\r\n");
+    EXPECT_EQ(after_frame.find("HTTP/"), std::string::npos);
+    EXPECT_GE(after_frame.size(), kFrameHeaderSize);  // the topology reply
+
+    // The server is unharmed.
+    EXPECT_NO_THROW((void)svc_->create_blob(4096, 1));
+}
+
+TEST_P(TransportConformance, RpcsProceedDuringScrapes) {
+    if (is_sim()) {
+        GTEST_SKIP() << "the scrape is a TCP server feature";
+    }
+    const std::uint16_t port = server_->port();
+    std::atomic<int> answered{0};
+    std::thread scraper([port, &answered] {
+        for (int i = 0; i < 20; ++i) {
+            const std::string reply =
+                http_exchange(port, "GET /metrics HTTP/1.0\r\n\r\n");
+            answered += reply.starts_with("HTTP/1.0 200 OK\r\n") ? 1 : 0;
+        }
+    });
+    for (int i = 0; i < 50; ++i) {
+        const auto info = svc_->create_blob(4096, 1);
+        EXPECT_EQ(svc_->blob_info(info.id).id, info.id);
+    }
+    scraper.join();
+    EXPECT_EQ(answered.load(), 20);
 }
 
 INSTANTIATE_TEST_SUITE_P(Transports, TransportConformance,

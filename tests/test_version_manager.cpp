@@ -10,6 +10,7 @@
 #include <set>
 #include <thread>
 
+#include "common/metrics.hpp"
 #include "version/version_manager.hpp"
 
 namespace blobseer::version {
@@ -401,15 +402,18 @@ TEST(VmStatus, BacklogGaugeTracksUnpublishedVersions) {
     EXPECT_EQ(vm.publish_backlog().get(), 0u);
     EXPECT_EQ(vm.publish_backlog().high_water(), 2u);
 
-    const auto st = vm.status();
-    EXPECT_EQ(st.shard, 0u);
-    EXPECT_EQ(st.blobs, 1u);
-    EXPECT_EQ(st.assigns, 2u);
-    EXPECT_EQ(st.commits, 2u);
-    EXPECT_EQ(st.aborts, 0u);
-    EXPECT_EQ(st.publishes, 2u);
-    EXPECT_EQ(st.backlog, 0u);
-    EXPECT_EQ(st.backlog_high_water, 2u);
+    // The shard's series, as vm-status renders them.
+    const MetricsSnapshot snap = MetricsRegistry::instance().snapshot();
+    const std::pair<std::string, std::string> shard{"shard", "0"};
+    EXPECT_EQ(sum_series(snap, "vm_blobs", shard), 1u);
+    EXPECT_EQ(sum_series(snap, "vm_assigns_total", shard), 2u);
+    EXPECT_EQ(sum_series(snap, "vm_commits_total", shard), 2u);
+    EXPECT_EQ(sum_series(snap, "vm_aborts_total", shard), 0u);
+    EXPECT_EQ(sum_series(snap, "vm_publishes_total", shard), 2u);
+    EXPECT_EQ(sum_series(snap, "vm_publish_backlog", shard), 0u);
+    EXPECT_EQ(sum_series(snap, "vm_publish_backlog", shard,
+                         &MetricSample::high_water),
+              2u);
 }
 
 TEST(VmStatus, AbortedTailDrainsTheBacklog) {
@@ -420,8 +424,8 @@ TEST(VmStatus, AbortedTailDrainsTheBacklog) {
     EXPECT_EQ(vm.publish_backlog().get(), 2u);
     vm.abort(b.id, 1);  // cascades to v2, cursor skips both
     EXPECT_EQ(vm.publish_backlog().get(), 0u);
-    EXPECT_EQ(vm.status().aborts, 2u);
-    EXPECT_EQ(vm.status().publishes, 0u);
+    EXPECT_EQ(vm.aborts(), 2u);
+    EXPECT_EQ(vm.publishes(), 0u);
 }
 
 }  // namespace

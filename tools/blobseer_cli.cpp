@@ -539,60 +539,80 @@ class Shell {
     }
 
     void print_vm_status() {
-        // Over the wire: one kVmStatus RPC per advertised shard, so the
-        // same command works against a remote daemon and the in-process
-        // cluster alike.
+        // One kMetricsDump from the daemon hosting the shards (the same
+        // command works in-process), read per shard by its label.
         auto& svc = client_->services();
-        for (const NodeId node : svc.vm_nodes()) {
-            const auto st = svc.vm_status(node);
+        const MetricsSnapshot snap = svc.metrics_dump();
+        for (std::size_t i = 0; i < svc.vm_nodes().size(); ++i) {
+            const std::pair<std::string, std::string> shard{
+                "shard", std::to_string(i)};
+            const auto get = [&](const char* name) {
+                return (unsigned long long)sum_series(snap, name, shard);
+            };
             std::printf(
-                "  shard %u (node %u): blobs %llu, published %llu, "
+                "  shard %zu (node %u): blobs %llu, published %llu, "
                 "backlog %llu (high-water %llu), assigns %llu, commits "
                 "%llu, aborts %llu\n",
-                st.shard, node, (unsigned long long)st.blobs,
-                (unsigned long long)st.publishes,
-                (unsigned long long)st.backlog,
-                (unsigned long long)st.backlog_high_water,
-                (unsigned long long)st.assigns,
-                (unsigned long long)st.commits,
-                (unsigned long long)st.aborts);
+                i, svc.vm_nodes()[i], get("vm_blobs"),
+                get("vm_publishes_total"), get("vm_publish_backlog"),
+                (unsigned long long)sum_series(snap, "vm_publish_backlog",
+                                               shard,
+                                               &MetricSample::high_water),
+                get("vm_assigns_total"), get("vm_commits_total"),
+                get("vm_aborts_total"));
         }
     }
 
     void print_repair_status() {
-        // One kRepairStatus RPC, so the same command works against a
-        // remote daemon and the in-process cluster alike. Scripts parse
+        // One kMetricsDump from the manager's daemon: the repair_*
+        // series plus one pm_provider_* row per provider. Scripts parse
         // the `repair:` line (e2e_tcp.sh phase 4 polls it).
-        const auto st = client_->services().repair_status();
+        const MetricsSnapshot snap = client_->services().metrics_dump();
+        const auto get = [&](const char* name,
+                             const std::pair<std::string, std::string>&
+                                 label = {}) {
+            return (unsigned long long)sum_series(snap, name, label);
+        };
         std::printf(
             "repair: backlog %llu (high-water %llu), enqueued %llu, "
             "completed %llu, skipped %llu, failed %llu, deferred %llu, "
             "under-replicated %llu\n",
-            (unsigned long long)st.backlog,
-            (unsigned long long)st.high_water,
-            (unsigned long long)st.enqueued,
-            (unsigned long long)st.completed,
-            (unsigned long long)st.skipped,
-            (unsigned long long)st.failed,
-            (unsigned long long)st.deferred,
-            (unsigned long long)st.under_replicated);
-        for (const auto& p : st.providers) {
-            if (p.last_beat_age_ms == ~0ull) {
-                std::printf("  provider %u: %s%s, %llu chunks / %llu "
+            get("repair_backlog"), get("repair_backlog_peak"),
+            get("repair_enqueued_total"), get("repair_completed_total"),
+            get("repair_skipped_total"), get("repair_failed_total"),
+            get("repair_deferred_total"), get("repair_under_replicated"));
+        for (const MetricSample& row : snap.samples) {
+            const auto it = std::find_if(
+                row.labels.begin(), row.labels.end(),
+                [](const auto& l) { return l.first == "node"; });
+            if (row.name != "pm_provider_alive" || it == row.labels.end()) {
+                continue;
+            }
+            const auto& node = *it;
+            const char* alive = row.value != 0 ? "alive" : "dead";
+            const bool beaten = std::any_of(
+                snap.samples.begin(), snap.samples.end(),
+                [&](const MetricSample& s) {
+                    return s.name == "pm_provider_last_beat_age_ms" &&
+                           s.labels == row.labels;
+                });
+            if (!beaten) {
+                std::printf("  provider %s: %s%s, %llu chunks / %llu "
                             "bytes\n",
-                            p.node, p.alive ? "alive" : "dead",
-                            p.heartbeating ? ", heartbeating (no beat yet)"
-                                           : "",
-                            (unsigned long long)p.chunks,
-                            (unsigned long long)p.bytes);
+                            node.second.c_str(), alive,
+                            get("pm_provider_heartbeating", node) != 0
+                                ? ", heartbeating (no beat yet)"
+                                : "",
+                            get("pm_provider_chunks", node),
+                            get("pm_provider_bytes", node));
             } else {
-                std::printf("  provider %u: %s, %llu beats (last %llums "
+                std::printf("  provider %s: %s, %llu beats (last %llums "
                             "ago), %llu chunks / %llu bytes\n",
-                            p.node, p.alive ? "alive" : "dead",
-                            (unsigned long long)p.beats,
-                            (unsigned long long)p.last_beat_age_ms,
-                            (unsigned long long)p.chunks,
-                            (unsigned long long)p.bytes);
+                            node.second.c_str(), alive,
+                            get("pm_provider_beats_total", node),
+                            get("pm_provider_last_beat_age_ms", node),
+                            get("pm_provider_chunks", node),
+                            get("pm_provider_bytes", node));
             }
         }
     }
@@ -659,9 +679,10 @@ class Shell {
             "                      the daemon serving that node; default:\n"
             "                      the default endpoint)\n"
             "  trace <id-hex>     (merged span tree of one --trace'd op)\n"
-            "  vm-status                  (per-shard version-manager dump)\n"
-            "  dedup-stats                (per-provider dedup/GC dump)\n"
-            "  repair-status              (membership + repair gauges)\n"
+            "  vm-status          (per-shard version-manager series)\n"
+            "  dedup-stats        (per-provider dedup/GC series)\n"
+            "  repair-status      (repair gauges + membership rows)\n"
+            "                     (all three render a metrics snapshot)\n"
             "  parallel <n>                       (async read splitting)\n"
             "  providers | kill <i> <lose01> | recover <i>\n"
             "  degrade <i> <factor> | restore <i>\n"

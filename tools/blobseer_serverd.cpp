@@ -16,6 +16,9 @@
 /// simulated per-hop service latency (e.g. to emulate a WAN deployment
 /// behind one endpoint).
 ///
+/// The RPC port also answers `GET /metrics` with the process metrics
+/// registry in the Prometheus text format (`curl host:4400/metrics`).
+///
 /// Stops on SIGINT/SIGTERM.
 
 #include <algorithm>
@@ -30,8 +33,8 @@
 #include <thread>
 
 #include "common/logging.hpp"
+#include "common/metrics.hpp"
 #include "core/cluster.hpp"
-#include "net/metrics_http.hpp"
 #include "rpc/service_client.hpp"
 #include "rpc/tcp_transport.hpp"
 
@@ -42,7 +45,8 @@ namespace {
 void usage(const char* argv0) {
     std::printf(
         "usage: %s [options]\n"
-        "  --port <n>            listen port (default 4400; 0 = ephemeral)\n"
+        "  --port <n>            listen port (default 4400; 0 = ephemeral);\n"
+        "                        also answers GET /metrics (Prometheus)\n"
         "  --bind <addr>         bind address (default 0.0.0.0)\n"
         "  --data-providers <n>  data provider count (default 8)\n"
         "  --meta-providers <n>  metadata provider count (default 4)\n"
@@ -86,9 +90,6 @@ void usage(const char* argv0) {
         "                        0 = off)\n"
         "  --repair-interval-ms <n>  background re-replication drain\n"
         "                        period (default 0 = off)\n"
-        "  --metrics-port <n>    serve Prometheus text exposition on\n"
-        "                        GET /metrics at this port (0 =\n"
-        "                        ephemeral; default: endpoint off)\n"
         "  --log-level <debug|info|warn|error>\n"
         "                        stderr log threshold (default warn)\n"
         "provider mode (standalone data-provider daemon):\n"
@@ -108,27 +109,12 @@ void usage(const char* argv0) {
 /// Standalone data-provider daemon: join the manager by name, serve the
 /// data-provider RPCs on an own port, announce endpoint + inventory, and
 /// heartbeat with incremental inventory deltas until shut down.
-/// Start the scrape endpoint when --metrics-port was given; returns null
-/// (endpoint off) otherwise. \p metrics_port is -1 for "flag absent".
-std::unique_ptr<net::MetricsHttpServer> maybe_serve_metrics(
-    int metrics_port, const std::string& bind_addr) {
-    if (metrics_port < 0) {
-        return nullptr;
-    }
-    auto http = std::make_unique<net::MetricsHttpServer>(
-        static_cast<std::uint16_t>(metrics_port), bind_addr);
-    std::printf("blobseer-serverd: metrics on http://%s:%u/metrics\n",
-                bind_addr.c_str(), http->port());
-    std::fflush(stdout);
-    return http;
-}
-
 int run_provider(const core::ClusterConfig& cfg, const std::string& join,
                  const std::string& name, std::uint16_t port,
                  const std::string& bind_addr,
                  const std::string& announce_host, long long beat_ms,
                  const rpc::TcpRpcServer::Options& server_opts,
-                 int metrics_port, sigset_t* signals) {
+                 sigset_t* signals) {
     const auto colon = join.rfind(':');
     if (colon == std::string::npos || colon == 0 ||
         colon + 1 >= join.size()) {
@@ -154,7 +140,6 @@ int run_provider(const core::ClusterConfig& cfg, const std::string& join,
     opts.port = port;
     opts.bind_addr = bind_addr;
     rpc::TcpRpcServer server(dispatcher, opts);
-    const auto metrics_http = maybe_serve_metrics(metrics_port, bind_addr);
 
     // A durable store restarts with its chunks; the announce carries the
     // full inventory so the manager can count them (and cancel repairs
@@ -260,7 +245,6 @@ int main(int argc, char** argv) {
     std::string provider_name;
     std::string announce_host = "127.0.0.1";
     long long beat_interval_ms = 500;
-    int metrics_port = -1;  // -1 = endpoint off
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -338,8 +322,6 @@ int main(int argc, char** argv) {
             announce_host = next();
         } else if (arg == "--beat-interval-ms") {
             beat_interval_ms = std::atoll(next());
-        } else if (arg == "--metrics-port") {
-            metrics_port = std::atoi(next());
         } else if (arg == "--log-level") {
             const char* s = next();
             const auto level = parse_log_level(s);
@@ -383,8 +365,7 @@ int main(int argc, char** argv) {
         try {
             return run_provider(cfg, join_addr, provider_name, port,
                                 bind_addr, announce_host,
-                                beat_interval_ms, server_opts,
-                                metrics_port, &set);
+                                beat_interval_ms, server_opts, &set);
         } catch (const Error& e) {
             std::fprintf(stderr, "blobseer-serverd: %s\n", e.what());
             return 1;
@@ -396,8 +377,6 @@ int main(int argc, char** argv) {
         server_opts.port = port;
         server_opts.bind_addr = bind_addr;
         rpc::TcpRpcServer server(cluster.dispatcher(), server_opts);
-        const auto metrics_http =
-            maybe_serve_metrics(metrics_port, bind_addr);
         std::printf("blobseer-serverd: listening on %s:%u (%zu data "
                     "providers, %zu metadata providers, %zu vm shards)\n",
                     bind_addr.c_str(), server.port(), cfg.data_providers,
@@ -457,19 +436,23 @@ int main(int argc, char** argv) {
                     strsignal(sig));
         sweeper = {};
         server.stop();
+        const MetricsSnapshot snap = MetricsRegistry::instance().snapshot();
         for (std::size_t i = 0; i < cluster.version_manager_count(); ++i) {
-            const auto st = cluster.version_manager(i).status();
+            const std::pair<std::string, std::string> shard{
+                "shard", std::to_string(i)};
+            const auto get = [&](const char* name) {
+                return (unsigned long long)sum_series(snap, name, shard);
+            };
             std::printf(
-                "blobseer-serverd: vm shard %u: %llu blobs, %llu "
+                "blobseer-serverd: vm shard %zu: %llu blobs, %llu "
                 "assigns, %llu commits, %llu aborts, %llu publishes, "
                 "backlog %llu (high-water %llu)\n",
-                st.shard, (unsigned long long)st.blobs,
-                (unsigned long long)st.assigns,
-                (unsigned long long)st.commits,
-                (unsigned long long)st.aborts,
-                (unsigned long long)st.publishes,
-                (unsigned long long)st.backlog,
-                (unsigned long long)st.backlog_high_water);
+                i, get("vm_blobs"), get("vm_assigns_total"),
+                get("vm_commits_total"), get("vm_aborts_total"),
+                get("vm_publishes_total"), get("vm_publish_backlog"),
+                (unsigned long long)sum_series(snap, "vm_publish_backlog",
+                                               shard,
+                                               &MetricSample::high_water));
         }
         return 0;
     } catch (const Error& e) {
