@@ -12,12 +12,15 @@
 ///  * tcp    — the same frames over real loopback sockets against an
 ///    in-process TcpRpcServer (adds syscalls and TCP).
 ///
-/// Three workloads: a small control RPC (get-version, ~60-byte frames),
-/// a 64 KiB chunk put+get pair, and an in-flight window sweep — 1/8/64
-/// outstanding get_chunk requests over ONE multiplexed TCP connection
+/// Four workloads: a small control RPC (get-version, ~60-byte frames),
+/// a 64 KiB chunk put+get pair, an in-flight window sweep — 1/8/64
+/// outstanding small-slice gets over ONE multiplexed TCP connection
 /// (window 1 is exactly the old serial one-request-per-connection
 /// behavior, so the sweep quantifies what protocol v3 multiplexing
-/// buys). Reported: throughput, mean and p99 latency, speedup.
+/// buys) — and a batch-size sweep: 1, 4 and 16 keys of 64 KiB per
+/// chunk-get-batch over one connection, the request shape a read sends
+/// each provider. Reported: throughput, mean and p99 latency, speedup;
+/// the batch sweep reports the median and IQR of 5 repetitions.
 ///
 ///   $ BLOBSEER_BENCH_SCALE=0.25 ./bench_rpc   # quick smoke run
 
@@ -186,14 +189,11 @@ int main() {
     // get_chunk requests outstanding, all on the single connection the
     // transport multiplexes to the server. window=1 reproduces the old
     // serial wire (each request waits for its response); deeper windows
-    // overlap requests, server dispatch and responses. Two chunk sizes
-    // bracket the regimes: 4 KiB is round-trip-latency-bound (where
-    // multiplexing is the win), 64 KiB is loopback-bandwidth-bound —
-    // the serial wire already streams near line rate there, and a deep
-    // window only adds buffer churn (use modest windows for bulk
-    // transfers on few-core hosts). The sweep server gets 2 dispatch
-    // workers: enough to overlap request parse with response write,
-    // without preemption noise on small machines.
+    // overlap requests, server dispatch and responses. Both cases are
+    // round-trip-latency-bound, where multiplexing is the win; bulk
+    // 64 KiB reads are measured by the batch sweep below. The sweep
+    // server gets 2 dispatch workers: enough to overlap request parse
+    // with response write, without preemption noise on small machines.
     rpc::TcpRpcServer sweep_server(cluster.dispatcher(),
                                    {.bind_addr = "127.0.0.1", .workers = 2});
     rpc::TcpTransport sweep_tcp("127.0.0.1", sweep_server.port());
@@ -212,7 +212,6 @@ int main() {
         {"512 B slices of a 64 KiB chunk", 64 << 10, 512,
          bench::scaled(20000)},
         {"4 KiB whole-chunk gets", 4 << 10, 0, bench::scaled(20000)},
-        {"64 KiB whole-chunk gets", 64 << 10, 0, bench::scaled(4000)},
     };
     for (const SweepCase& c : cases) {
         const chunk::ChunkKey sweep_key{id, uid++};
@@ -259,63 +258,59 @@ int main() {
                     " ops; window 1 = old serial wire)");
     }
 
-    // -- bytes copied per 64 KiB get_chunk: zero-copy on vs. off -------------
+    // -- batch-size sweep: keys per chunk-get-batch --------------------------
     //
-    // rpc_bytes_copied_total counts payload bytes flattened into the
-    // response buffer; the scatter-gather path ships the store's bytes
-    // by reference and never touches the counter. The per-read diff is
-    // the direct measure of what the zero-copy read path removes.
+    // The same 64 KiB chunks fetched serially over one TCP connection,
+    // k keys per request: k=1 is one RPC per chunk (the pre-batch read
+    // path), k=16 is a whole 1 MiB read from one provider. Each size
+    // runs 5 times; the table gives the median and IQR of the chunk
+    // rate, so a difference smaller than the IQR is noise.
     {
-        Counter& copied = MetricsRegistry::instance().counter(
-            "rpc_bytes_copied_total", {});
-        const std::size_t n_zc = bench::scaled(2000);
-        const chunk::ChunkKey zc_key{id, uid++};
-        const Buffer zc_payload = make_pattern(id, 11, 0, 64 << 10);
-        bench::Table zc(
-            {"mode", "reads", "bytes copied", "copied/read", "MB/s"});
-        for (const bool zero_copy : {false, true}) {
-            rpc::TcpRpcServer::Options o;
-            o.bind_addr = "127.0.0.1";
-            o.zero_copy = zero_copy;
-            rpc::TcpRpcServer zc_server(cluster.dispatcher(),
-                                        std::move(o));
-            rpc::TcpTransport zc_tcp("127.0.0.1", zc_server.port());
-            rpc::ServiceClient zc_svc(zc_tcp,
-                                      cluster.version_manager_nodes(),
-                                      cluster.provider_manager_node());
-            if (!zero_copy) {  // first pass: store the chunk once
-                zc_svc.put_chunk(dp_node, zc_key, zc_payload);
-            }
-            const std::uint64_t before = copied.get();
-            const Stopwatch sw;
-            std::deque<Future<rpc::ServiceClient::ChunkSlice>> inflight;
-            for (std::size_t i = 0; i < n_zc; ++i) {
-                if (inflight.size() == 16) {
-                    if (inflight.front().get().bytes !=
-                        zc_payload) {
-                        std::fprintf(stderr, "zc: bad readback\n");
-                        return 1;
-                    }
-                    inflight.pop_front();
-                }
-                inflight.push_back(
-                    zc_svc.get_chunk_async(dp_node, zc_key, 0, 0));
-            }
-            while (!inflight.empty()) {
-                (void)inflight.front().get();
-                inflight.pop_front();
-            }
-            const double secs = sw.elapsed_seconds();
-            const std::uint64_t delta = copied.get() - before;
-            zc.row(zero_copy ? "zero-copy" : "flatten", n_zc, delta,
-                   static_cast<double>(delta) /
-                       static_cast<double>(n_zc),
-                   static_cast<double>(n_zc) *
-                       static_cast<double>(zc_payload.size()) / secs /
-                       (1 << 20));
+        constexpr std::size_t kKeys = 16;
+        constexpr std::size_t kReps = 5;
+        std::vector<rpc::ChunkRead> reads;
+        for (std::size_t i = 0; i < kKeys; ++i) {
+            const chunk::ChunkKey key{id, uid++};
+            sweep_svc.put_chunk(dp_node, key,
+                                make_pattern(id, 20 + i, 0, 64 << 10));
+            reads.push_back({key, 0, 64 << 10});
         }
-        zc.print("64 KiB get_chunk response copies "
-                 "(rpc_bytes_copied_total diff)");
+        const std::size_t n_chunks = bench::scaled(4000);
+        bench::Table batch({"keys", "chunks/s (median)", "IQR",
+                            "MB/s (median)", "speedup"});
+        double single = 0;
+        for (const std::size_t k : {std::size_t{1}, std::size_t{4},
+                                    kKeys}) {
+            const std::span<const rpc::ChunkRead> req(reads.data(), k);
+            std::vector<double> rates;
+            for (std::size_t rep = 0; rep < kReps; ++rep) {
+                const Stopwatch sw;
+                for (std::size_t done = 0; done < n_chunks; done += k) {
+                    const auto reply =
+                        sweep_svc.get_chunk_batch_async(dp_node, req).get();
+                    for (std::size_t i = 0; i < k; ++i) {
+                        if (reply.slice(i).size() != (64u << 10)) {
+                            std::fprintf(stderr,
+                                         "batch: short chunk readback\n");
+                            return 1;
+                        }
+                    }
+                }
+                rates.push_back(static_cast<double>(n_chunks) /
+                                sw.elapsed_seconds());
+            }
+            std::sort(rates.begin(), rates.end());
+            const double median = rates[kReps / 2];
+            if (k == 1) {
+                single = median;
+            }
+            batch.row(std::to_string(k).c_str(), median,
+                      rates[(3 * kReps) / 4] - rates[kReps / 4],
+                      median * 64.0 / 1024.0, median / single);
+        }
+        batch.print("64 KiB chunks per chunk-get-batch, serial over one TCP "
+                    "connection (" + std::to_string(n_chunks) +
+                    " chunks x " + std::to_string(kReps) + " runs)");
     }
 
     // -- connection sweep: a parked crowd on fixed io threads ----------------

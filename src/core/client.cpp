@@ -911,10 +911,12 @@ void BlobSeerClient::fetch_all(
     const std::size_t window_cap =
         std::max<std::size_t>(1, env_.max_inflight_chunks);
 
-    // The scatter-gather twin of upload_all: up to window_cap get_chunk
-    // RPCs stream through the multiplexed transport at once, collected
-    // oldest-first; a failed replica re-issues against the next one in
-    // the segment's preference order while the window keeps moving.
+    // The scatter-gather twin of upload_all: the plan's segments grouped
+    // into one chunk-get-batch per chosen provider, all batches in
+    // flight at once (at most window_cap keys), collected oldest-first.
+    // A key its replica lacks, or whose batch failed on delivery, retries
+    // alone on its next replica in its preference order; keys past a
+    // reply's byte cap go back to the same provider.
     struct State {
         const meta::ReadSegment* seg = nullptr;
         MutableBytes slice;
@@ -923,6 +925,10 @@ void BlobSeerClient::fetch_all(
         std::size_t passes = 0;
         bool done = false;
         std::string last_error;
+    };
+    struct Batch {
+        NodeId target = kInvalidNode;
+        std::vector<std::size_t> keys;  ///< indices into states
     };
     std::vector<State> states;
     states.reserve(segments.size());
@@ -937,87 +943,181 @@ void BlobSeerClient::fetch_all(
                                false, {}});
     }
 
-    struct PendingGet {
-        Future<rpc::ServiceClient::ChunkSlice> fut;
-        std::size_t segment = 0;
-        NodeId target = kInvalidNode;
-    };
-    std::deque<PendingGet> window;
-
-    std::size_t next_start = 0;  // first segment not yet started
-    auto issue = [&](std::size_t idx) {
-        State& st = states[idx];
+    // Greedy replica cover: the provider holding the most still-unassigned
+    // segments takes all of them, until none is left, so the plan costs
+    // few batches. Healthy replicas are covered first; a segment with
+    // none left gets an unhealthy one in a second round. Ties go to the
+    // lowest mix64(self ^ node): each client has its own provider
+    // preference, so clients still spread load.
+    std::deque<Batch> todo;
+    std::vector<bool> assigned(states.size(), false);
+    for (const bool healthy_only : {true, false}) {
+        std::unordered_map<NodeId, std::vector<std::size_t>> holds;
+        for (std::size_t i = 0; i < states.size(); ++i) {
+            for (const NodeId r : states[i].seg->replicas) {
+                if (!assigned[i] && (!healthy_only || is_healthy(r))) {
+                    holds[r].push_back(i);
+                }
+            }
+        }
         for (;;) {
-            while (st.next < st.order.size()) {
-                const NodeId target = st.order[st.next++];
-                Future<rpc::ServiceClient::ChunkSlice> fut;
-                try {
-                    fut = svc_.get_chunk_async(target, st.seg->chunk,
-                                               st.seg->chunk_offset,
-                                               st.slice.size());
-                } catch (const RpcError& e) {
-                    // call_async can fail synchronously (connection
-                    // refused): walk on to the next replica like any
-                    // other delivery failure.
-                    st.last_error = e.what();
-                    stats_.chunk_retries.add();
-                    report_provider_failure(target);
+            NodeId best = kInvalidNode;
+            std::size_t best_n = 0;
+            std::uint64_t best_rank = 0;
+            for (const auto& [node, held] : holds) {
+                const auto n = static_cast<std::size_t>(
+                    std::count_if(held.begin(), held.end(),
+                                  [&](std::size_t i) { return !assigned[i]; }));
+                const std::uint64_t rank = mix64(env_.self ^ node);
+                if (n > best_n || (n == best_n && n > 0 && rank < best_rank)) {
+                    best = node;
+                    best_n = n;
+                    best_rank = rank;
+                }
+            }
+            if (best_n == 0) {
+                break;
+            }
+            for (const std::size_t i : holds[best]) {
+                if (assigned[i]) {
                     continue;
                 }
-                stats_.inflight_chunk_rpcs.add();
-                window.push_back(PendingGet{std::move(fut), idx, target});
-                return;
+                assigned[i] = true;
+                // The chosen replica leads the key's failover order.
+                State& st = states[i];
+                const auto it =
+                    std::find(st.order.begin(), st.order.end(), best);
+                std::rotate(st.order.begin(), it, it + 1);
+                st.next = 1;
+                if (todo.empty() || todo.back().target != best ||
+                    todo.back().keys.size() == window_cap) {
+                    todo.push_back(Batch{best, {}});
+                }
+                todo.back().keys.push_back(i);
             }
+            holds.erase(best);
+        }
+    }
+
+    struct PendingBatch {
+        Future<rpc::ServiceClient::ChunkBatch> fut;
+        Batch batch;
+    };
+    std::deque<PendingBatch> window;
+    std::size_t inflight = 0;  // keys in the window
+
+    // Queue key idx alone on its next replica. Every replica failing in
+    // one walk is, under provider churn, usually a node mid-bounce
+    // rather than data loss: one brief second pass separates the two.
+    // With both passes spent st.done stays false and the post-drain
+    // check reports the NotFoundError.
+    auto next_replica = [&](std::size_t idx) {
+        State& st = states[idx];
+        if (st.next == st.order.size()) {
             if (st.passes > 0) {
-                // Both passes exhausted: st.done stays false and the
-                // post-drain check reports the NotFoundError.
                 return;
             }
-            // Every replica failed in one walk — under provider churn
-            // that is usually a node mid-bounce, not data loss. One
-            // brief second pass separates the two.
             st.passes = 1;
             st.next = 0;
             std::this_thread::sleep_for(milliseconds(2));
         }
+        todo.push_back(Batch{st.order[st.next++], {idx}});
+    };
+    // A delivery failure (unlike NotFound, where the provider answered)
+    // is evidence of a death worth repairing.
+    auto fail_batch = [&](const Batch& b, const std::string& why,
+                          bool delivery) {
+        if (delivery) {
+            report_provider_failure(b.target);
+        }
+        for (const std::size_t idx : b.keys) {
+            states[idx].last_error = why;
+            stats_.chunk_retries.add();
+            next_replica(idx);
+        }
+    };
+
+    auto issue = [&](Batch b) {
+        std::vector<rpc::ChunkRead> reads;
+        reads.reserve(b.keys.size());
+        for (const std::size_t idx : b.keys) {
+            const State& st = states[idx];
+            reads.push_back(
+                {st.seg->chunk, st.seg->chunk_offset, st.slice.size()});
+        }
+        Future<rpc::ServiceClient::ChunkBatch> fut;
+        try {
+            fut = svc_.get_chunk_batch_async(b.target, reads);
+        } catch (const RpcError& e) {
+            // call_async can fail synchronously (connection refused):
+            // like any other delivery failure.
+            fail_batch(b, e.what(), true);
+            return;
+        }
+        inflight += b.keys.size();
+        stats_.inflight_chunk_rpcs.add(b.keys.size());
+        window.push_back(PendingBatch{std::move(fut), std::move(b)});
     };
 
     auto collect_one = [&] {
-        PendingGet get = std::move(window.front());
+        PendingBatch p = std::move(window.front());
         window.pop_front();
-        State& st = states[get.segment];
-        stats_.inflight_chunk_rpcs.sub();
+        inflight -= p.batch.keys.size();
+        stats_.inflight_chunk_rpcs.sub(p.batch.keys.size());
+        rpc::ServiceClient::ChunkBatch reply;
         try {
-            const auto slice = get.fut.get();
-            if (st.seg->chunk_offset + st.slice.size() > slice.chunk_size ||
-                slice.bytes.size() < st.slice.size()) {
-                throw ConsistencyError(
-                    "chunk shorter than metadata claims: " +
-                    st.seg->chunk.to_string());
-            }
-            std::memcpy(st.slice.data(), slice.bytes.data(),
-                        st.slice.size());
-            stats_.chunk_get_rpcs.add();
-            st.done = true;
+            reply = p.fut.get();
         } catch (const RpcError& e) {
-            st.last_error = e.what();
-            stats_.chunk_retries.add();
-            // A delivery failure (unlike NotFound, where the provider
-            // answered) is evidence of a death worth repairing.
-            report_provider_failure(get.target);
-            issue(get.segment);  // next replica (or brief second pass)
+            fail_batch(p.batch, e.what(), true);
+            return;
         } catch (const NotFoundError& e) {
-            st.last_error = e.what();
-            stats_.chunk_retries.add();
-            issue(get.segment);
+            fail_batch(p.batch, e.what(), false);
+            return;
+        }
+        Batch unserved{p.batch.target, {}};
+        for (std::size_t i = 0; i < p.batch.keys.size(); ++i) {
+            const std::size_t idx = p.batch.keys[i];
+            State& st = states[idx];
+            const rpc::ChunkReadEntry& e = reply.entries[i];
+            switch (e.status) {
+                case rpc::ChunkReadStatus::kServed:
+                    if (st.seg->chunk_offset + st.slice.size() >
+                            e.chunk_size ||
+                        e.length < st.slice.size()) {
+                        throw ConsistencyError(
+                            "chunk shorter than metadata claims: " +
+                            st.seg->chunk.to_string());
+                    }
+                    std::memcpy(st.slice.data(), reply.slice(i).data(),
+                                st.slice.size());
+                    stats_.chunk_get_rpcs.add();
+                    st.done = true;
+                    break;
+                case rpc::ChunkReadStatus::kNotFound:
+                    st.last_error = st.seg->chunk.to_string() +
+                                    " not found on provider " +
+                                    std::to_string(p.batch.target);
+                    stats_.chunk_retries.add();
+                    next_replica(idx);
+                    break;
+                case rpc::ChunkReadStatus::kNotServed:
+                    unserved.keys.push_back(idx);
+                    break;
+            }
+        }
+        if (!unserved.keys.empty()) {
+            todo.push_front(std::move(unserved));
         }
     };
 
     try {
         for (;;) {
-            while (window.size() < window_cap &&
-                   next_start < states.size()) {
-                issue(next_start++);
+            while (!todo.empty() &&
+                   (window.empty() ||
+                    inflight + todo.front().keys.size() <= window_cap)) {
+                Batch b = std::move(todo.front());
+                todo.pop_front();
+                issue(std::move(b));
             }
             if (window.empty()) {
                 break;
@@ -1026,11 +1126,11 @@ void BlobSeerClient::fetch_all(
         }
     } catch (...) {
         // ConsistencyError (or another fatal type) is propagating:
-        // drain the window first — in-flight futures still target the
+        // drain the window first — in-flight replies still target the
         // caller's out buffer via their states, and the gauge must
         // balance.
         while (!window.empty()) {
-            stats_.inflight_chunk_rpcs.sub();
+            stats_.inflight_chunk_rpcs.sub(window.front().batch.keys.size());
             try {
                 (void)window.front().fut.get();
             } catch (...) {
@@ -1048,46 +1148,6 @@ void BlobSeerClient::fetch_all(
                                 st.last_error + ")");
         }
     }
-}
-
-void BlobSeerClient::fetch_segment(const meta::ReadSegment& seg,
-                                   MutableBytes out) {
-    const std::vector<NodeId> order = replica_order(seg);
-    std::string last_error;
-    // Two walks over the preference order: a whole failed pass under
-    // provider churn is usually a node mid-bounce, not data loss (same
-    // policy as fetch_all).
-    for (int pass = 0; pass < 2; ++pass) {
-        if (pass == 1) {
-            std::this_thread::sleep_for(milliseconds(2));
-        }
-        for (const NodeId target : order) {
-            try {
-                const auto slice = svc_.get_chunk(
-                    target, seg.chunk, seg.chunk_offset, out.size());
-                if (seg.chunk_offset + out.size() > slice.chunk_size ||
-                    slice.bytes.size() < out.size()) {
-                    throw ConsistencyError(
-                        "chunk shorter than metadata claims: " +
-                        seg.chunk.to_string());
-                }
-                std::memcpy(out.data(), slice.bytes.data(), out.size());
-                stats_.chunk_get_rpcs.add();
-                return;
-            } catch (const RpcError& e) {
-                last_error = e.what();
-                report_provider_failure(target);
-            } catch (const NotFoundError& e) {
-                last_error = e.what();
-            }
-            stats_.chunk_retries.add();
-        }
-    }
-    if (fetch_from_any_provider(seg, out)) {
-        return;
-    }
-    throw NotFoundError("all replicas failed for " + seg.chunk.to_string() +
-                        " (" + last_error + ")");
 }
 
 bool BlobSeerClient::fetch_from_any_provider(const meta::ReadSegment& seg,
@@ -1143,15 +1203,7 @@ void BlobSeerClient::read_tail_for_merge(BlobId blob,
         meta::plan_read(cache_, vi.tree.blob, vi.tree.version,
                         info.chunk_size, vi.size,
                         {slot_start, out.size()});
-    for (const meta::ReadSegment& seg : plan.segments) {
-        MutableBytes slice = out.subspan(seg.blob_range.offset - slot_start,
-                                         seg.blob_range.size);
-        if (seg.hole) {
-            std::memset(slice.data(), 0, slice.size());
-        } else {
-            fetch_segment(seg, slice);
-        }
-    }
+    fetch_all(plan.segments, slot_start, out);
 }
 
 // ---- queries ------------------------------------------------------------------

@@ -24,9 +24,10 @@
 /// transport-agnostic — it only sees ClientEnv.
 ///
 /// The data path is asynchronous under the hood (DESIGN.md §9): writes
-/// and reads stripe their chunk RPCs through a bounded in-flight window
-/// (ClientEnv::max_inflight_chunks) on one multiplexed connection per
-/// peer, instead of blocking one I/O thread per chunk. write_async/
+/// stripe their chunk RPCs, and reads their per-provider chunk batches,
+/// through a bounded in-flight window (ClientEnv::max_inflight_chunks)
+/// on one multiplexed connection per peer, instead of blocking one I/O
+/// thread per chunk. write_async/
 /// append_async/read_async expose the same overlap across *operations*;
 /// the sync calls are their blocking equivalents.
 ///
@@ -101,8 +102,10 @@ struct ClientEnv {
     /// (write_async/read_async) — NOT per-chunk transfer parallelism,
     /// which comes from max_inflight_chunks.
     std::size_t io_threads = 4;
-    /// Bound on chunk RPCs (puts or gets) a single write/read keeps in
-    /// flight at once through the multiplexed transport.
+    /// Bound on chunks a single write/read keeps in flight at once
+    /// through the multiplexed transport: chunk puts for a write; for a
+    /// read, keys of its chunk-get-batch requests (one batch per chosen
+    /// provider, split at this many keys).
     std::size_t max_inflight_chunks = 64;
     Duration publish_timeout = seconds(30);
     /// Deployment boot epoch for chunk-uid allocation (see next_uid():
@@ -123,7 +126,7 @@ struct ClientStats {
     Counter bytes_written;
     Counter bytes_read;
     Counter chunk_put_rpcs;
-    Counter chunk_get_rpcs;
+    Counter chunk_get_rpcs;  ///< chunks fetched (keys a batch served)
     Counter chunk_retries;  ///< replica failovers (reads + writes)
     /// Reads salvaged by probing providers outside the metadata leaf's
     /// replica list (a repair moved the chunk after the leaf was sealed).
@@ -339,7 +342,8 @@ class BlobSeerClient {
                      const meta::SlotRange& r, DeleteStats& out);
 
     /// Fetch every non-hole segment of a read plan into its slice of
-    /// \p out, windowed, with per-segment replica failover.
+    /// \p out (holes read as zeros): one chunk-get-batch per chosen
+    /// provider, windowed, with per-key replica failover.
     void fetch_all(const std::vector<meta::ReadSegment>& segments,
                    std::uint64_t offset, MutableBytes out);
 
@@ -347,10 +351,6 @@ class BlobSeerClient {
     /// rotation, healthy providers first.
     [[nodiscard]] std::vector<NodeId> replica_order(
         const meta::ReadSegment& seg) const;
-
-    /// Fetch the chunk slice a read segment needs into \p out
-    /// (sequential; the tail-merge path uses it).
-    void fetch_segment(const meta::ReadSegment& seg, MutableBytes out);
 
     /// Last-resort chunk locate: probe every data node NOT on the leaf's
     /// replica list. Metadata leaves are sealed at write time, so when

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "common/trace.hpp"
 #include "dht/metadata_provider.hpp"
@@ -58,12 +59,12 @@ Dispatcher::OpTelemetry* Dispatcher::telemetry_for(MsgType type) noexcept {
 Buffer Dispatcher::dispatch(ConstBytes frame,
                             TimePoint received_at) noexcept {
     RpcResponse resp = dispatch_sg(frame, received_at);
-    if (!resp.tail.empty()) {
+    if (const std::size_t n = resp.tail_bytes(); n != 0) {
         // Flattening IS the copy the scatter-gather path avoids; count
         // the payload bytes so before/after is a counter diff.
         static Counter& bytes_copied = MetricsRegistry::instance().counter(
             "rpc_bytes_copied_total", {});
-        bytes_copied.add(resp.tail.size());
+        bytes_copied.add(n);
     }
     return std::move(resp).flatten();
 }
@@ -199,7 +200,7 @@ DispatchClass Dispatcher::dispatch_class(MsgType type) const noexcept {
         // inventory; history and retire (cost grows with history);
         // metrics and trace dumps.
         case MsgType::kChunkPut:
-        case MsgType::kChunkGet:
+        case MsgType::kChunkGetBatch:
         case MsgType::kChunkErase:
         case MsgType::kChunkCheck:
         case MsgType::kChunkPushStart:
@@ -210,7 +211,6 @@ DispatchClass Dispatcher::dispatch_class(MsgType type) const noexcept {
         case MsgType::kChunkDecref:
         case MsgType::kHistory:
         case MsgType::kRetire:
-        case MsgType::kMarkDead:
         case MsgType::kProviderJoin:
         case MsgType::kProviderAnnounce:
         case MsgType::kProviderBeat:
@@ -237,7 +237,7 @@ RpcResponse Dispatcher::handle(const FrameView& f) {
     }
     switch (f.type) {
         case MsgType::kChunkPut:
-        case MsgType::kChunkGet:
+        case MsgType::kChunkGetBatch:
         case MsgType::kChunkErase:
         case MsgType::kChunkCheck:
         case MsgType::kChunkPushStart:
@@ -270,7 +270,6 @@ RpcResponse Dispatcher::handle(const FrameView& f) {
             return handle_meta_provider(f);
 
         case MsgType::kPlace:
-        case MsgType::kMarkDead:
         case MsgType::kProviderJoin:
         case MsgType::kProviderAnnounce:
         case MsgType::kProviderBeat:
@@ -328,28 +327,60 @@ RpcResponse Dispatcher::handle_data_provider(const FrameView& f) {
                                   payload.begin(), payload.end()));
             return seal_response(f.type, WireWriter());
         }
-        case MsgType::kChunkGet: {
-            const chunk::ChunkKey key = get_chunk_key(r);
-            const std::uint64_t offset = r.u64();
-            const std::uint64_t size = r.u64();  // 0 = whole chunk
+        case MsgType::kChunkGetBatch: {
+            // Decode the whole request first: a malformed batch reads
+            // no key.
+            const std::vector<ChunkRead> reads = get_chunk_reads(r);
             r.expect_end();
-            // Zero-copy: borrow the payload from the store and ship it
-            // as the response tail. The sealed head carries exactly the
-            // bytes w.blob() would have put before the payload (u64
-            // total + varint length), so the wire format is unchanged.
-            chunk::ChunkRef ref = dp.get_chunk_ref(key);
-            const std::uint64_t total = ref.bytes.size();
-            const std::uint64_t begin = std::min(offset, total);
-            const std::uint64_t n = size == 0
-                                        ? total - begin
-                                        : std::min(size, total - begin);
-            WireWriter w(64);
-            w.u64(total);
-            w.varint(n);  // the blob() length prefix, payload shipped as tail
+            // Zero-copy: each served slice is borrowed from the store
+            // (with its own pin) and shipped as its own tail, in key
+            // order after the head's (status, chunk_size, length)
+            // entries.
+            WireWriter w(16 + reads.size() * 20);
+            w.varint(reads.size());
+            std::vector<SharedSlice> tails;
+            tails.reserve(reads.size());
+            std::uint64_t served = 0;
+            bool capped = false;
+            for (const ChunkRead& rd : reads) {
+                ChunkReadEntry e;
+                // A known slice size past the cap is skipped before any
+                // store work; a whole-chunk read learns its size first.
+                capped = capped || (served > 0 && rd.size != 0 &&
+                                    served + rd.size > kChunkBatchReplyCap);
+                if (capped) {
+                    put_chunk_read_entry(w, e);  // kNotServed
+                    continue;
+                }
+                chunk::ChunkRef ref;
+                try {
+                    ref = dp.get_chunk_ref(rd.key);
+                } catch (const NotFoundError&) {
+                    e.status = ChunkReadStatus::kNotFound;
+                    put_chunk_read_entry(w, e);
+                    continue;
+                }
+                const std::uint64_t total = ref.bytes.size();
+                const std::uint64_t begin = std::min(rd.offset, total);
+                const std::uint64_t n =
+                    rd.size == 0 ? total - begin
+                                 : std::min(rd.size, total - begin);
+                if (served > 0 && served + n > kChunkBatchReplyCap) {
+                    capped = true;
+                    put_chunk_read_entry(w, e);  // kNotServed
+                    continue;
+                }
+                e = {ChunkReadStatus::kServed, total, n};
+                put_chunk_read_entry(w, e);
+                served += n;
+                if (n != 0) {
+                    tails.emplace_back(ref.bytes.subspan(begin, n),
+                                       std::move(ref.keepalive));
+                }
+            }
             return RpcResponse(
-                seal_response_with_tail(f.type, std::move(w), n),
-                SharedSlice(ref.bytes.subspan(begin, n),
-                            std::move(ref.keepalive)));
+                seal_response_with_tail(f.type, std::move(w), served),
+                std::move(tails));
         }
         case MsgType::kChunkErase: {
             const chunk::ChunkKey key = get_chunk_key(r);
@@ -409,8 +440,8 @@ RpcResponse Dispatcher::handle_data_provider(const FrameView& f) {
             w.varint(n);
             return RpcResponse(
                 seal_response_with_tail(f.type, std::move(w), n),
-                SharedSlice(ref.bytes.subspan(begin, n),
-                            std::move(ref.keepalive)));
+                {SharedSlice(ref.bytes.subspan(begin, n),
+                             std::move(ref.keepalive))});
         }
         case MsgType::kChunkDecref: {
             const chunk::ChunkKey key = get_chunk_key(r);
@@ -615,12 +646,6 @@ Buffer Dispatcher::handle_provider_manager(const FrameView& f) {
             put_placement_plan(w, pm.place(n_chunks, replication,
                                            chunk_bytes));
             return seal_response(f.type, std::move(w));
-        }
-        case MsgType::kMarkDead: {
-            const NodeId node = r.u32();
-            r.expect_end();
-            pm.mark_dead(node);
-            return seal_response(f.type, WireWriter());
         }
         case MsgType::kProviderJoin: {
             const std::string name = r.str();

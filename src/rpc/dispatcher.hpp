@@ -24,6 +24,7 @@
 #include <functional>
 #include <mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "common/buffer.hpp"
 #include "common/clock.hpp"
@@ -48,34 +49,45 @@ class VersionManager;
 namespace blobseer::rpc {
 
 /// One sealed response: a contiguous head (frame header + body bytes)
-/// plus an optional borrowed tail the head's length field already covers.
-/// Handlers that serve large payloads (chunk reads) return the payload as
-/// the tail — a SharedSlice pointing into the chunk store's memory — so
-/// the bytes are never copied into the frame; a scatter-gather transport
-/// writes head and tail with one writev. Transports without scatter-
+/// plus a list of borrowed tails the head's length field already covers.
+/// Handlers that serve chunk bytes return them as tails — SharedSlices
+/// pointing into the chunk store's memory, each keeping its own segment
+/// pin — so the bytes are never copied into the frame; a scatter-gather
+/// transport writes head and tails with one sendmsg. A chunk-get-batch
+/// reply carries one tail per served key. Transports without scatter-
 /// gather call flatten(), which is exactly the copy the zero-copy path
 /// avoids (counted by rpc_bytes_copied_total).
 struct RpcResponse {
     Buffer head;
-    SharedSlice tail;
+    std::vector<SharedSlice> tails;
 
     RpcResponse() = default;
     // Implicit: most handlers seal plain contiguous frames.
     RpcResponse(Buffer h) : head(std::move(h)) {}  // NOLINT
-    RpcResponse(Buffer h, SharedSlice t)
-        : head(std::move(h)), tail(std::move(t)) {}
+    RpcResponse(Buffer h, std::vector<SharedSlice> t)
+        : head(std::move(h)), tails(std::move(t)) {}
+
+    /// Bytes carried by the tails.
+    [[nodiscard]] std::size_t tail_bytes() const noexcept {
+        std::size_t n = 0;
+        for (const SharedSlice& t : tails) {
+            n += t.size();
+        }
+        return n;
+    }
 
     /// Total wire size of the frame.
     [[nodiscard]] std::size_t size() const noexcept {
-        return head.size() + tail.size();
+        return head.size() + tail_bytes();
     }
 
-    /// Collapse into one contiguous frame (copies the tail).
+    /// Collapse into one contiguous frame (copies the tails).
     [[nodiscard]] Buffer flatten() && {
-        if (!tail.empty()) {
-            head.insert(head.end(), tail.bytes.begin(), tail.bytes.end());
-            tail = {};
+        head.reserve(size());
+        for (const SharedSlice& t : tails) {
+            head.insert(head.end(), t.bytes.begin(), t.bytes.end());
         }
+        tails.clear();
         return std::move(head);
     }
 };
@@ -172,8 +184,8 @@ class Dispatcher {
                                   TimePoint received_at) noexcept;
 
     /// Scatter-gather dispatch: the zero-copy entry point. Chunk-read
-    /// responses carry their payload as a borrowed tail; everything else
-    /// arrives with an empty tail. Same never-throws contract.
+    /// responses carry their payload as borrowed tails; everything else
+    /// arrives without one. Same never-throws contract.
     [[nodiscard]] RpcResponse dispatch_sg(ConstBytes frame,
                                           TimePoint received_at) noexcept;
 

@@ -111,6 +111,56 @@ std::vector<meta::KeyedNode> get_meta_batch(WireReader& r) {
     return out;
 }
 
+void put_chunk_reads(WireWriter& w, std::span<const ChunkRead> reads) {
+    w.varint(reads.size());
+    for (const ChunkRead& rd : reads) {
+        put_chunk_key(w, rd.key);
+        w.u64(rd.offset);
+        w.u64(rd.size);
+    }
+}
+
+std::vector<ChunkRead> get_chunk_reads(WireReader& r) {
+    // key (kind + blob + uid) + offset + size
+    constexpr std::uint64_t kRecordBytes = 1 + 8 + 8 + 8 + 8;
+    const std::uint64_t n = r.varint_count(kRecordBytes);
+    if (n == 0) {
+        throw RpcError("frame decode: empty chunk-read batch");
+    }
+    std::vector<ChunkRead> out;
+    out.reserve(n);
+    for (std::uint64_t i = 0; i < n; ++i) {
+        ChunkRead rd;
+        rd.key = get_chunk_key(r);
+        rd.offset = r.u64();
+        rd.size = r.u64();
+        out.push_back(rd);
+    }
+    return out;
+}
+
+void put_chunk_read_entry(WireWriter& w, const ChunkReadEntry& e) {
+    w.u8(static_cast<std::uint8_t>(e.status));
+    w.u64(e.chunk_size);
+    w.varint(e.length);
+}
+
+ChunkReadEntry get_chunk_read_entry(WireReader& r) {
+    const std::uint8_t status = r.u8();
+    if (status > static_cast<std::uint8_t>(ChunkReadStatus::kNotServed)) {
+        throw RpcError("frame decode: bad chunk-read status " +
+                       std::to_string(status));
+    }
+    ChunkReadEntry e;
+    e.status = static_cast<ChunkReadStatus>(status);
+    e.chunk_size = r.u64();
+    e.length = r.varint();
+    if (e.status != ChunkReadStatus::kServed && e.length != 0) {
+        throw RpcError("frame decode: bytes for an unserved chunk read");
+    }
+    return e;
+}
+
 void put_tree_ref(WireWriter& w, const meta::TreeRef& t) {
     w.u64(t.blob);
     w.u64(t.version);

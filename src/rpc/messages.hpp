@@ -43,6 +43,46 @@ void put_meta_node(WireWriter& w, const meta::MetaNode& n);
 void put_meta_batch(WireWriter& w, std::span<const meta::KeyedNode> nodes);
 [[nodiscard]] std::vector<meta::KeyedNode> get_meta_batch(WireReader& r);
 
+/// One key of a kChunkGetBatch request: \p size bytes at \p offset of
+/// the chunk (size 0 = to its end; the reply clamps to the stored
+/// payload).
+struct ChunkRead {
+    chunk::ChunkKey key{};
+    std::uint64_t offset = 0;
+    std::uint64_t size = 0;
+
+    friend bool operator==(const ChunkRead&, const ChunkRead&) = default;
+};
+
+/// kChunkGetBatch request payload: a varint count, then (key, offset,
+/// size) records. The decoder rejects an empty batch, a count the
+/// payload cannot hold and a truncated record.
+void put_chunk_reads(WireWriter& w, std::span<const ChunkRead> reads);
+[[nodiscard]] std::vector<ChunkRead> get_chunk_reads(WireReader& r);
+
+/// Outcome of one key in a kChunkGetBatch reply.
+enum class ChunkReadStatus : std::uint8_t {
+    kServed = 0,     ///< its slice follows in the reply's tail bytes
+    kNotFound = 1,   ///< this replica does not hold the chunk
+    kNotServed = 2,  ///< past the reply's byte cap: ask again
+};
+
+/// One (status, chunk_size, length) entry of a kChunkGetBatch reply
+/// head. chunk_size is the stored payload of a served chunk (0
+/// otherwise), length the bytes of its slice among the tails.
+struct ChunkReadEntry {
+    ChunkReadStatus status = ChunkReadStatus::kNotServed;
+    std::uint64_t chunk_size = 0;
+    std::uint64_t length = 0;
+
+    friend bool operator==(const ChunkReadEntry&,
+                           const ChunkReadEntry&) = default;
+};
+
+void put_chunk_read_entry(WireWriter& w, const ChunkReadEntry& e);
+/// Rejects an unknown status and a length on an unserved key.
+[[nodiscard]] ChunkReadEntry get_chunk_read_entry(WireReader& r);
+
 void put_tree_ref(WireWriter& w, const meta::TreeRef& t);
 [[nodiscard]] meta::TreeRef get_tree_ref(WireReader& r);
 

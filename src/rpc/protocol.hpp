@@ -94,7 +94,15 @@ inline constexpr std::uint32_t kFrameMagic = 0x42535250;  // "PRSB" LE
 /// per-shard vm_* series (vm_blobs included), the repair_* series and
 /// the per-provider pm_provider_* rows carry every field they did. Tags
 /// 29 and 70 are reserved and rejected.
-inline constexpr std::uint8_t kWireVersion = 10;
+/// v11: batched chunk reads — kChunkGetBatch (a varint count, then
+/// (key, offset, size) records; the reply carries a status per key and
+/// every served slice as its own zero-copy tail, capped at
+/// kChunkBatchReplyCap payload bytes) replaces the single-chunk kChunkGet,
+/// so a read sends one request per provider it reads from. kMarkDead is
+/// retired with it: it let any client declare a provider dead without
+/// the corroboration kReportFailure applies. Tags 2 and 65 are reserved
+/// and rejected.
+inline constexpr std::uint8_t kWireVersion = 11;
 inline constexpr std::size_t kFrameHeaderSize = 40;
 /// Byte offset of the message-type tag (u16) within the header.
 inline constexpr std::size_t kFrameTypeOffset = 6;
@@ -108,11 +116,19 @@ inline constexpr std::size_t kFrameTraceOffset = 24;
 
 /// Upper bound on a frame payload; anything larger is a corrupt or
 /// hostile frame and is rejected before its length is trusted for an
-/// allocation. The largest legitimate payload is one chunk plus a few
-/// dozen header bytes; 256 MiB leaves generous headroom over any chunk
+/// allocation. The largest legitimate payload is one chunk (or one
+/// kChunkBatchReplyCap batch of chunk slices) plus its header bytes;
+/// 256 MiB leaves generous headroom over any chunk
 /// size the experiments use while bounding what a hostile header can
 /// make a receiver allocate.
 inline constexpr std::uint32_t kMaxPayload = 256u << 20;
+
+/// Payload bytes one kChunkGetBatch reply serves at most. The handler
+/// stops at the first key that would cross it (the first key is always
+/// served) and marks the rest "not served" for the client to re-issue,
+/// so one batch can neither pin unbounded store memory nor hold a
+/// worker for long.
+inline constexpr std::uint64_t kChunkBatchReplyCap = 1u << 20;
 
 /// Destination pseudo-node for control-plane requests (kTopology). Not a
 /// real cluster node: transports route it to the deployment's dispatcher
@@ -124,7 +140,7 @@ inline constexpr NodeId kControlNode = 0xfffffffeu;
 enum class MsgType : std::uint16_t {
     // data provider service
     kChunkPut = 1,
-    kChunkGet = 2,
+    // 2 reserved: v10 single-chunk get (a kChunkGetBatch of one since v11)
     kChunkErase = 3,
     kChunkCheck = 4,
     kChunkPushStart = 5,
@@ -134,6 +150,7 @@ enum class MsgType : std::uint16_t {
     kChunkPullSome = 9,
     kChunkDecref = 10,
     // 11 reserved: v8 dedup-status (served by kMetricsDump since v9)
+    kChunkGetBatch = 12,
 
     // version manager service
     kBlobCreate = 16,
@@ -159,7 +176,7 @@ enum class MsgType : std::uint16_t {
 
     // provider manager service
     kPlace = 64,
-    kMarkDead = 65,
+    // 65 reserved: v10 mark-dead (uncorroborated; kReportFailure since v11)
     kProviderJoin = 66,
     kProviderAnnounce = 67,
     kProviderBeat = 68,
@@ -175,7 +192,6 @@ enum class MsgType : std::uint16_t {
 [[nodiscard]] inline const char* to_string(MsgType t) noexcept {
     switch (t) {
         case MsgType::kChunkPut: return "chunk-put";
-        case MsgType::kChunkGet: return "chunk-get";
         case MsgType::kChunkErase: return "chunk-erase";
         case MsgType::kChunkCheck: return "chunk-check";
         case MsgType::kChunkPushStart: return "chunk-push-start";
@@ -184,6 +200,7 @@ enum class MsgType : std::uint16_t {
         case MsgType::kChunkPullStart: return "chunk-pull-start";
         case MsgType::kChunkPullSome: return "chunk-pull-some";
         case MsgType::kChunkDecref: return "chunk-decref";
+        case MsgType::kChunkGetBatch: return "chunk-get-batch";
         case MsgType::kBlobCreate: return "blob-create";
         case MsgType::kBlobClone: return "blob-clone";
         case MsgType::kBlobInfo: return "blob-info";
@@ -202,7 +219,6 @@ enum class MsgType : std::uint16_t {
         case MsgType::kMetaErase: return "meta-erase";
         case MsgType::kMetaPutBatch: return "meta-put-batch";
         case MsgType::kPlace: return "place";
-        case MsgType::kMarkDead: return "mark-dead";
         case MsgType::kProviderJoin: return "provider-join";
         case MsgType::kProviderAnnounce: return "provider-announce";
         case MsgType::kProviderBeat: return "provider-beat";

@@ -352,13 +352,6 @@ provider::PlacementPlan ServiceClient::place(std::uint64_t n_chunks,
     return out;
 }
 
-void ServiceClient::mark_dead(NodeId node) {
-    WireWriter w;
-    w.u32(node);
-    const Buffer resp = invoke(MsgType::kMarkDead, pm_node_, std::move(w));
-    open_reply(resp, MsgType::kMarkDead).expect_end();
-}
-
 bool ServiceClient::report_failure(NodeId suspect) {
     WireWriter w;
     w.u32(suspect);
@@ -467,25 +460,66 @@ ServiceClient::ChunkSlice ServiceClient::get_chunk(NodeId dp,
 Future<ServiceClient::ChunkSlice> ServiceClient::get_chunk_async(
     NodeId dp, const chunk::ChunkKey& key, std::uint64_t offset,
     std::uint64_t size) {
-    WireWriter w;
-    put_chunk_key(w, key);
-    w.u64(offset);
-    w.u64(size);
+    const ChunkRead rd{key, offset, size};
     return map_future<ChunkSlice>(
-        invoke_async(MsgType::kChunkGet, dp, std::move(w)),
-        [](Buffer&& resp) {
-            auto r = open_reply(resp, MsgType::kChunkGet);
-            ChunkSlice out;
-            out.chunk_size = r.u64();
-            const ConstBytes bytes = r.blob();
-            r.expect_end();
-            // Steal the response frame instead of allocating a second
-            // buffer: slide the payload to the front and shrink.
-            const std::size_t off =
-                static_cast<std::size_t>(bytes.data() - resp.data());
-            std::memmove(resp.data(), resp.data() + off, bytes.size());
-            resp.resize(bytes.size());
-            out.bytes = std::move(resp);
+        get_chunk_batch_async(dp, std::span(&rd, 1)),
+        [dp, key](ChunkBatch&& batch) {
+            const ChunkReadEntry& e = batch.entries.front();
+            if (e.status == ChunkReadStatus::kNotFound) {
+                throw NotFoundError(key.to_string() + " on provider " +
+                                    std::to_string(dp));
+            }
+            if (e.status != ChunkReadStatus::kServed) {
+                throw RpcError("chunk-get-batch left its only key unserved");
+            }
+            const ConstBytes bytes = batch.slice(0);
+            return ChunkSlice{Buffer(bytes.begin(), bytes.end()),
+                              e.chunk_size};
+        });
+}
+
+Future<ServiceClient::ChunkBatch> ServiceClient::get_chunk_batch_async(
+    NodeId dp, std::span<const ChunkRead> reads) {
+    WireWriter w(8 + reads.size() * 33);
+    put_chunk_reads(w, reads);
+    return map_future<ChunkBatch>(
+        invoke_async(MsgType::kChunkGetBatch, dp, std::move(w)),
+        [keys = reads.size()](Buffer&& resp) {
+            auto r = open_reply(resp, MsgType::kChunkGetBatch);
+            // status + chunk_size + 1-byte length per entry
+            const std::uint64_t n = r.varint_count(1 + 8 + 1);
+            if (n != keys) {
+                throw RpcError("chunk-get-batch reply has " +
+                               std::to_string(n) + " entries for " +
+                               std::to_string(keys) + " keys");
+            }
+            ChunkBatch out;
+            out.entries.reserve(n);
+            out.offsets.reserve(n);
+            std::uint64_t tail = 0;
+            for (std::uint64_t i = 0; i < n; ++i) {
+                const ChunkReadEntry e = get_chunk_read_entry(r);
+                if (e.length > r.remaining() ||
+                    tail > r.remaining() - e.length) {
+                    throw RpcError("chunk-get-batch reply: slices overrun "
+                                   "the frame");
+                }
+                tail += e.length;
+                out.entries.push_back(e);
+            }
+            if (tail != r.remaining()) {
+                throw RpcError("chunk-get-batch reply: " +
+                               std::to_string(r.remaining() - tail) +
+                               " bytes past the last slice");
+            }
+            // The slices follow the entries back to back, up to the end
+            // of the frame.
+            std::size_t pos = resp.size() - r.remaining();
+            for (const ChunkReadEntry& e : out.entries) {
+                out.offsets.push_back(pos);
+                pos += e.length;
+            }
+            out.frame = std::move(resp);
             return out;
         });
 }
@@ -655,7 +689,16 @@ Future<void> ServiceClient::meta_put_batch_async(
 }
 
 meta::MetaNode ServiceClient::meta_get(NodeId mp, const meta::MetaKey& key) {
-    return meta_get_async(mp, key).get();
+    // Decoded on the calling thread, not as a .get() of meta_get_async:
+    // a failed replica is routine in a metadata walk, and its exception
+    // then never crosses threads through a future.
+    WireWriter w;
+    put_meta_key(w, key);
+    const Buffer resp = invoke(MsgType::kMetaGet, mp, std::move(w));
+    auto r = open_reply(resp, MsgType::kMetaGet);
+    auto out = get_meta_node(r);
+    r.expect_end();
+    return out;
 }
 
 Future<meta::MetaNode> ServiceClient::meta_get_async(

@@ -15,9 +15,13 @@
 /// come as *_async variants returning futures: many may be in flight on
 /// one multiplexed connection, and a failed delivery surfaces as the
 /// same exception — from the future's get() instead of the call itself.
-/// The sync methods are plain .get() wrappers over them. Metadata writes
+/// The sync methods are plain .get() wrappers over them, except meta_get,
+/// which decodes on the calling thread: a metadata walk fails over
+/// replica by replica, and its exceptions then never cross threads. Metadata writes
 /// exist only as meta_put_batch_async: MetaDht sends one batch per owning
-/// provider and waits on them all. Arguments are fully encoded before an
+/// provider and waits on them all. Chunk reads travel the same way as
+/// get_chunk_batch_async, one request per provider a read uses;
+/// get_chunk/get_chunk_async are one-key wrappers over it. Arguments are fully encoded before an
 /// async call returns, so callers may release payload buffers
 /// immediately.
 
@@ -102,7 +106,6 @@ class ServiceClient {
     [[nodiscard]] provider::PlacementPlan place(std::uint64_t n_chunks,
                                                 std::uint32_t replication,
                                                 std::uint64_t chunk_bytes);
-    void mark_dead(NodeId node);
 
     // ---- provider membership & repair (protocol v6) ----------------------
 
@@ -165,10 +168,34 @@ class ServiceClient {
         std::uint64_t chunk_size;   ///< total stored payload of the chunk
     };
 
+    /// One provider's answer to a chunk-get-batch: an entry per
+    /// requested key, in request order. Served slices are views into the
+    /// one response frame — nothing is copied out of it.
+    struct ChunkBatch {
+        Buffer frame;                         ///< the whole response
+        std::vector<ChunkReadEntry> entries;  ///< one per requested key
+        std::vector<std::size_t> offsets;     ///< each slice's frame offset
+
+        /// Bytes of key \p i (empty unless entries[i] is kServed).
+        [[nodiscard]] ConstBytes slice(std::size_t i) const {
+            return ConstBytes(frame).subspan(offsets[i],
+                                             entries[i].length);
+        }
+    };
+
+    /// Fetch slices of many chunks from one provider in one request.
+    /// Each key gets its own status: a replica that lacks a chunk says
+    /// kNotFound for that key only, and keys past the reply's byte cap
+    /// (kChunkBatchReplyCap) come back kNotServed for the caller to
+    /// re-issue. A failed delivery fails the whole future.
+    [[nodiscard]] Future<ChunkBatch> get_chunk_batch_async(
+        NodeId dp, std::span<const ChunkRead> reads);
+
     /// Fetch \p size bytes at \p offset of a chunk (size 0 = the whole
-    /// chunk). The reply is clamped to the stored payload; chunk_size
-    /// lets the caller detect truncated replicas. Sync form of
-    /// get_chunk_async.
+    /// chunk): a batch of one key, copied out of the reply. The reply is
+    /// clamped to the stored payload; chunk_size lets the caller detect
+    /// truncated replicas. A missing chunk throws NotFoundError. Sync
+    /// form of get_chunk_async.
     [[nodiscard]] ChunkSlice get_chunk(NodeId dp, const chunk::ChunkKey& key,
                                        std::uint64_t offset,
                                        std::uint64_t size);

@@ -251,13 +251,13 @@ class FrameAssembler {
 };
 
 /// Queue of outbound frames awaiting socket room. Each entry keeps its
-/// scatter-gather shape — sealed head plus borrowed tail — until the
+/// scatter-gather shape — sealed head plus borrowed tails — until the
 /// bytes enter the kernel, so a parked zero-copy response never gets
-/// flattened (the tail's owner stays pinned instead). flush() gathers
-/// up to 16 spans across queued frames into one sendmsg(): head and
-/// tail of a chunk-read response leave in a single syscall, and a burst
-/// of small parked responses departs batched. Callers serialize access
-/// (the connection's write mutex).
+/// flattened (the tails' owners stay pinned instead). flush() gathers
+/// up to 64 spans across queued frames into one sendmsg(): the head and
+/// every tail of a chunk-read batch leave in a single syscall, and a
+/// burst of small parked responses departs batched. Callers serialize
+/// access (the connection's write mutex).
 class FrameQueue {
   public:
     enum class Flush {
@@ -266,9 +266,21 @@ class FrameQueue {
         kError,    ///< connection unusable
     };
 
-    void push(Buffer head, SharedSlice tail) {
-        bytes_ += head.size() + tail.size();
-        q_.push_back(OutFrame{std::move(head), std::move(tail), 0, 0});
+    void push(Buffer head, std::vector<SharedSlice> tails = {}) {
+        OutFrame f{std::move(head), std::move(tails), {}, 0};
+        // Spans still to send, in order; empty tails never reach the
+        // kernel.
+        f.spans.reserve(1 + f.tails.size());
+        f.spans.push_back(f.head);
+        for (const SharedSlice& t : f.tails) {
+            if (!t.empty()) {
+                f.spans.push_back(t.bytes);
+            }
+        }
+        for (const ConstBytes span : f.spans) {
+            bytes_ += span.size();
+        }
+        q_.push_back(std::move(f));
     }
 
     /// \p wrote (optional) accumulates bytes accepted by the kernel —
@@ -279,25 +291,15 @@ class FrameQueue {
             iovec iov[kMaxIov];
             int iovs = 0;
             for (const OutFrame& f : q_) {
-                if (iovs == kMaxIov) {
-                    break;
-                }
-                if (f.head_off < f.head.size()) {
+                for (std::size_t i = f.next;
+                     i < f.spans.size() && iovs < kMaxIov; ++i) {
                     iov[iovs].iov_base =
-                        const_cast<std::uint8_t*>(f.head.data()) +
-                        f.head_off;
-                    iov[iovs].iov_len = f.head.size() - f.head_off;
+                        const_cast<std::uint8_t*>(f.spans[i].data());
+                    iov[iovs].iov_len = f.spans[i].size();
                     ++iovs;
                 }
                 if (iovs == kMaxIov) {
                     break;
-                }
-                if (f.tail_off < f.tail.size()) {
-                    iov[iovs].iov_base =
-                        const_cast<std::uint8_t*>(f.tail.bytes.data()) +
-                        f.tail_off;
-                    iov[iovs].iov_len = f.tail.size() - f.tail_off;
-                    ++iovs;
                 }
             }
             msghdr msg{};
@@ -339,31 +341,26 @@ class FrameQueue {
     [[nodiscard]] std::size_t bytes() const noexcept { return bytes_; }
 
   private:
-    static constexpr int kMaxIov = 16;
+    static constexpr int kMaxIov = 64;
 
     struct OutFrame {
         Buffer head;
-        SharedSlice tail;
-        std::size_t head_off;
-        std::size_t tail_off;
+        std::vector<SharedSlice> tails;  ///< own what spans borrow
+        std::vector<ConstBytes> spans;   ///< unsent remainders, in order
+        std::size_t next = 0;            ///< first span not fully sent
     };
 
     void advance(std::size_t n) {
         bytes_ -= n;
-        while (!q_.empty()) {
+        while (n != 0) {
             OutFrame& f = q_.front();
-            const std::size_t h = std::min(n, f.head.size() - f.head_off);
-            f.head_off += h;
-            n -= h;
-            const std::size_t t = std::min(n, f.tail.size() - f.tail_off);
-            f.tail_off += t;
-            n -= t;
-            if (f.head_off == f.head.size() &&
-                f.tail_off == f.tail.size()) {
+            ConstBytes& span = f.spans[f.next];
+            const std::size_t k = std::min(n, span.size());
+            span = span.subspan(k);
+            n -= k;
+            if (span.empty() && ++f.next == f.spans.size()) {
                 q_.pop_front();
-                continue;
             }
-            break;  // partial frame remains; n is exhausted
         }
     }
 
@@ -728,7 +725,7 @@ Future<Buffer> TcpTransport::call_async(NodeId dst, ConstBytes frame) {
         {
             const std::scoped_lock lock(conn->send_mu);
             const std::size_t ahead = conn->wq.bytes();
-            conn->wq.push(std::move(stamped), {});
+            conn->wq.push(std::move(stamped));
             if (!conn->epollout) {
                 std::size_t wrote = 0;
                 const auto st = conn->wq.flush(conn->fd, &wrote, &err);
@@ -1127,10 +1124,7 @@ void TcpRpcServer::handle_frame(const std::shared_ptr<ServerConn>& conn,
 
 void TcpRpcServer::answer(const std::shared_ptr<ServerConn>& conn,
                           const Buffer& request, TimePoint received_at) {
-    RpcResponse response =
-        opts_.zero_copy
-            ? dispatcher_.dispatch_sg(request, received_at)
-            : RpcResponse(dispatcher_.dispatch(request, received_at));
+    RpcResponse response = dispatcher_.dispatch_sg(request, received_at);
     if (!conn->ok.load()) {
         return;  // connection doomed; spare the write
     }
@@ -1148,7 +1142,7 @@ void TcpRpcServer::send_response(const std::shared_ptr<ServerConn>& conn,
         if (last) {
             conn->close_when_drained = true;
         }
-        conn->wq.push(std::move(resp.head), std::move(resp.tail));
+        conn->wq.push(std::move(resp.head), std::move(resp.tails));
         if (conn->epollout) {
             return;  // EPOLLOUT armed; the loop drains in order
         }

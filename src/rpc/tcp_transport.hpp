@@ -25,7 +25,7 @@
 /// everything that may be slow goes to the shared worker ThreadPool, and
 /// wait_published to a dedicated thread, so a slow handler never blocks
 /// a loop. Responses are scatter-gather (sealed head + borrowed
-/// payload tail) written with one writev; when the kernel send buffer
+/// payload tails) written with one sendmsg; when the kernel send buffer
 /// fills, the remainder parks in a per-connection frame queue and
 /// EPOLLOUT drains it (backpressure without a blocked thread). stop()
 /// (or destruction) shuts down the listener and every live connection,
@@ -150,10 +150,6 @@ class TcpRpcServer {
         /// Close connections idle longer than this (0 = never). Guards
         /// fd exhaustion under thousands of parked clients.
         std::uint64_t idle_timeout_ms = 0;
-        /// Serve chunk reads scatter-gather straight from store memory.
-        /// Off flattens every response through the copy path — only
-        /// useful for measuring what zero-copy saves.
-        bool zero_copy = true;
     };
 
     TcpRpcServer(Dispatcher& dispatcher, Options opts);

@@ -386,6 +386,32 @@ TEST_F(ClientFixture, InflightWindowGaugeBalances) {
         << "multi-chunk write/read never overlapped chunk RPCs";
 }
 
+TEST_F(ClientFixture, ReadSendsOneBatchPerProvider) {
+    // 16 chunks on 4 providers, one replica each: the read is one
+    // chunk-get-batch per provider, not one request per chunk. The
+    // unaligned append's tail merge reads through the same path.
+    Counter& batches = MetricsRegistry::instance().counter(
+        "rpc_server_requests_total", {{"op", "chunk-get-batch"}});
+    Blob blob = client_->create(kChunk, 1);
+    const Buffer data = make_pattern(blob.id(), 1, 0, 16 * kChunk);
+    blob.write(0, data);
+    std::uint64_t before = batches.get();
+    EXPECT_EQ(read_back(blob, 1, 0, data.size()), data);
+    EXPECT_LE(batches.get() - before, cluster_.data_provider_count());
+    EXPECT_EQ(client_->stats().chunk_retries.get(), 0u);
+
+    const Buffer tail = make_pattern(blob.id(), 2, 0, kChunk / 2);
+    blob.append(tail);
+    const Buffer more = make_pattern(blob.id(), 3, 0, kChunk);
+    before = batches.get();
+    const Version v = blob.append(more);  // rewrites the half-full chunk
+    EXPECT_EQ(batches.get() - before, 1u);
+    Buffer expected = data;
+    expected.insert(expected.end(), tail.begin(), tail.end());
+    expected.insert(expected.end(), more.begin(), more.end());
+    EXPECT_EQ(read_back(blob, v, 0, expected.size()), expected);
+}
+
 // ---- sharded version managers ---------------------------------------------
 
 TEST(ShardedVm, FullAccessInterfaceAcrossShards) {

@@ -11,9 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string_view>
 #include <thread>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "core/remote.hpp"
 #include "rpc/tcp_transport.hpp"
@@ -75,21 +79,120 @@ TEST_P(FaultTransport, ReplicatedDataSurvivesProviderDeath) {
     const Buffer data = make_pattern(blob.id(), 1, 0, 8 * kChunk);
     blob.write(0, data);
 
-    // Kill the most loaded provider, *with* data loss.
+    // Kill the provider the reader reads the most chunks from, *with*
+    // data loss. A read batches its chunks over a cover of their
+    // replicas, so it need not touch every provider holding them: a
+    // first read shows which ones this reader depends on.
+    Buffer out(data.size());
+    auto reader = make_client();
+    std::vector<std::uint64_t> served;
+    for (std::size_t i = 0; i < cluster.data_provider_count(); ++i) {
+        served.push_back(cluster.data_provider(i).stats().ops.get());
+    }
+    ASSERT_EQ(reader->read(blob.id(), 1, 0, out), data.size());
     std::size_t victim = 0;
-    for (std::size_t i = 1; i < cluster.data_provider_count(); ++i) {
-        if (cluster.data_provider(i).stored_bytes() >
-            cluster.data_provider(victim).stored_bytes()) {
+    for (std::size_t i = 0; i < cluster.data_provider_count(); ++i) {
+        served[i] = cluster.data_provider(i).stats().ops.get() - served[i];
+        if (served[i] > served[victim]) {
             victim = i;
         }
     }
+    ASSERT_GT(served[victim], 0u);
     cluster.kill_data_provider(victim, /*lose_volatile=*/true);
 
-    Buffer out(data.size());
-    auto reader = make_client();
+    out.assign(out.size(), 0);
     EXPECT_EQ(reader->read(blob.id(), 1, 0, out), data.size());
     EXPECT_EQ(out, data);
     EXPECT_GT(reader->stats().chunk_retries.get(), 0u);
+}
+
+/// chunk-get-batch requests served in this process so far.
+std::uint64_t batch_requests() {
+    return MetricsRegistry::instance()
+        .counter("rpc_server_requests_total", {{"op", "chunk-get-batch"}})
+        .get();
+}
+
+TEST_P(FaultTransport, BatchedReadSurvivesMissingKeyAndDeadReplica) {
+    Cluster& cluster = make_cluster(fault_config(2, 2));
+    auto client = make_client();
+    Blob blob = client->create(kChunk, 2);
+    const Buffer data = make_pattern(blob.id(), 1, 0, 16 * kChunk);
+    blob.write(0, data);
+
+    // Which providers hold each chunk of the blob.
+    std::vector<std::pair<chunk::ChunkKey, std::vector<std::size_t>>> held;
+    for (std::size_t i = 0; i < cluster.data_provider_count(); ++i) {
+        for (const auto& h : cluster.data_provider(i).inventory()) {
+            auto it = std::find_if(held.begin(), held.end(), [&](auto& e) {
+                return e.first == h.key;
+            });
+            if (it == held.end()) {
+                held.push_back({h.key, {}});
+                it = held.end() - 1;
+            }
+            it->second.push_back(i);
+        }
+    }
+    ASSERT_EQ(held.size(), 16u);
+    // Chunk `missing` loses its copy on provider a; provider c dies
+    // holding a chunk whose other replica is on neither a nor c.
+    const chunk::ChunkKey missing = held[0].first;
+    ASSERT_EQ(held[0].second.size(), 2u);
+    const std::size_t a = held[0].second[0];
+    const std::size_t b = held[0].second[1];
+    std::size_t c = cluster.data_provider_count();
+    for (const auto& [key, holders] : held) {
+        for (const std::size_t h : holders) {
+            if (h != a && h != b &&
+                std::find(holders.begin(), holders.end(), a) ==
+                    holders.end()) {
+                c = h;
+            }
+        }
+    }
+    ASSERT_LT(c, cluster.data_provider_count());
+    cluster.data_provider(a).erase_chunk(missing);
+    cluster.kill_data_provider(c, /*lose_volatile=*/true);
+
+    // Only a and c look healthy, so the reader's batches go to them
+    // first: `missing` comes back NotFound from a and the batch to c
+    // fails on delivery; each of those keys retries alone elsewhere.
+    auto reader = make_client();
+    std::unordered_map<NodeId, double> health;
+    for (std::size_t i = 0; i < cluster.data_provider_count(); ++i) {
+        health[cluster.data_provider(i).node()] =
+            (i == a || i == c) ? 1.0 : 0.0;
+    }
+    reader->update_health_view(std::move(health));
+    Buffer out(data.size());
+    EXPECT_EQ(reader->read(blob.id(), 1, 0, out), data.size());
+    EXPECT_EQ(out, data);
+    EXPECT_GE(reader->stats().chunk_retries.get(), 2u);
+    EXPECT_EQ(reader->stats().inflight_chunk_rpcs.get(), 0u);
+}
+
+TEST_P(FaultTransport, ReadPastTheBatchByteCapIsSplit) {
+    // Two providers, no replication, 256 KiB chunks: a 4 MiB read asks
+    // each provider for 2 MiB, twice a reply's cap. Each first reply
+    // serves 1 MiB and leaves the rest "not served" for a re-issue.
+    auto cfg = fault_config(1, 1);
+    cfg.data_providers = 2;
+    make_cluster(cfg);
+    auto client = make_client();
+    constexpr std::uint64_t kBig = 256 << 10;
+    Blob blob = client->create(kBig, 1);
+    const Buffer data = make_pattern(blob.id(), 1, 0, 16 * kBig);
+    blob.write(0, data);
+
+    auto reader = make_client();
+    const std::uint64_t before = batch_requests();
+    Buffer out(data.size());
+    EXPECT_EQ(reader->read(blob.id(), 1, 0, out), data.size());
+    EXPECT_EQ(out, data);
+    EXPECT_GE(batch_requests() - before, 4u)
+        << "replies past the byte cap were not split";
+    EXPECT_EQ(reader->stats().chunk_retries.get(), 0u);
 }
 
 TEST_P(FaultTransport, UnreplicatedDataLostOnDeath) {

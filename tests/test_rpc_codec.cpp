@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 #include <string>
+#include <tuple>
 #include <string_view>
 #include <vector>
 
@@ -192,6 +194,49 @@ TEST(Codec, MetaBatchRandomRoundTrip) {
     }
 }
 
+TEST(Codec, ChunkReadBatchRandomRoundTrip) {
+    Rng rng(17);
+    for (int i = 0; i < 100; ++i) {
+        std::vector<ChunkRead> reads(1 + rng() % 20);
+        std::vector<ChunkReadEntry> entries(reads.size());
+        for (std::size_t k = 0; k < reads.size(); ++k) {
+            reads[k].key = chunk::ChunkKey{rng(), rng()};
+            reads[k].key.kind = static_cast<chunk::ChunkKey::Kind>(rng() % 2);
+            reads[k].offset = rng() >> (rng() % 64);
+            reads[k].size = rng() >> (rng() % 64);
+            entries[k].status = static_cast<ChunkReadStatus>(rng() % 3);
+            if (entries[k].status == ChunkReadStatus::kServed) {
+                entries[k].chunk_size = rng();
+                entries[k].length = rng() >> (rng() % 64);
+            }
+        }
+        WireWriter w;
+        put_chunk_reads(w, reads);
+        for (const ChunkReadEntry& e : entries) {
+            put_chunk_read_entry(w, e);
+        }
+        const Buffer buf = w.take();
+        WireReader r{ConstBytes(buf)};
+        EXPECT_EQ(get_chunk_reads(r), reads);
+        for (const ChunkReadEntry& e : entries) {
+            EXPECT_EQ(get_chunk_read_entry(r), e);
+        }
+        r.expect_end();
+    }
+    // An unknown status, and bytes claimed for an unserved key, are
+    // rejected.
+    for (const auto& [status, length] :
+         {std::pair{3, 0}, std::pair{1, 5}, std::pair{2, 1}}) {
+        WireWriter w;
+        w.u8(static_cast<std::uint8_t>(status));
+        w.u64(0);
+        w.varint(static_cast<std::uint64_t>(length));
+        const Buffer buf = w.take();
+        WireReader r{ConstBytes(buf)};
+        EXPECT_THROW((void)get_chunk_read_entry(r), RpcError) << status;
+    }
+}
+
 TEST(Codec, AssignResultRandomRoundTrip) {
     Rng rng(13);
     for (int i = 0; i < 300; ++i) {
@@ -350,7 +395,7 @@ TEST(Frame, RequestRoundTrip) {
 
 TEST(Frame, ErrorResponseCarriesStatusAndMessage) {
     const Buffer frame =
-        seal_error(MsgType::kChunkGet, Status::kNotFound, "gone");
+        seal_error(MsgType::kChunkGetBatch, Status::kNotFound, "gone");
     const FrameView f = parse_frame(frame);
     EXPECT_TRUE(f.response);
     EXPECT_EQ(f.status(), Status::kNotFound);
@@ -483,26 +528,186 @@ TEST_F(MetaBatchFrame, RetiredSingleNodeTagRejected) {
     EXPECT_EQ(mp_.stored_nodes(), 0u);
 }
 
+// ---- chunk-get-batch frames at the dispatcher --------------------------------
+
+class ChunkBatchFrame : public ::testing::Test {
+  protected:
+    ChunkBatchFrame() { dispatcher_.add_data_provider(dp_.node(), &dp_); }
+
+    /// Store a \p bytes-long chunk with a pattern derived from \p uid.
+    Buffer store(std::uint64_t uid, std::size_t bytes) {
+        Buffer b = make_pattern(9, uid, 0, bytes);
+        dp_.put_chunk(chunk::ChunkKey{9, uid},
+                      std::make_shared<const Buffer>(b));
+        return b;
+    }
+
+    RpcResponse send(const Buffer& payload) {
+        WireWriter w;
+        w.raw(payload);
+        return dispatcher_.dispatch_sg(
+            seal_request(MsgType::kChunkGetBatch, dp_.node(), std::move(w)),
+            Clock::now());
+    }
+
+    provider::DataProvider dp_{3, std::make_unique<chunk::RamStore>()};
+    Dispatcher dispatcher_;
+};
+
+TEST_F(ChunkBatchFrame, MalformedBatchReadsNoKey) {
+    store(1, 4096);
+    const std::vector<ChunkRead> reads = {
+        {chunk::ChunkKey{9, 1}, 0, 4096},
+        {chunk::ChunkKey{9, 1}, 0, 100},
+        {chunk::ChunkKey{9, 1}, 100, 100}};
+    std::vector<Buffer> bad;
+    {
+        WireWriter w;
+        w.varint(0);  // empty batch
+        bad.push_back(w.take());
+    }
+    {
+        WireWriter w;  // count 4, three records: the count overruns
+        w.varint(4);
+        for (const ChunkRead& rd : reads) {
+            put_chunk_key(w, rd.key);
+            w.u64(rd.offset);
+            w.u64(rd.size);
+        }
+        w.u64(0);  // enough bytes for the count check, not a record
+        bad.push_back(w.take());
+    }
+    {
+        WireWriter w;  // two whole records, the last one cut short
+        put_chunk_reads(w, reads);
+        Buffer b = w.take();
+        b.resize(b.size() - 3);
+        bad.push_back(std::move(b));
+    }
+    const std::uint64_t ops = dp_.stats().ops.get();
+    for (const Buffer& payload : bad) {
+        const RpcResponse resp = send(payload);
+        EXPECT_EQ(parse_frame(resp.head).status(), Status::kRpcError);
+        EXPECT_TRUE(resp.tails.empty());
+    }
+    EXPECT_EQ(dp_.stats().ops.get(), ops) << "a malformed batch read a key";
+}
+
+TEST_F(ChunkBatchFrame, EachKeyGetsItsStatusAndItsOwnTail) {
+    const Buffer a = store(1, 4096);
+    const Buffer b = store(2, 1000);
+    const std::vector<ChunkRead> reads = {
+        {chunk::ChunkKey{9, 1}, 100, 200},
+        {chunk::ChunkKey{9, 7}, 0, 64},  // not stored here
+        {chunk::ChunkKey{9, 2}, 0, 0},   // whole chunk
+        {chunk::ChunkKey{9, 1}, 4000, 500}};  // clamped to 96 bytes
+    WireWriter w;
+    put_chunk_reads(w, reads);
+    const RpcResponse resp = send(w.take());
+    ASSERT_EQ(resp.tails.size(), 3u);
+    EXPECT_EQ(resp.tails[0].size(), 200u);
+    EXPECT_EQ(resp.tails[1].size(), 1000u);
+    EXPECT_EQ(resp.tails[2].size(), 96u);
+    EXPECT_EQ(0, std::memcmp(resp.tails[0].bytes.data(), a.data() + 100, 200));
+    EXPECT_EQ(0, std::memcmp(resp.tails[1].bytes.data(), b.data(), 1000));
+    EXPECT_EQ(0, std::memcmp(resp.tails[2].bytes.data(), a.data() + 4000, 96));
+
+    // The flattened frame is what a client decodes: entries, then the
+    // slices back to back.
+    const Buffer frame = RpcResponse(resp).flatten();
+    const FrameView f = parse_frame(frame);
+    ASSERT_EQ(f.status(), Status::kOk);
+    WireReader r(f.payload);
+    EXPECT_EQ(r.varint(), 4u);
+    const std::vector<ChunkReadEntry> expected = {
+        {ChunkReadStatus::kServed, 4096, 200},
+        {ChunkReadStatus::kNotFound, 0, 0},
+        {ChunkReadStatus::kServed, 1000, 1000},
+        {ChunkReadStatus::kServed, 4096, 96}};
+    for (const ChunkReadEntry& e : expected) {
+        EXPECT_EQ(get_chunk_read_entry(r), e);
+    }
+    EXPECT_EQ(r.remaining(), 200u + 1000u + 96u);
+}
+
+TEST_F(ChunkBatchFrame, ReplyStopsAtTheByteCap) {
+    constexpr std::size_t kBig = kChunkBatchReplyCap / 2;
+    store(1, kBig);
+    store(2, 2 * kChunkBatchReplyCap);
+    std::vector<ChunkRead> reads;
+    for (int i = 0; i < 3; ++i) {
+        reads.push_back({chunk::ChunkKey{9, 1}, 0, kBig});
+    }
+    reads.push_back({chunk::ChunkKey{9, 1}, 0, 10});
+    WireWriter w;
+    put_chunk_reads(w, reads);
+    RpcResponse resp = send(w.take());
+    // Two halves fill the cap exactly; the third would cross it, so it
+    // and everything after it are left for the client to re-issue.
+    EXPECT_EQ(resp.tails.size(), 2u);
+    EXPECT_EQ(resp.tail_bytes(), kChunkBatchReplyCap);
+    {
+        const Buffer frame = std::move(resp).flatten();
+        WireReader r(parse_frame(frame).payload);
+        EXPECT_EQ(r.varint(), 4u);
+        for (int i = 0; i < 4; ++i) {
+            EXPECT_EQ(get_chunk_read_entry(r).status,
+                      i < 2 ? ChunkReadStatus::kServed
+                            : ChunkReadStatus::kNotServed)
+                << i;
+        }
+    }
+    // The first key is served whatever its size, so a re-issue always
+    // makes progress.
+    const std::vector<ChunkRead> big = {{chunk::ChunkKey{9, 2}, 0, 0},
+                                        {chunk::ChunkKey{9, 1}, 0, 10}};
+    WireWriter w2;
+    put_chunk_reads(w2, big);
+    resp = send(w2.take());
+    ASSERT_EQ(resp.tails.size(), 1u);
+    EXPECT_EQ(resp.tails[0].size(), 2 * kChunkBatchReplyCap);
+}
+
 TEST(RetiredTag, StatusTagsRejected) {
     // Tags 11 (v8 dedup-status), 29 and 70 (v9 vm-status and
     // repair-status) are reserved: the dedup_*/cas_*, vm_*, repair_*
     // and pm_provider_* series kMetricsDump serves carry every field.
+    // Tag 2 (v10 single-chunk get) is a chunk-get-batch of one since
+    // v11, and tag 65 (v10 mark-dead) is gone: a client reports a
+    // suspect with kReportFailure, which the manager corroborates.
     provider::DataProvider dp(3, std::make_unique<chunk::RamStore>());
+    dp.put_chunk(chunk::ChunkKey{1, 1},
+                 std::make_shared<const Buffer>(Buffer(64, 7)));
     version::VersionManager vm;
     provider::ProviderManager pm(provider::PlacementStrategy::kRoundRobin);
+    pm.register_provider(dp.node());
     Dispatcher d;
     d.add_data_provider(dp.node(), &dp);
     d.add_version_manager(1, &vm);
     d.set_provider_manager(2, &pm);
-    for (const auto& [tag, node] :
-         {std::pair{11, dp.node()}, std::pair{29, NodeId{1}},
-          std::pair{70, NodeId{2}}}) {
+    WireWriter get;  // the v10 kChunkGet body: key, offset, size
+    put_chunk_key(get, chunk::ChunkKey{1, 1});
+    get.u64(0);
+    get.u64(0);
+    const Buffer get_body = get.take();
+    WireWriter dead;  // the v10 kMarkDead body: the node id
+    dead.u32(dp.node());
+    const Buffer dead_body = dead.take();
+    for (const auto& [tag, node, body] :
+         {std::tuple{2, dp.node(), get_body},
+          std::tuple{11, dp.node(), Buffer{}},
+          std::tuple{29, NodeId{1}, Buffer{}},
+          std::tuple{65, NodeId{2}, dead_body},
+          std::tuple{70, NodeId{2}, Buffer{}}}) {
         const auto type = static_cast<MsgType>(tag);
         EXPECT_STREQ(to_string(type), "?");
         EXPECT_EQ(d.dispatch_class(type), DispatchClass::kPool);
-        const Buffer resp = d.dispatch(seal_request(type, node, WireWriter{}));
+        WireWriter w;
+        w.raw(body);
+        const Buffer resp = d.dispatch(seal_request(type, node, std::move(w)));
         EXPECT_EQ(parse_frame(resp).status(), Status::kRpcError) << tag;
     }
+    EXPECT_TRUE(pm.is_alive(dp.node())) << "a retired mark-dead took effect";
 }
 
 // ---- v7 header layout (wire ABI pin) -----------------------------------------
@@ -510,7 +715,7 @@ TEST(RetiredTag, StatusTagsRejected) {
 TEST(FrameV7, GoldenHeaderLayout) {
     // Byte-exact pin of the 40-byte v7 header. If this test breaks, the
     // wire ABI changed: bump kWireVersion and update DESIGN.md §7.
-    static_assert(kWireVersion == 10);
+    static_assert(kWireVersion == 11);
     static_assert(kFrameHeaderSize == 40);
     static_assert(kFrameTypeOffset == 6);
     static_assert(kFrameLenOffset == 12);
@@ -531,7 +736,7 @@ TEST(FrameV7, GoldenHeaderLayout) {
     ASSERT_EQ(frame.size(), kFrameHeaderSize + 8);
     const std::uint8_t expected_header[kFrameHeaderSize] = {
         0x50, 0x52, 0x53, 0x42,  //  0: magic "PRSB" little-endian
-        0x0a,                    //  4: wire version
+        0x0b,                    //  4: wire version
         0x00,                    //  5: kind = request
         0x15, 0x00,              //  6: MsgType::kGetVersion tag (21)
         0x0d, 0x0c, 0x0b, 0x0a,  //  8: destination node id
@@ -568,7 +773,7 @@ std::vector<MsgType> all_types() {
 TEST(DispatchClass, EveryTagHasExactlyOneClass) {
     const Dispatcher d;
     const std::vector<MsgType> types = all_types();
-    ASSERT_EQ(types.size(), 36u);
+    ASSERT_EQ(types.size(), 35u);
     std::set<std::string> loop;
     std::set<std::string> own_thread;
     for (const MsgType t : types) {

@@ -117,6 +117,42 @@ TEST_P(TransportConformance, ChunkRoundTrip) {
     EXPECT_THROW((void)svc_->get_chunk(dp, key, 0, 0), NotFoundError);
 }
 
+TEST_P(TransportConformance, ChunkBatchServesEveryKeyWithoutCopies) {
+    // One 16-key batch of 64 KiB slices against one provider: every key
+    // comes back byte-exact, and over TCP each slice leaves as its own
+    // borrowed tail — the dispatcher flattens nothing. The simulated
+    // transport has no scatter-gather, so its flatten counts them all.
+    const NodeId dp = cluster_->data_provider(0).node();
+    constexpr std::size_t kKeys = 16;
+    constexpr std::size_t kSlice = 64 << 10;
+    std::vector<ChunkRead> reads = {{chunk::ChunkKey{31, 999}, 0, kSlice}};
+    std::vector<Buffer> payloads;  // reads[0] is absent: no payload
+    for (std::size_t i = 0; i < kKeys; ++i) {
+        const chunk::ChunkKey key{31, i + 1};
+        payloads.push_back(make_pattern(31, i + 1, 0, kSlice));
+        svc_->put_chunk(dp, key, payloads.back());
+        reads.push_back({key, 0, kSlice});
+    }
+    Counter& copied =
+        MetricsRegistry::instance().counter("rpc_bytes_copied_total", {});
+    const std::uint64_t before = copied.get();
+    const ServiceClient::ChunkBatch batch =
+        svc_->get_chunk_batch_async(dp, reads).get();
+    ASSERT_EQ(batch.entries.size(), kKeys + 1);
+    EXPECT_EQ(batch.entries[0].status, ChunkReadStatus::kNotFound);
+    EXPECT_TRUE(batch.slice(0).empty());
+    for (std::size_t i = 0; i < kKeys; ++i) {
+        ASSERT_EQ(batch.entries[i + 1].status, ChunkReadStatus::kServed)
+            << i;
+        EXPECT_EQ(batch.entries[i + 1].chunk_size, kSlice);
+        const ConstBytes got = batch.slice(i + 1);
+        ASSERT_EQ(got.size(), kSlice);
+        EXPECT_EQ(0, std::memcmp(got.data(), payloads[i].data(), kSlice))
+            << "key " << i;
+    }
+    EXPECT_EQ(copied.get() - before, is_sim() ? kKeys * kSlice : 0u);
+}
+
 TEST_P(TransportConformance, MetaRoundTrip) {
     const NodeId mp = cluster_->metadata_provider(0).node();
     const meta::MetaKey key{3, 1, {0, 4}};
@@ -573,16 +609,15 @@ std::string http_exchange(std::uint16_t port, const std::string& request,
     return reply;
 }
 
-/// Pipeline \p count whole-chunk kChunkGet frames (corr 1..count) onto a
-/// raw socket without reading anything back.
+/// Pipeline \p count whole-chunk kChunkGetBatch frames of one key each
+/// (corr 1..count) onto a raw socket without reading anything back.
 void pipeline_chunk_gets(int fd, NodeId dp, const chunk::ChunkKey& key,
                          std::uint64_t count) {
     for (std::uint64_t corr = 1; corr <= count; ++corr) {
         WireWriter w;
-        put_chunk_key(w, key);
-        w.u64(0);
-        w.u64(0);  // 0 = whole chunk
-        Buffer f = seal_request(MsgType::kChunkGet, dp, std::move(w));
+        const ChunkRead whole{key, 0, 0};  // size 0 = whole chunk
+        put_chunk_reads(w, std::span(&whole, 1));
+        Buffer f = seal_request(MsgType::kChunkGetBatch, dp, std::move(w));
         set_frame_corr(MutableBytes(f), corr);
         ASSERT_TRUE(write_all(fd, f.data(), f.size()));
     }
@@ -621,14 +656,17 @@ TEST_P(TransportConformance, PartialWriteBackpressureDeliversAllResponses) {
         ASSERT_TRUE(
             read_exact(fd, frame.data() + kFrameHeaderSize, len));
         const FrameView fv = parse_frame(frame);
-        EXPECT_EQ(fv.type, MsgType::kChunkGet);
+        EXPECT_EQ(fv.type, MsgType::kChunkGetBatch);
         EXPECT_EQ(fv.status(), Status::kOk);
         EXPECT_TRUE(seen.insert(fv.corr).second)
             << "duplicate correlation id " << fv.corr;
         WireReader r(fv.payload);
-        EXPECT_EQ(r.u64(), payload.size());
-        const ConstBytes bytes = r.blob();
-        ASSERT_EQ(bytes.size(), payload.size());
+        EXPECT_EQ(r.varint(), 1u);
+        const ChunkReadEntry e = get_chunk_read_entry(r);
+        EXPECT_EQ(e.chunk_size, payload.size());
+        ASSERT_EQ(e.length, payload.size());
+        ASSERT_EQ(r.remaining(), payload.size());
+        const ConstBytes bytes = fv.payload.last(payload.size());
         EXPECT_EQ(0, std::memcmp(bytes.data(), payload.data(),
                                  payload.size()));
     }

@@ -313,7 +313,7 @@ TEST_F(TracedClusterTest, MetricsDumpExposesPerOpServerTelemetry) {
     // The append + read must have produced non-empty per-op latency
     // histograms for the chunk path.
     EXPECT_GT(latency_count_by_op["chunk-put"], 0u);
-    EXPECT_GT(latency_count_by_op["chunk-get"], 0u);
+    EXPECT_GT(latency_count_by_op["chunk-get-batch"], 0u);
 }
 
 TEST(UntracedCluster, NoSampledSpansWithoutOptIn) {
