@@ -13,7 +13,16 @@
 ///    inline when already complete); used only for lightweight work
 ///    such as decoding a frame or notifying a window;
 ///  * map_future<T>(src, fn) — the decode adapter client stubs use to
-///    turn Future<Buffer> into Future<ChunkSlice> etc.
+///    turn Future<Buffer> into Future<ChunkSlice> etc.;
+///  * fulfil(promise, fn) — run fn and hand its result or exception over.
+///
+/// An exception crosses threads with one owner at a time: fulfil
+/// publishes it only after its catch block has ended, and get() moves it
+/// out of the state it rethrows from. The producer thus holds no
+/// reference once a consumer can see it, so the exception dies on the
+/// thread that read it. (Its reference count lives in the C++ runtime,
+/// out of a thread sanitizer's sight; a destructor on the producer would
+/// look like a race with the consumer's reads.)
 ///
 /// A Promise abandoned before fulfilment fails its Future with
 /// RpcError("broken promise") instead of blocking a waiter forever —
@@ -95,7 +104,7 @@ class FutureState {
         std::unique_lock lock(mu_);
         cv_.wait(lock, [this] { return ready_; });
         if (error_ != nullptr) {
-            std::rethrow_exception(error_);
+            std::rethrow_exception(std::exchange(error_, nullptr));
         }
         if (!value_.has_value()) {
             throw Error("future value already consumed");
@@ -141,8 +150,8 @@ template <typename T>
 class Promise;
 
 /// Shared-ownership handle on an eventual T (or exception). Copies view
-/// the same state; the value itself is single-consumer — get() moves it
-/// out and a second get() throws.
+/// the same state; the result itself is single-consumer — get() moves
+/// the value or exception out and a second get() throws.
 template <typename T>
 class Future {
     using S = detail::future_storage_t<T>;
@@ -238,6 +247,26 @@ class Promise {
     std::shared_ptr<detail::FutureState<S>> state_;
 };
 
+/// Fulfil \p promise with \p fn's result, or with the exception it
+/// throws. The exception is published after its catch block has ended,
+/// so this thread keeps no reference to it (see the file comment).
+template <typename T, typename F>
+void fulfil(Promise<T>& promise, F&& fn) {
+    std::exception_ptr error;
+    try {
+        if constexpr (std::is_void_v<T>) {
+            fn();
+            promise.set_value();
+        } else {
+            promise.set_value(fn());
+        }
+        return;
+    } catch (...) {
+        error = std::current_exception();
+    }
+    promise.set_exception(std::move(error));
+}
+
 /// Adapter: a Future<T> fulfilled by running \p fn on \p src's value the
 /// moment \p src completes (on the completing thread). An exception from
 /// \p fn — or from \p src itself — becomes the result's exception. This
@@ -249,16 +278,7 @@ template <typename T, typename U, typename F>
     Future<T> out = promise->future();
     Future<U> watched = src;  // keep a handle the callback can consume
     src.on_ready([watched, promise, fn = std::move(fn)]() mutable {
-        try {
-            if constexpr (std::is_void_v<T>) {
-                fn(watched.get());
-                promise->set_value();
-            } else {
-                promise->set_value(fn(watched.get()));
-            }
-        } catch (...) {
-            promise->set_exception(std::current_exception());
-        }
+        fulfil(*promise, [&] { return fn(watched.get()); });
     });
     return out;
 }

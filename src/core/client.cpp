@@ -912,11 +912,12 @@ void BlobSeerClient::fetch_all(
         std::max<std::size_t>(1, env_.max_inflight_chunks);
 
     // The scatter-gather twin of upload_all: the plan's segments grouped
-    // into one chunk-get-batch per chosen provider, all batches in
-    // flight at once (at most window_cap keys), collected oldest-first.
-    // A key its replica lacks, or whose batch failed on delivery, retries
-    // alone on its next replica in its preference order; keys past a
-    // reply's byte cap go back to the same provider.
+    // into chunk-get-batches per chosen provider, each at most one
+    // reply's byte cap, with up to window_cap keys in flight, collected
+    // oldest-first. A key its replica lacks, or whose batch failed on
+    // delivery, retries alone on its next replica in its preference
+    // order; keys a reply still leaves unserved go back to the same
+    // provider.
     struct State {
         const meta::ReadSegment* seg = nullptr;
         MutableBytes slice;
@@ -948,8 +949,10 @@ void BlobSeerClient::fetch_all(
     // few batches. Healthy replicas are covered first; a segment with
     // none left gets an unhealthy one in a second round. Ties go to the
     // lowest mix64(self ^ node): each client has its own provider
-    // preference, so clients still spread load.
-    std::deque<Batch> todo;
+    // preference, so clients still spread load. A provider's keys are
+    // split where a batch would pass the reply cap, so the provider
+    // serves every key it is sent.
+    std::vector<std::vector<Batch>> groups;  // per chosen provider
     std::vector<bool> assigned(states.size(), false);
     for (const bool healthy_only : {true, false}) {
         std::unordered_map<NodeId, std::vector<std::size_t>> holds;
@@ -978,6 +981,8 @@ void BlobSeerClient::fetch_all(
             if (best_n == 0) {
                 break;
             }
+            std::vector<Batch>& group = groups.emplace_back();
+            std::uint64_t bytes = 0;  // in group.back()
             for (const std::size_t i : holds[best]) {
                 if (assigned[i]) {
                     continue;
@@ -989,13 +994,29 @@ void BlobSeerClient::fetch_all(
                     std::find(st.order.begin(), st.order.end(), best);
                 std::rotate(st.order.begin(), it, it + 1);
                 st.next = 1;
-                if (todo.empty() || todo.back().target != best ||
-                    todo.back().keys.size() == window_cap) {
-                    todo.push_back(Batch{best, {}});
+                if (group.empty() || group.back().keys.size() == window_cap ||
+                    bytes + st.slice.size() > rpc::kChunkBatchReplyCap) {
+                    group.push_back(Batch{best, {}});
+                    bytes = 0;
                 }
-                todo.back().keys.push_back(i);
+                group.back().keys.push_back(i);
+                bytes += st.slice.size();
             }
             holds.erase(best);
+        }
+    }
+    // Round-robin over the providers, so the window's first batches go
+    // to different providers rather than all to the largest one.
+    std::deque<Batch> todo;
+    for (std::size_t round = 0;; ++round) {
+        const std::size_t queued = todo.size();
+        for (std::vector<Batch>& group : groups) {
+            if (round < group.size()) {
+                todo.push_back(std::move(group[round]));
+            }
+        }
+        if (todo.size() == queued) {
+            break;
         }
     }
 

@@ -104,8 +104,8 @@ struct ClientEnv {
     std::size_t io_threads = 4;
     /// Bound on chunks a single write/read keeps in flight at once
     /// through the multiplexed transport: chunk puts for a write; for a
-    /// read, keys of its chunk-get-batch requests (one batch per chosen
-    /// provider, split at this many keys).
+    /// read, keys of its chunk-get-batch requests (per chosen provider,
+    /// split at this many keys or at a reply's byte cap).
     std::size_t max_inflight_chunks = 64;
     Duration publish_timeout = seconds(30);
     /// Deployment boot epoch for chunk-uid allocation (see next_uid():
@@ -372,11 +372,7 @@ class BlobSeerClient {
         auto promise = std::make_shared<Promise<T>>();
         Future<T> fut = promise->future();
         io_pool_.post([promise, fn = std::move(fn)]() mutable {
-            try {
-                promise->set_value(fn());
-            } catch (...) {
-                promise->set_exception(std::current_exception());
-            }
+            fulfil(*promise, fn);
         });
         return fut;
     }

@@ -98,10 +98,10 @@ inline constexpr std::uint32_t kFrameMagic = 0x42535250;  // "PRSB" LE
 /// (key, offset, size) records; the reply carries a status per key and
 /// every served slice as its own zero-copy tail, capped at
 /// kChunkBatchReplyCap payload bytes) replaces the single-chunk kChunkGet,
-/// so a read sends one request per provider it reads from. kMarkDead is
-/// retired with it: it let any client declare a provider dead without
-/// the corroboration kReportFailure applies. Tags 2 and 65 are reserved
-/// and rejected.
+/// so a read sends one request per provider it reads from and per reply
+/// cap. kMarkDead is retired with it: it let any client declare a
+/// provider dead without the corroboration kReportFailure applies. Tags
+/// 2 and 65 are reserved and rejected.
 inline constexpr std::uint8_t kWireVersion = 11;
 inline constexpr std::size_t kFrameHeaderSize = 40;
 /// Byte offset of the message-type tag (u16) within the header.

@@ -472,9 +472,13 @@ Future<ServiceClient::ChunkSlice> ServiceClient::get_chunk_async(
             if (e.status != ChunkReadStatus::kServed) {
                 throw RpcError("chunk-get-batch left its only key unserved");
             }
-            const ConstBytes bytes = batch.slice(0);
-            return ChunkSlice{Buffer(bytes.begin(), bytes.end()),
-                              e.chunk_size};
+            // Steal the response frame instead of allocating a second
+            // buffer: slide the slice to the front and shrink.
+            Buffer bytes = std::move(batch.frame);
+            std::memmove(bytes.data(), bytes.data() + batch.offsets.front(),
+                         e.length);
+            bytes.resize(e.length);
+            return ChunkSlice{std::move(bytes), e.chunk_size};
         });
 }
 
@@ -689,16 +693,7 @@ Future<void> ServiceClient::meta_put_batch_async(
 }
 
 meta::MetaNode ServiceClient::meta_get(NodeId mp, const meta::MetaKey& key) {
-    // Decoded on the calling thread, not as a .get() of meta_get_async:
-    // a failed replica is routine in a metadata walk, and its exception
-    // then never crosses threads through a future.
-    WireWriter w;
-    put_meta_key(w, key);
-    const Buffer resp = invoke(MsgType::kMetaGet, mp, std::move(w));
-    auto r = open_reply(resp, MsgType::kMetaGet);
-    auto out = get_meta_node(r);
-    r.expect_end();
-    return out;
+    return meta_get_async(mp, key).get();
 }
 
 Future<meta::MetaNode> ServiceClient::meta_get_async(

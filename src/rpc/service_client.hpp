@@ -15,15 +15,13 @@
 /// come as *_async variants returning futures: many may be in flight on
 /// one multiplexed connection, and a failed delivery surfaces as the
 /// same exception — from the future's get() instead of the call itself.
-/// The sync methods are plain .get() wrappers over them, except meta_get,
-/// which decodes on the calling thread: a metadata walk fails over
-/// replica by replica, and its exceptions then never cross threads. Metadata writes
+/// The sync methods are plain .get() wrappers over them. Metadata writes
 /// exist only as meta_put_batch_async: MetaDht sends one batch per owning
 /// provider and waits on them all. Chunk reads travel the same way as
-/// get_chunk_batch_async, one request per provider a read uses;
-/// get_chunk/get_chunk_async are one-key wrappers over it. Arguments are fully encoded before an
-/// async call returns, so callers may release payload buffers
-/// immediately.
+/// get_chunk_batch_async, one request per provider a read uses and per
+/// reply cap; get_chunk/get_chunk_async are one-key wrappers over it.
+/// Arguments are fully encoded before an async call returns, so callers
+/// may release payload buffers immediately.
 
 #pragma once
 
@@ -192,10 +190,10 @@ class ServiceClient {
         NodeId dp, std::span<const ChunkRead> reads);
 
     /// Fetch \p size bytes at \p offset of a chunk (size 0 = the whole
-    /// chunk): a batch of one key, copied out of the reply. The reply is
-    /// clamped to the stored payload; chunk_size lets the caller detect
-    /// truncated replicas. A missing chunk throws NotFoundError. Sync
-    /// form of get_chunk_async.
+    /// chunk): a batch of one key, its slice moved to the front of the
+    /// reply frame. The reply is clamped to the stored payload;
+    /// chunk_size lets the caller detect truncated replicas. A missing
+    /// chunk throws NotFoundError. Sync form of get_chunk_async.
     [[nodiscard]] ChunkSlice get_chunk(NodeId dp, const chunk::ChunkKey& key,
                                        std::uint64_t offset,
                                        std::uint64_t size);

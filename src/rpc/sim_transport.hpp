@@ -74,11 +74,8 @@ class SimTransport final : public Transport {
         pool().post(
             [this, via, dst, frame = Buffer(frame.begin(), frame.end()),
              promise] {
-                try {
-                    promise->set_value(roundtrip_via(via, dst, frame));
-                } catch (...) {
-                    promise->set_exception(std::current_exception());
-                }
+                fulfil(*promise,
+                       [&] { return roundtrip_via(via, dst, frame); });
             });
         return fut;
     }

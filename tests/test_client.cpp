@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <mutex>
 #include <set>
 
 #include "common/metrics.hpp"
+#include "rpc/messages.hpp"
 #include "rpc/sim_transport.hpp"
 #include "testing_util.hpp"
 
@@ -410,6 +412,115 @@ TEST_F(ClientFixture, ReadSendsOneBatchPerProvider) {
     expected.insert(expected.end(), tail.begin(), tail.end());
     expected.insert(expected.end(), more.begin(), more.end());
     EXPECT_EQ(read_back(blob, v, 0, expected.size()), expected);
+}
+
+/// Passes every call through and records each chunk-get-batch request:
+/// its target, its key count and the slice bytes it asks for.
+class BatchRecordingTransport final : public rpc::Transport {
+  public:
+    struct Request {
+        NodeId dst;
+        std::size_t keys;
+        std::uint64_t bytes;
+    };
+
+    explicit BatchRecordingTransport(std::shared_ptr<rpc::Transport> inner)
+        : inner_(std::move(inner)) {}
+
+    [[nodiscard]] Future<Buffer> call_async(NodeId dst,
+                                            ConstBytes frame) override {
+        record(dst, frame);
+        return inner_->call_async(dst, frame);
+    }
+    [[nodiscard]] Future<Buffer> call_async_via(NodeId via, NodeId dst,
+                                                ConstBytes frame) override {
+        record(dst, frame);
+        return inner_->call_async_via(via, dst, frame);
+    }
+    [[nodiscard]] Buffer roundtrip(NodeId dst, ConstBytes frame) override {
+        record(dst, frame);
+        return inner_->roundtrip(dst, frame);
+    }
+    [[nodiscard]] Buffer roundtrip_via(NodeId via, NodeId dst,
+                                       ConstBytes frame) override {
+        record(dst, frame);
+        return inner_->roundtrip_via(via, dst, frame);
+    }
+
+    [[nodiscard]] std::vector<Request> requests() const {
+        const std::scoped_lock lock(mu_);
+        return requests_;
+    }
+
+  private:
+    void record(NodeId dst, ConstBytes frame) {
+        const rpc::FrameView f = rpc::parse_frame(frame);
+        if (f.type != rpc::MsgType::kChunkGetBatch) {
+            return;
+        }
+        rpc::WireReader r(f.payload);
+        const std::vector<rpc::ChunkRead> reads = rpc::get_chunk_reads(r);
+        std::uint64_t bytes = 0;
+        for (const rpc::ChunkRead& rd : reads) {
+            bytes += rd.size;
+        }
+        const std::scoped_lock lock(mu_);
+        requests_.push_back({dst, reads.size(), bytes});
+    }
+
+    std::shared_ptr<rpc::Transport> inner_;
+    mutable std::mutex mu_;
+    std::vector<Request> requests_;
+};
+
+TEST_F(ClientFixture, LargeReadSplitsBatchesAtTheReplyCapAcrossProviders) {
+    // 8 MiB of 64 KiB chunks, one replica each: about 2 MiB per
+    // provider, twice a reply's cap. The client splits each provider's
+    // keys at the cap, so every key is sent once and served, and it
+    // interleaves providers, so the window's first batches reach every
+    // provider the read uses before any provider gets a second one.
+    constexpr std::uint64_t kBig = 64 << 10;
+    constexpr std::size_t kKeys = 128;
+    Blob blob = client_->create(kBig, 1);
+    const Buffer data = make_pattern(blob.id(), 1, 0, kKeys * kBig);
+    blob.write(0, data);
+
+    const NodeId self = cluster_.network().add_node("recording-client");
+    auto recorder = std::make_shared<BatchRecordingTransport>(
+        std::make_shared<rpc::SimTransport>(cluster_.network(), self,
+                                            cluster_.dispatcher()));
+    ClientEnv env;
+    env.transport = recorder;
+    env.self = self;
+    env.vm_nodes = cluster_.version_manager_nodes();
+    env.pm_node = cluster_.provider_manager_node();
+    env.meta_ring = cluster_.meta_ring();
+    env.meta_replication = cluster_.config().meta_replication;
+    env.default_replication = cluster_.config().default_replication;
+    BlobSeerClient reader(std::move(env));
+
+    Buffer out(data.size());
+    EXPECT_EQ(reader.read(blob.id(), 1, 0, out), out.size());
+    EXPECT_EQ(out, data);
+
+    const auto requests = recorder->requests();
+    std::size_t keys = 0;
+    std::set<NodeId> targets;
+    for (const auto& req : requests) {
+        EXPECT_LE(req.bytes, rpc::kChunkBatchReplyCap)
+            << "a batch asks for more than one reply serves";
+        keys += req.keys;
+        targets.insert(req.dst);
+    }
+    EXPECT_EQ(keys, kKeys) << "keys were re-sent";
+    ASSERT_GT(targets.size(), 1u);
+    ASSERT_GT(requests.size(), targets.size());
+    std::set<NodeId> first_wave;
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+        first_wave.insert(requests[i].dst);
+    }
+    EXPECT_EQ(first_wave, targets)
+        << "a provider got a second batch before every provider had one";
 }
 
 // ---- sharded version managers ---------------------------------------------

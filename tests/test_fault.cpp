@@ -174,8 +174,8 @@ TEST_P(FaultTransport, BatchedReadSurvivesMissingKeyAndDeadReplica) {
 
 TEST_P(FaultTransport, ReadPastTheBatchByteCapIsSplit) {
     // Two providers, no replication, 256 KiB chunks: a 4 MiB read asks
-    // each provider for 2 MiB, twice a reply's cap. Each first reply
-    // serves 1 MiB and leaves the rest "not served" for a re-issue.
+    // each provider for 2 MiB, twice a reply's cap: at least two
+    // batches per provider.
     auto cfg = fault_config(1, 1);
     cfg.data_providers = 2;
     make_cluster(cfg);
