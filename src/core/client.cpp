@@ -16,13 +16,6 @@ namespace blobseer::core {
 
 namespace {
 
-/// Parts above this size upload through the streaming push RPCs instead
-/// of one whole-frame put — chunk size is then bounded by provider
-/// memory, not by the wire's frame limit.
-constexpr std::size_t kStreamThresholdBytes = 4u << 20;
-/// Slice size of a streaming push (bounded per-frame memory).
-constexpr std::size_t kStreamSliceBytes = 1u << 20;
-
 /// Root span of one traced top-level operation. Mints a fresh sampled
 /// trace context, installs it for the calling thread (every nested RPC
 /// the operation issues propagates it on the wire), and records the
@@ -539,10 +532,9 @@ std::vector<BlobSeerClient::UploadedChunk> BlobSeerClient::upload_all_cas(
     // small ones ride a single async put through the window.
     auto transfer = [&](std::size_t idx, NodeId target) {
         State& st = states[idx];
-        if (st.payload.size() > kStreamThresholdBytes) {
+        if (st.payload.size() > rpc::kStreamThresholdBytes) {
             try {
-                svc_.push_chunk(target, st.key, st.payload,
-                                kStreamSliceBytes);
+                svc_.push_chunk(target, st.key, st.payload);
             } catch (const RpcError& e) {
                 handle_failure(target, e.what());
                 issue_check(idx);

@@ -104,18 +104,14 @@ class MetaDht final : public meta::MetaStore {
         }
     }
 
+    /// Ask each owner in turn; the first that holds the node answers.
+    /// Throws NotFoundError when none does, naming the last RpcError if
+    /// an owner failed to answer.
     [[nodiscard]] meta::MetaNode get(const meta::MetaKey& key) override {
-        const auto owners = ring_.owners(key.hash(), replication_);
         gets_.add();
-        std::string last_error = "no owners";
-        for (const NodeId owner : owners) {
-            try {
-                return svc_.meta_get(owner, key);
-            } catch (const RpcError& e) {
-                last_error = e.what();
-            } catch (const NotFoundError& e) {
-                last_error = e.what();
-            }
+        std::string last_error = "not found";
+        if (auto node = lookup(key, last_error)) {
+            return std::move(*node);
         }
         throw NotFoundError("metadata " + key.to_string() + " unavailable (" +
                             last_error + ")");
@@ -123,18 +119,8 @@ class MetaDht final : public meta::MetaStore {
 
     [[nodiscard]] std::optional<meta::MetaNode> try_get(
         const meta::MetaKey& key) override {
-        const auto owners = ring_.owners(key.hash(), replication_);
-        for (const NodeId owner : owners) {
-            try {
-                auto r = svc_.meta_try_get(owner, key);
-                if (r) {
-                    return r;
-                }
-            } catch (const RpcError&) {
-                // try next replica
-            }
-        }
-        return std::nullopt;
+        std::string last_error;
+        return lookup(key, last_error);
     }
 
     void erase(const meta::MetaKey& key) override {
@@ -152,6 +138,22 @@ class MetaDht final : public meta::MetaStore {
     [[nodiscard]] std::uint64_t gets() const { return gets_.get(); }
 
   private:
+    /// Try each owner of \p key in ring order; a failed owner's RpcError
+    /// text lands in \p last_error.
+    [[nodiscard]] std::optional<meta::MetaNode> lookup(
+        const meta::MetaKey& key, std::string& last_error) {
+        for (const NodeId owner : ring_.owners(key.hash(), replication_)) {
+            try {
+                if (auto node = svc_.meta_try_get(owner, key)) {
+                    return node;
+                }
+            } catch (const RpcError& e) {
+                last_error = e.what();
+            }
+        }
+        return std::nullopt;
+    }
+
     rpc::ServiceClient& svc_;
     const Ring& ring_;
     const std::uint32_t replication_;

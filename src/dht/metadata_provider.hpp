@@ -58,19 +58,6 @@ class MetadataProvider {
         }
     }
 
-    [[nodiscard]] meta::MetaNode get(const meta::MetaKey& key) {
-        service_gate_.transmit(1);
-        stats_.ops.add();
-        try {
-            meta::MetaNode node = store_->get(key);
-            stats_.bytes_out.add(node.serialized_size());
-            return node;
-        } catch (const NotFoundError&) {
-            stats_.errors.add();
-            throw;
-        }
-    }
-
     [[nodiscard]] std::optional<meta::MetaNode> try_get(
         const meta::MetaKey& key) {
         service_gate_.transmit(1);

@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -33,6 +34,12 @@
 #include "provider/location_index.hpp"
 
 namespace blobseer::provider {
+
+/// One slice of a stored chunk, borrowed from the store.
+struct ChunkSliceRef {
+    std::uint64_t chunk_size = 0;  ///< the chunk's whole stored payload
+    SharedSlice slice;             ///< the served bytes, with their pin
+};
 
 class DataProvider {
   public:
@@ -99,27 +106,43 @@ class DataProvider {
         return *data;
     }
 
-    /// Zero-copy variant of get_chunk(): borrow the payload straight
-    /// from the store (mmap'd engine segment where supported). Identical
-    /// stats/metering and NotFoundError contract.
-    [[nodiscard]] chunk::ChunkRef get_chunk_ref(const chunk::ChunkKey& key) {
+    /// Serve \p size bytes at \p offset of a chunk (size 0 = the rest of
+    /// it), clamped to the stored payload and borrowed zero-copy from
+    /// the store (mmap'd engine segment where supported). Only the bytes
+    /// served count into bytes_out and provider_read_bytes. A slice
+    /// longer than \p budget is not served and counts nothing: nullopt.
+    /// Throws NotFoundError if this replica is missing.
+    [[nodiscard]] std::optional<ChunkSliceRef> get_chunk_ref(
+        const chunk::ChunkKey& key, std::uint64_t offset, std::uint64_t size,
+        std::uint64_t budget) {
         auto ref = store_->get_ref(key);
-        stats_.ops.add();
         if (!ref) {
+            stats_.ops.add();
             stats_.errors.add();
             throw NotFoundError(key.to_string() + " on provider " +
                                 std::to_string(node_));
         }
-        stats_.bytes_out.add(ref->bytes.size());
-        read_meter_.record(ref->bytes.size());
-        return std::move(*ref);
+        const std::uint64_t total = ref->bytes.size();
+        const std::uint64_t begin = std::min(offset, total);
+        const std::uint64_t n =
+            size == 0 ? total - begin : std::min(size, total - begin);
+        if (n > budget) {
+            return std::nullopt;
+        }
+        stats_.ops.add();
+        stats_.bytes_out.add(n);
+        read_meter_.record(n);
+        return ChunkSliceRef{total, SharedSlice(ref->bytes.subspan(begin, n),
+                                                std::move(ref->keepalive))};
     }
 
     [[nodiscard]] bool has_chunk(const chunk::ChunkKey& key) {
         return store_->contains(key);
     }
 
-    /// Garbage-collect one chunk (aborted version cleanup).
+    /// Drop one chunk whatever its refcount. In-process only (fault
+    /// injection in tests): every GC path releases references with
+    /// decref_chunk instead.
     void erase_chunk(const chunk::ChunkKey& key) {
         const bool present = store_->contains(key);
         store_->erase(key);
@@ -240,60 +263,6 @@ class DataProvider {
                 note_stored(st.key, n);
             }
         }
-    }
-
-    /// Size of a stored chunk (pull bootstrap); NotFoundError if absent.
-    [[nodiscard]] std::uint64_t chunk_size(const chunk::ChunkKey& key) {
-        stats_.ops.add();
-        const auto data = store_->get(key);
-        if (!data) {
-            stats_.errors.add();
-            throw NotFoundError(key.to_string() + " on provider " +
-                                std::to_string(node_));
-        }
-        return (*data)->size();
-    }
-
-    /// Serve one range of a chunk (resumable pull); meters only the
-    /// bytes actually shipped.
-    [[nodiscard]] std::pair<std::uint64_t, chunk::ChunkData> get_chunk_range(
-        const chunk::ChunkKey& key, std::uint64_t offset,
-        std::uint64_t size) {
-        auto data = store_->get(key);
-        stats_.ops.add();
-        if (!data) {
-            stats_.errors.add();
-            throw NotFoundError(key.to_string() + " on provider " +
-                                std::to_string(node_));
-        }
-        const std::uint64_t total = (*data)->size();
-        const std::uint64_t begin = std::min(offset, total);
-        const std::uint64_t n =
-            size == 0 ? total - begin : std::min(size, total - begin);
-        stats_.bytes_out.add(n);
-        read_meter_.record(n);
-        return {total, std::move(*data)};
-    }
-
-    /// Zero-copy variant of get_chunk_range(); same range clamping and
-    /// metering (only the shipped bytes count).
-    [[nodiscard]] std::pair<std::uint64_t, chunk::ChunkRef>
-    get_chunk_range_ref(const chunk::ChunkKey& key, std::uint64_t offset,
-                        std::uint64_t size) {
-        auto ref = store_->get_ref(key);
-        stats_.ops.add();
-        if (!ref) {
-            stats_.errors.add();
-            throw NotFoundError(key.to_string() + " on provider " +
-                                std::to_string(node_));
-        }
-        const std::uint64_t total = ref->bytes.size();
-        const std::uint64_t begin = std::min(offset, total);
-        const std::uint64_t n =
-            size == 0 ? total - begin : std::min(size, total - begin);
-        stats_.bytes_out.add(n);
-        read_meter_.record(n);
-        return {total, std::move(*ref)};
     }
 
     /// Release one reference; the chunk is reclaimed at zero. Returns

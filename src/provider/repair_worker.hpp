@@ -39,10 +39,6 @@ class RepairWorker {
         /// Deployment stores chunks content-addressed: repair offers
         /// check-before-push to the destination before shipping bytes.
         bool content_addressed = false;
-        /// Chunks above this size re-replicate through the streaming
-        /// push RPCs (same threshold as the client data path).
-        std::uint64_t stream_threshold_bytes = 4u << 20;
-        std::uint64_t stream_slice_bytes = 1u << 20;
         /// Failed attempts per key within one drain before deferring.
         std::size_t max_attempts = 2;
     };
@@ -176,11 +172,10 @@ class RepairWorker {
         bool pulled = false;
         for (const NodeId source : plan.sources) {
             try {
-                if (plan.bytes > options_.stream_threshold_bytes) {
-                    payload = svc_.pull_chunk(
-                        source, key,
-                        static_cast<std::size_t>(
-                            options_.stream_slice_bytes));
+                // Chunks above the stream threshold (the client data
+                // path's) travel in slices both ways.
+                if (plan.bytes > rpc::kStreamThresholdBytes) {
+                    payload = svc_.pull_chunk(source, key);
                 } else {
                     payload = std::move(
                         svc_.get_chunk(source, key, 0, 0).bytes);
@@ -197,10 +192,8 @@ class RepairWorker {
             return false;
         }
         try {
-            if (payload.size() > options_.stream_threshold_bytes) {
-                svc_.push_chunk(plan.dest, key, ConstBytes(payload),
-                                static_cast<std::size_t>(
-                                    options_.stream_slice_bytes));
+            if (payload.size() > rpc::kStreamThresholdBytes) {
+                svc_.push_chunk(plan.dest, key, ConstBytes(payload));
             } else {
                 svc_.put_chunk(plan.dest, key, ConstBytes(payload));
             }

@@ -1,6 +1,7 @@
 #include "rpc/dispatcher.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -71,7 +72,7 @@ Buffer Dispatcher::dispatch(ConstBytes frame,
 
 RpcResponse Dispatcher::dispatch_sg(ConstBytes frame,
                                     TimePoint received_at) noexcept {
-    MsgType type = MsgType::kTopology;
+    MsgType type{};  // tag 0 answers a frame too corrupt to parse
     // The request's correlation id is echoed into whatever response —
     // success or error — leaves here, so a multiplexing transport can
     // match it. A frame too corrupt to parse keeps corr 0; its sender's
@@ -169,113 +170,64 @@ void Dispatcher::add_metadata_provider(NodeId node,
 }
 
 DispatchClass Dispatcher::dispatch_class(MsgType type) const noexcept {
+    // The run column of BLOBSEER_MESSAGES (protocol.hpp).
+    using enum DispatchClass;
+    const DispatchClass kMetaLoop = meta_gated_ ? kPool : kLoop;
     switch (type) {
-        // Bounded in-memory work plus page-cache appends (a journal
-        // record, a log record per metadata node); no fsync, no sleep,
-        // no nested RPC.
-        case MsgType::kTopology:
-        case MsgType::kBlobCreate:
-        case MsgType::kBlobClone:
-        case MsgType::kBlobCloneFrom:
-        case MsgType::kBlobInfo:
-        case MsgType::kAssign:
-        case MsgType::kCommit:
-        case MsgType::kGetVersion:
-        case MsgType::kDescriptorOf:
-        case MsgType::kPin:
-        case MsgType::kUnpin:
-        case MsgType::kPlace:
-            return DispatchClass::kLoop;
-        case MsgType::kMetaGet:
-        case MsgType::kMetaTryGet:
-        case MsgType::kMetaErase:
-        case MsgType::kMetaPutBatch:
-            return meta_gated_ ? DispatchClass::kPool : DispatchClass::kLoop;
-
-        // Blocks until publication or its timeout.
-        case MsgType::kWaitPublished:
-            return DispatchClass::kOwnThread;
-
-        // Chunk payloads, the file cache and engine reads; membership and
-        // inventory; history and retire (cost grows with history);
-        // metrics and trace dumps.
-        case MsgType::kChunkPut:
-        case MsgType::kChunkGetBatch:
-        case MsgType::kChunkErase:
-        case MsgType::kChunkCheck:
-        case MsgType::kChunkPushStart:
-        case MsgType::kChunkPushSome:
-        case MsgType::kChunkPushEnd:
-        case MsgType::kChunkPullStart:
-        case MsgType::kChunkPullSome:
-        case MsgType::kChunkDecref:
-        case MsgType::kHistory:
-        case MsgType::kRetire:
-        case MsgType::kProviderJoin:
-        case MsgType::kProviderAnnounce:
-        case MsgType::kProviderBeat:
-        case MsgType::kReportFailure:
-        case MsgType::kMetricsDump:
-        case MsgType::kTraceDump:
-            return DispatchClass::kPool;
+#define BLOBSEER_RUN(tag, name, wire, service, run) \
+    case MsgType::name:                              \
+        return run;
+        BLOBSEER_MESSAGES(BLOBSEER_RUN)
+#undef BLOBSEER_RUN
     }
-    return DispatchClass::kPool;
+    return kPool;
 }
 
 RpcResponse Dispatcher::handle(const FrameView& f) {
+    // The service column of BLOBSEER_MESSAGES (protocol.hpp).
+    enum class Service { kNone, kData, kVersionManager, kMeta,
+                         kProviderManager, kControl };
+    Service service = Service::kNone;
+    switch (f.type) {
+#define BLOBSEER_SERVICE(tag, name, wire, svc, run) \
+    case MsgType::name:                              \
+        service = Service::svc;                      \
+        break;
+        BLOBSEER_MESSAGES(BLOBSEER_SERVICE)
+#undef BLOBSEER_SERVICE
+    }
     // Fault gate: a request addressed to a node the deployment considers
     // down fails exactly like a dead simulated endpoint, so TCP clients
     // observe the same fault semantics as in-process ones.
     // Control-plane introspection (topology, metrics, traces) stays
     // reachable on a "dead" deployment — exactly when operators need it.
-    const bool control = f.type == MsgType::kTopology ||
-                         f.type == MsgType::kMetricsDump ||
-                         f.type == MsgType::kTraceDump;
-    if (fault_check_ && !control && !fault_check_(f.dst())) {
+    if (fault_check_ && service != Service::kControl &&
+        !fault_check_(f.dst())) {
         throw RpcError("target node " + std::to_string(f.dst()) +
                        " is down");
     }
-    switch (f.type) {
-        case MsgType::kChunkPut:
-        case MsgType::kChunkGetBatch:
-        case MsgType::kChunkErase:
-        case MsgType::kChunkCheck:
-        case MsgType::kChunkPushStart:
-        case MsgType::kChunkPushSome:
-        case MsgType::kChunkPushEnd:
-        case MsgType::kChunkPullStart:
-        case MsgType::kChunkPullSome:
-        case MsgType::kChunkDecref:
+    switch (service) {
+        case Service::kData:
             return handle_data_provider(f);
-
-        case MsgType::kBlobCreate:
-        case MsgType::kBlobClone:
-        case MsgType::kBlobInfo:
-        case MsgType::kAssign:
-        case MsgType::kCommit:
-        case MsgType::kGetVersion:
-        case MsgType::kWaitPublished:
-        case MsgType::kHistory:
-        case MsgType::kPin:
-        case MsgType::kUnpin:
-        case MsgType::kRetire:
-        case MsgType::kDescriptorOf:
-        case MsgType::kBlobCloneFrom:
+        case Service::kVersionManager:
             return handle_version_manager(f);
-
-        case MsgType::kMetaGet:
-        case MsgType::kMetaTryGet:
-        case MsgType::kMetaErase:
-        case MsgType::kMetaPutBatch:
+        case Service::kMeta:
             return handle_meta_provider(f);
-
-        case MsgType::kPlace:
-        case MsgType::kProviderJoin:
-        case MsgType::kProviderAnnounce:
-        case MsgType::kProviderBeat:
-        case MsgType::kReportFailure:
+        case Service::kProviderManager:
             return handle_provider_manager(f);
+        case Service::kControl:
+            return handle_control(f);
+        case Service::kNone:
+            break;
+    }
+    throw RpcError("unknown message type " +
+                   std::to_string(static_cast<unsigned>(f.type)));
+}
 
+Buffer Dispatcher::handle_control(const FrameView& f) {
+    WireReader r(f.payload);
+
+    switch (f.type) {
         case MsgType::kTopology: {
             Topology t = topology();
             t.client_id = next_client_id_.fetch_add(1);
@@ -283,17 +235,13 @@ RpcResponse Dispatcher::handle(const FrameView& f) {
             put_topology(w, t);
             return seal_response(f.type, std::move(w));
         }
-
         case MsgType::kMetricsDump: {
-            WireReader r(f.payload);
             r.expect_end();
             WireWriter w;
             put_metrics_snapshot(w, MetricsRegistry::instance().snapshot());
             return seal_response(f.type, std::move(w));
         }
-
         case MsgType::kTraceDump: {
-            WireReader r(f.payload);
             const std::uint64_t trace_id = r.u64();
             const std::uint64_t max = r.u64();
             r.expect_end();
@@ -304,9 +252,9 @@ RpcResponse Dispatcher::handle(const FrameView& f) {
                                           : max));
             return seal_response(f.type, std::move(w));
         }
+        default:
+            throw RpcError("bad control-plane message");
     }
-    throw RpcError("unknown message type " +
-                   std::to_string(static_cast<unsigned>(f.type)));
 }
 
 RpcResponse Dispatcher::handle_data_provider(const FrameView& f) {
@@ -343,50 +291,38 @@ RpcResponse Dispatcher::handle_data_provider(const FrameView& f) {
             std::uint64_t served = 0;
             bool capped = false;
             for (const ChunkRead& rd : reads) {
-                ChunkReadEntry e;
-                // A known slice size past the cap is skipped before any
-                // store work; a whole-chunk read learns its size first.
-                capped = capped || (served > 0 && rd.size != 0 &&
-                                    served + rd.size > kChunkBatchReplyCap);
-                if (capped) {
-                    put_chunk_read_entry(w, e);  // kNotServed
-                    continue;
+                ChunkReadEntry e;  // kNotServed
+                // The first served key may have any size; each later one
+                // only what is left of the cap. A known slice size past
+                // it is skipped before any store work; a whole-chunk
+                // read learns its size first.
+                const std::uint64_t budget =
+                    served == 0 ? std::numeric_limits<std::uint64_t>::max()
+                                : kChunkBatchReplyCap -
+                                      std::min(served, kChunkBatchReplyCap);
+                capped = capped || rd.size > budget;
+                if (!capped) {
+                    try {
+                        if (auto got = dp.get_chunk_ref(rd.key, rd.offset,
+                                                        rd.size, budget)) {
+                            e = {ChunkReadStatus::kServed, got->chunk_size,
+                                 got->slice.size()};
+                            served += e.length;
+                            if (e.length != 0) {
+                                tails.push_back(std::move(got->slice));
+                            }
+                        } else {
+                            capped = true;
+                        }
+                    } catch (const NotFoundError&) {
+                        e.status = ChunkReadStatus::kNotFound;
+                    }
                 }
-                chunk::ChunkRef ref;
-                try {
-                    ref = dp.get_chunk_ref(rd.key);
-                } catch (const NotFoundError&) {
-                    e.status = ChunkReadStatus::kNotFound;
-                    put_chunk_read_entry(w, e);
-                    continue;
-                }
-                const std::uint64_t total = ref.bytes.size();
-                const std::uint64_t begin = std::min(rd.offset, total);
-                const std::uint64_t n =
-                    rd.size == 0 ? total - begin
-                                 : std::min(rd.size, total - begin);
-                if (served > 0 && served + n > kChunkBatchReplyCap) {
-                    capped = true;
-                    put_chunk_read_entry(w, e);  // kNotServed
-                    continue;
-                }
-                e = {ChunkReadStatus::kServed, total, n};
                 put_chunk_read_entry(w, e);
-                served += n;
-                if (n != 0) {
-                    tails.emplace_back(ref.bytes.subspan(begin, n),
-                                       std::move(ref.keepalive));
-                }
             }
             return RpcResponse(
                 seal_response_with_tail(f.type, std::move(w), served),
                 std::move(tails));
-        }
-        case MsgType::kChunkErase: {
-            const chunk::ChunkKey key = get_chunk_key(r);
-            r.expect_end();
-            dp.erase_chunk(key);
-            return seal_response(f.type, WireWriter());
         }
         case MsgType::kChunkCheck: {
             const chunk::ChunkKey key = get_chunk_key(r);
@@ -418,30 +354,6 @@ RpcResponse Dispatcher::handle_data_provider(const FrameView& f) {
             r.expect_end();
             dp.end_push(xfer);
             return seal_response(f.type, WireWriter());
-        }
-        case MsgType::kChunkPullStart: {
-            const chunk::ChunkKey key = get_chunk_key(r);
-            r.expect_end();
-            WireWriter w;
-            w.u64(dp.chunk_size(key));
-            return seal_response(f.type, std::move(w));
-        }
-        case MsgType::kChunkPullSome: {
-            const chunk::ChunkKey key = get_chunk_key(r);
-            const std::uint64_t offset = r.u64();
-            const std::uint64_t size = r.u64();  // 0 = rest of the chunk
-            r.expect_end();
-            auto [total, ref] = dp.get_chunk_range_ref(key, offset, size);
-            const std::uint64_t begin = std::min(offset, total);
-            const std::uint64_t n =
-                size == 0 ? total - begin : std::min(size, total - begin);
-            WireWriter w(64);
-            w.u64(total);
-            w.varint(n);
-            return RpcResponse(
-                seal_response_with_tail(f.type, std::move(w), n),
-                {SharedSlice(ref.bytes.subspan(begin, n),
-                             std::move(ref.keepalive))});
         }
         case MsgType::kChunkDecref: {
             const chunk::ChunkKey key = get_chunk_key(r);
@@ -591,13 +503,6 @@ Buffer Dispatcher::handle_meta_provider(const FrameView& f) {
     WireReader r(f.payload);
 
     switch (f.type) {
-        case MsgType::kMetaGet: {
-            const meta::MetaKey key = get_meta_key(r);
-            r.expect_end();
-            WireWriter w;
-            put_meta_node(w, mp.get(key));
-            return seal_response(f.type, std::move(w));
-        }
         case MsgType::kMetaTryGet: {
             const meta::MetaKey key = get_meta_key(r);
             r.expect_end();

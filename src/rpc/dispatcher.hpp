@@ -189,11 +189,11 @@ class Dispatcher {
     [[nodiscard]] RpcResponse dispatch_sg(ConstBytes frame,
                                           TimePoint received_at) noexcept;
 
-    /// The one table deciding where a request of \p type runs. Its
-    /// switch has no default, so a new MsgType fails the build until it
-    /// is classified. Tags outside MsgType (corrupt frames) go to the
-    /// pool, as does every metadata family once a registered provider
-    /// has a nonzero service gate: that gate sleeps.
+    /// Where a request of \p type runs: the run column of the message
+    /// table (protocol.hpp BLOBSEER_MESSAGES). Tags outside the table
+    /// (retired or corrupt) go to the pool, as does every metadata
+    /// family once a registered provider has a nonzero service gate:
+    /// that gate sleeps.
     [[nodiscard]] DispatchClass dispatch_class(MsgType type) const noexcept;
 
   private:
@@ -213,6 +213,7 @@ class Dispatcher {
     [[nodiscard]] Buffer handle_version_manager(const FrameView& f);
     [[nodiscard]] Buffer handle_meta_provider(const FrameView& f);
     [[nodiscard]] Buffer handle_provider_manager(const FrameView& f);
+    [[nodiscard]] Buffer handle_control(const FrameView& f);
 
     NodeId pm_node_ = kInvalidNode;
     provider::ProviderManager* pm_ = nullptr;

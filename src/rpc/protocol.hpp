@@ -68,8 +68,9 @@ inline constexpr std::uint32_t kFrameMagic = 0x42535250;  // "PRSB" LE
 /// SHA-256-derived content key), meta-node leaves a flags byte plus the
 /// digest's high half, Topology a content_addressed flag, and the data
 /// provider block gained kChunkCheck (check-before-push dedup),
-/// streaming kChunkPushStart/Some/End, ranged kChunkPullStart/Some,
-/// kChunkDecref (refcounted GC) and kDedupStatus (retired in v9).
+/// streaming kChunkPushStart/Some/End, ranged kChunkPullStart/Some
+/// (retired in v12), kChunkDecref (refcounted GC) and kDedupStatus
+/// (retired in v9).
 /// v6: active membership — the provider manager block gained
 /// kProviderJoin / kProviderAnnounce / kProviderBeat (external provider
 /// daemons register, advertise their endpoint + inventory and heartbeat
@@ -102,7 +103,14 @@ inline constexpr std::uint32_t kFrameMagic = 0x42535250;  // "PRSB" LE
 /// cap. kMarkDead is retired with it: it let any client declare a
 /// provider dead without the corroboration kReportFailure applies. Tags
 /// 2 and 65 are reserved and rejected.
-inline constexpr std::uint8_t kWireVersion = 11;
+/// v12: one message table (BLOBSEER_MESSAGES) declares every message,
+/// and four tags that repeated another's job leave it: kChunkErase (it
+/// deleted a chunk whatever its refcount, round the kChunkDecref every
+/// GC path uses), kChunkPullStart/Some (a streamed pull is a loop of
+/// one-key ranged kChunkGetBatch reads; the first reply carries the
+/// chunk size) and kMetaGet (kMetaTryGet, with the miss thrown on the
+/// client). Tags 3, 8, 9 and 49 are reserved and rejected.
+inline constexpr std::uint8_t kWireVersion = 12;
 inline constexpr std::size_t kFrameHeaderSize = 40;
 /// Byte offset of the message-type tag (u16) within the header.
 inline constexpr std::size_t kFrameTypeOffset = 6;
@@ -130,102 +138,128 @@ inline constexpr std::uint32_t kMaxPayload = 256u << 20;
 /// worker for long.
 inline constexpr std::uint64_t kChunkBatchReplyCap = 1u << 20;
 
+/// Chunks above this size travel in slices instead of one frame: writes
+/// through the streaming push RPCs, repair pulls as a loop of ranged
+/// kChunkGetBatch reads. Chunk size is then bounded by provider memory,
+/// not by the frame limit.
+inline constexpr std::uint64_t kStreamThresholdBytes = 4u << 20;
+/// Slice size of a streamed push or pull (bounded per-frame memory).
+inline constexpr std::uint64_t kStreamSliceBytes = 1u << 20;
+static_assert(kStreamSliceBytes <= kChunkBatchReplyCap,
+              "a streamed pull slice must fit in one batch reply");
+
 /// Destination pseudo-node for control-plane requests (kTopology). Not a
 /// real cluster node: transports route it to the deployment's dispatcher
 /// without charging any per-node wire cost.
 inline constexpr NodeId kControlNode = 0xfffffffeu;
 
-/// Every request/response type in the protocol. Values are wire ABI: new
-/// types must be appended within their service block, never renumbered.
-enum class MsgType : std::uint16_t {
-    // data provider service
-    kChunkPut = 1,
-    // 2 reserved: v10 single-chunk get (a kChunkGetBatch of one since v11)
-    kChunkErase = 3,
-    kChunkCheck = 4,
-    kChunkPushStart = 5,
-    kChunkPushSome = 6,
-    kChunkPushEnd = 7,
-    kChunkPullStart = 8,
-    kChunkPullSome = 9,
-    kChunkDecref = 10,
-    // 11 reserved: v8 dedup-status (served by kMetricsDump since v9)
-    kChunkGetBatch = 12,
+/// The message table (DESIGN.md §7.2): one row per live message and the
+/// only place a message is declared. Columns:
+///   tag      wire ABI (u16): appended within its service block, never
+///            renumbered, never reused once retired
+///   name     the MsgType enumerator
+///   wire     the op name of to_string, metrics labels and trace spans
+///   service  where Dispatcher::handle routes it: kData (data provider),
+///            kVersionManager, kMeta (metadata provider),
+///            kProviderManager, or kControl (introspection that stays
+///            reachable on a node the fault gate calls down)
+///   run      where a server runs its handler (Dispatcher::dispatch_class,
+///            DESIGN.md §15.1): kLoop for bounded in-memory work plus
+///            page-cache appends (a journal record, a log record per
+///            metadata node; no fsync, no sleep, no nested RPC); kPool for
+///            chunk payloads, the file cache and engine reads, membership
+///            and inventory, history and retire (their cost grows with
+///            history), metrics and trace dumps; kOwnThread for a handler
+///            that blocks by design (until publication or its timeout);
+///            kMetaLoop for the metadata families — the loop unless a
+///            registered metadata provider is gated, since its gate sleeps
+/// Expanded here (MsgType, to_string) and in dispatcher.cpp
+/// (dispatch_class, the routing switch).
+#define BLOBSEER_MESSAGES(X)                                              \
+    X(1, kChunkPut, "chunk-put", kData, kPool)                            \
+    X(4, kChunkCheck, "chunk-check", kData, kPool)                        \
+    X(5, kChunkPushStart, "chunk-push-start", kData, kPool)               \
+    X(6, kChunkPushSome, "chunk-push-some", kData, kPool)                 \
+    X(7, kChunkPushEnd, "chunk-push-end", kData, kPool)                   \
+    X(10, kChunkDecref, "chunk-decref", kData, kPool)                     \
+    X(12, kChunkGetBatch, "chunk-get-batch", kData, kPool)                \
+    X(16, kBlobCreate, "blob-create", kVersionManager, kLoop)             \
+    X(17, kBlobClone, "blob-clone", kVersionManager, kLoop)               \
+    X(18, kBlobInfo, "blob-info", kVersionManager, kLoop)                 \
+    X(19, kAssign, "assign", kVersionManager, kLoop)                      \
+    X(20, kCommit, "commit", kVersionManager, kLoop)                      \
+    X(21, kGetVersion, "get-version", kVersionManager, kLoop)             \
+    X(22, kWaitPublished, "wait-published", kVersionManager, kOwnThread)  \
+    X(23, kHistory, "history", kVersionManager, kPool)                    \
+    X(24, kPin, "pin", kVersionManager, kLoop)                            \
+    X(25, kUnpin, "unpin", kVersionManager, kLoop)                        \
+    X(26, kRetire, "retire", kVersionManager, kPool)                      \
+    X(27, kDescriptorOf, "descriptor-of", kVersionManager, kLoop)         \
+    X(28, kBlobCloneFrom, "blob-clone-from", kVersionManager, kLoop)      \
+    X(50, kMetaTryGet, "meta-try-get", kMeta, kMetaLoop)                  \
+    X(51, kMetaErase, "meta-erase", kMeta, kMetaLoop)                     \
+    X(52, kMetaPutBatch, "meta-put-batch", kMeta, kMetaLoop)              \
+    X(64, kPlace, "place", kProviderManager, kLoop)                       \
+    X(66, kProviderJoin, "provider-join", kProviderManager, kPool)        \
+    X(67, kProviderAnnounce, "provider-announce", kProviderManager, kPool) \
+    X(68, kProviderBeat, "provider-beat", kProviderManager, kPool)        \
+    X(69, kReportFailure, "report-failure", kProviderManager, kPool)      \
+    X(80, kTopology, "topology", kControl, kLoop)                         \
+    X(81, kMetricsDump, "metrics-dump", kControl, kPool)                  \
+    X(82, kTraceDump, "trace-dump", kControl, kPool)
 
-    // version manager service
-    kBlobCreate = 16,
-    kBlobClone = 17,
-    kBlobInfo = 18,
-    kAssign = 19,
-    kCommit = 20,
-    kGetVersion = 21,
-    kWaitPublished = 22,
-    kHistory = 23,
-    kPin = 24,
-    kUnpin = 25,
-    kRetire = 26,
-    kDescriptorOf = 27,
-    kBlobCloneFrom = 28,
-    // 29 reserved: v9 vm-status (served by kMetricsDump since v10)
-
-    // metadata DHT member service (48 reserved: v7 single-node put)
-    kMetaGet = 49,
-    kMetaTryGet = 50,
-    kMetaErase = 51,
-    kMetaPutBatch = 52,
-
-    // provider manager service
-    kPlace = 64,
-    // 65 reserved: v10 mark-dead (uncorroborated; kReportFailure since v11)
-    kProviderJoin = 66,
-    kProviderAnnounce = 67,
-    kProviderBeat = 68,
-    kReportFailure = 69,
-    // 70 reserved: v9 repair-status (served by kMetricsDump since v10)
-
-    // control plane
-    kTopology = 80,
-    kMetricsDump = 81,
-    kTraceDump = 82,
+/// A tag that left the table. It stays reserved: a frame carrying it is
+/// an unknown message, rejected with kRpcError.
+struct RetiredTag {
+    std::uint16_t tag;
+    std::uint8_t wire_version;  ///< the version that retired it
 };
 
+inline constexpr RetiredTag kRetiredTags[] = {
+    {2, 11},   // chunk-get: a kChunkGetBatch of one
+    {3, 12},   // chunk-erase: deleted whatever the refcount; GC decrefs
+    {8, 12},   // chunk-pull-start: a kChunkGetBatch reply carries the size
+    {9, 12},   // chunk-pull-some: a ranged one-key kChunkGetBatch
+    {11, 9},   // dedup-status: served by kMetricsDump
+    {29, 10},  // vm-status: served by kMetricsDump
+    {48, 8},   // meta-put: a kMetaPutBatch of one
+    {49, 12},  // meta-get: kMetaTryGet, the miss thrown client-side
+    {65, 11},  // mark-dead: uncorroborated; kReportFailure replaces it
+    {70, 10},  // repair-status: served by kMetricsDump
+};
+
+/// Every request/response type in the protocol (rows of BLOBSEER_MESSAGES).
+enum class MsgType : std::uint16_t {
+#define BLOBSEER_ENUMERATOR(tag, name, wire, service, run) name = tag,
+    BLOBSEER_MESSAGES(BLOBSEER_ENUMERATOR)
+#undef BLOBSEER_ENUMERATOR
+};
+
+static_assert(
+    [] {
+        for (const auto live : {
+#define BLOBSEER_TAG(tag, name, wire, service, run) tag,
+                 BLOBSEER_MESSAGES(BLOBSEER_TAG)
+#undef BLOBSEER_TAG
+             }) {
+            for (const RetiredTag& r : kRetiredTags) {
+                if (r.tag == live) {
+                    return false;
+                }
+            }
+        }
+        return true;
+    }(),
+    "a live message reuses a retired tag");
+
+/// The wire name of \p t; "?" for a tag the table does not list.
 [[nodiscard]] inline const char* to_string(MsgType t) noexcept {
     switch (t) {
-        case MsgType::kChunkPut: return "chunk-put";
-        case MsgType::kChunkErase: return "chunk-erase";
-        case MsgType::kChunkCheck: return "chunk-check";
-        case MsgType::kChunkPushStart: return "chunk-push-start";
-        case MsgType::kChunkPushSome: return "chunk-push-some";
-        case MsgType::kChunkPushEnd: return "chunk-push-end";
-        case MsgType::kChunkPullStart: return "chunk-pull-start";
-        case MsgType::kChunkPullSome: return "chunk-pull-some";
-        case MsgType::kChunkDecref: return "chunk-decref";
-        case MsgType::kChunkGetBatch: return "chunk-get-batch";
-        case MsgType::kBlobCreate: return "blob-create";
-        case MsgType::kBlobClone: return "blob-clone";
-        case MsgType::kBlobInfo: return "blob-info";
-        case MsgType::kAssign: return "assign";
-        case MsgType::kCommit: return "commit";
-        case MsgType::kGetVersion: return "get-version";
-        case MsgType::kWaitPublished: return "wait-published";
-        case MsgType::kHistory: return "history";
-        case MsgType::kPin: return "pin";
-        case MsgType::kUnpin: return "unpin";
-        case MsgType::kRetire: return "retire";
-        case MsgType::kDescriptorOf: return "descriptor-of";
-        case MsgType::kBlobCloneFrom: return "blob-clone-from";
-        case MsgType::kMetaGet: return "meta-get";
-        case MsgType::kMetaTryGet: return "meta-try-get";
-        case MsgType::kMetaErase: return "meta-erase";
-        case MsgType::kMetaPutBatch: return "meta-put-batch";
-        case MsgType::kPlace: return "place";
-        case MsgType::kProviderJoin: return "provider-join";
-        case MsgType::kProviderAnnounce: return "provider-announce";
-        case MsgType::kProviderBeat: return "provider-beat";
-        case MsgType::kReportFailure: return "report-failure";
-        case MsgType::kTopology: return "topology";
-        case MsgType::kMetricsDump: return "metrics-dump";
-        case MsgType::kTraceDump: return "trace-dump";
+#define BLOBSEER_WIRE_NAME(tag, name, wire, service, run) \
+    case MsgType::name:                                    \
+        return wire;
+        BLOBSEER_MESSAGES(BLOBSEER_WIRE_NAME)
+#undef BLOBSEER_WIRE_NAME
     }
     return "?";
 }
@@ -263,7 +297,7 @@ enum class Status : std::uint32_t {
 
 /// Parsed view of one frame; payload borrows the frame buffer.
 struct FrameView {
-    MsgType type = MsgType::kTopology;
+    MsgType type{};  // tag 0: no message (an unparsed frame)
     bool response = false;
     /// Request: destination node id. Response: Status.
     std::uint32_t dst_or_status = 0;

@@ -528,13 +528,6 @@ Future<ServiceClient::ChunkBatch> ServiceClient::get_chunk_batch_async(
         });
 }
 
-void ServiceClient::erase_chunk(NodeId dp, const chunk::ChunkKey& key) {
-    WireWriter w;
-    put_chunk_key(w, key);
-    const Buffer resp = invoke(MsgType::kChunkErase, dp, std::move(w));
-    open_reply(resp, MsgType::kChunkErase).expect_end();
-}
-
 // ---- content-addressed data-provider operations ----------------------------
 
 bool ServiceClient::check_chunk(NodeId dp, const chunk::ChunkKey& key,
@@ -592,64 +585,24 @@ void ServiceClient::push_end(NodeId dp, std::uint64_t xfer) {
 }
 
 void ServiceClient::push_chunk(NodeId dp, const chunk::ChunkKey& key,
-                               ConstBytes payload, std::size_t slice_bytes,
-                               NodeId via) {
-    if (slice_bytes == 0) {
-        throw InvalidArgument("push_chunk: zero slice size");
-    }
+                               ConstBytes payload, NodeId via) {
     const std::uint64_t xfer = push_start(dp, key, payload.size());
-    for (std::size_t off = 0; off < payload.size(); off += slice_bytes) {
-        const std::size_t n = std::min(slice_bytes, payload.size() - off);
+    for (std::size_t off = 0; off < payload.size(); off += kStreamSliceBytes) {
+        const std::size_t n = std::min<std::size_t>(kStreamSliceBytes,
+                                                    payload.size() - off);
         push_some(dp, xfer, off, payload.subspan(off, n), via);
     }
     push_end(dp, xfer);
 }
 
-std::uint64_t ServiceClient::pull_start(NodeId dp,
-                                        const chunk::ChunkKey& key) {
-    WireWriter w;
-    put_chunk_key(w, key);
-    const Buffer resp = invoke(MsgType::kChunkPullStart, dp, std::move(w));
-    auto r = open_reply(resp, MsgType::kChunkPullStart);
-    const std::uint64_t total = r.u64();
-    r.expect_end();
-    return total;
-}
-
-ServiceClient::ChunkSlice ServiceClient::pull_some(NodeId dp,
-                                                   const chunk::ChunkKey& key,
-                                                   std::uint64_t offset,
-                                                   std::uint64_t size) {
-    WireWriter w;
-    put_chunk_key(w, key);
-    w.u64(offset);
-    w.u64(size);
-    Buffer resp = invoke(MsgType::kChunkPullSome, dp, std::move(w));
-    auto r = open_reply(resp, MsgType::kChunkPullSome);
-    ChunkSlice out;
-    out.chunk_size = r.u64();
-    const ConstBytes bytes = r.blob();
-    r.expect_end();
-    const std::size_t off =
-        static_cast<std::size_t>(bytes.data() - resp.data());
-    std::memmove(resp.data(), resp.data() + off, bytes.size());
-    resp.resize(bytes.size());
-    out.bytes = std::move(resp);
-    return out;
-}
-
-Buffer ServiceClient::pull_chunk(NodeId dp, const chunk::ChunkKey& key,
-                                 std::size_t slice_bytes) {
-    if (slice_bytes == 0) {
-        throw InvalidArgument("pull_chunk: zero slice size");
-    }
-    Buffer out;
-    const std::uint64_t total = pull_start(dp, key);
-    out.reserve(total);
-    while (out.size() < total) {
-        const std::uint64_t n =
-            std::min<std::uint64_t>(slice_bytes, total - out.size());
-        ChunkSlice slice = pull_some(dp, key, out.size(), n);
+Buffer ServiceClient::pull_chunk(NodeId dp, const chunk::ChunkKey& key) {
+    // The first slice's reply carries the chunk size.
+    ChunkSlice first = get_chunk(dp, key, 0, kStreamSliceBytes);
+    Buffer out = std::move(first.bytes);
+    out.reserve(first.chunk_size);
+    while (out.size() < first.chunk_size) {
+        const ChunkSlice slice =
+            get_chunk(dp, key, out.size(), kStreamSliceBytes);
         if (slice.bytes.empty()) {
             throw ConsistencyError("pull of " + key.to_string() +
                                    " stalled at offset " +
@@ -689,24 +642,6 @@ Future<void> ServiceClient::meta_put_batch_async(
         invoke_async(MsgType::kMetaPutBatch, mp, std::move(w)),
         [](Buffer&& resp) {
             open_reply(resp, MsgType::kMetaPutBatch).expect_end();
-        });
-}
-
-meta::MetaNode ServiceClient::meta_get(NodeId mp, const meta::MetaKey& key) {
-    return meta_get_async(mp, key).get();
-}
-
-Future<meta::MetaNode> ServiceClient::meta_get_async(
-    NodeId mp, const meta::MetaKey& key) {
-    WireWriter w;
-    put_meta_key(w, key);
-    return map_future<meta::MetaNode>(
-        invoke_async(MsgType::kMetaGet, mp, std::move(w)),
-        [](Buffer&& resp) {
-            auto r = open_reply(resp, MsgType::kMetaGet);
-            auto out = get_meta_node(r);
-            r.expect_end();
-            return out;
         });
 }
 

@@ -11,13 +11,15 @@
 /// failed, fail over", NotFoundError means "the replica lacks the data",
 /// and so on.
 ///
-/// The hot data-path RPCs (put_chunk, get_chunk, meta_get) additionally
-/// come as *_async variants returning futures: many may be in flight on
-/// one multiplexed connection, and a failed delivery surfaces as the
-/// same exception — from the future's get() instead of the call itself.
-/// The sync methods are plain .get() wrappers over them. Metadata writes
-/// exist only as meta_put_batch_async: MetaDht sends one batch per owning
-/// provider and waits on them all. Chunk reads travel the same way as
+/// The hot data-path RPCs (put_chunk, get_chunk, check_chunk,
+/// chunk_decref) additionally come as *_async variants returning
+/// futures: many may be in flight on one multiplexed connection, and a
+/// failed delivery surfaces as the same exception — from the future's
+/// get() instead of the call itself. The sync methods are plain .get()
+/// wrappers over them. Metadata reads are meta_try_get alone (MetaDht
+/// throws the miss); metadata writes exist only as meta_put_batch_async:
+/// MetaDht sends one batch per owning provider and waits on them all.
+/// Chunk reads travel the same way as
 /// get_chunk_batch_async, one request per provider a read uses and per
 /// reply cap; get_chunk/get_chunk_async are one-key wrappers over it.
 /// Arguments are fully encoded before an async call returns, so callers
@@ -203,8 +205,6 @@ class ServiceClient {
         NodeId dp, const chunk::ChunkKey& key, std::uint64_t offset,
         std::uint64_t size);
 
-    void erase_chunk(NodeId dp, const chunk::ChunkKey& key);
-
     // ---- content-addressed data-provider operations (protocol v5) --------
 
     /// Check-before-push: true iff \p dp already holds the chunk. On a
@@ -230,20 +230,15 @@ class ServiceClient {
                    ConstBytes bytes, NodeId via = kInvalidNode);
     void push_end(NodeId dp, std::uint64_t xfer);
 
-    /// Whole streaming upload: push \p payload in \p slice_bytes frames.
+    /// Whole streaming upload: push \p payload in kStreamSliceBytes
+    /// frames.
     void push_chunk(NodeId dp, const chunk::ChunkKey& key, ConstBytes payload,
-                    std::size_t slice_bytes, NodeId via = kInvalidNode);
+                    NodeId via = kInvalidNode);
 
-    /// Ranged resumable download: size of the stored chunk, then slices.
-    [[nodiscard]] std::uint64_t pull_start(NodeId dp,
-                                           const chunk::ChunkKey& key);
-    [[nodiscard]] ChunkSlice pull_some(NodeId dp, const chunk::ChunkKey& key,
-                                       std::uint64_t offset,
-                                       std::uint64_t size);
-
-    /// Whole streaming download in \p slice_bytes frames.
-    [[nodiscard]] Buffer pull_chunk(NodeId dp, const chunk::ChunkKey& key,
-                                    std::size_t slice_bytes);
+    /// Whole streaming download: a loop of one-key ranged get_chunk
+    /// reads of kStreamSliceBytes each (the first reply carries the
+    /// chunk size).
+    [[nodiscard]] Buffer pull_chunk(NodeId dp, const chunk::ChunkKey& key);
 
     /// Release one reference to a chunk; returns the remaining count
     /// (0 = the provider reclaimed it).
@@ -257,9 +252,6 @@ class ServiceClient {
     /// a version that provider owns) in one request.
     [[nodiscard]] Future<void> meta_put_batch_async(
         NodeId mp, std::span<const meta::KeyedNode> nodes);
-    [[nodiscard]] meta::MetaNode meta_get(NodeId mp, const meta::MetaKey& key);
-    [[nodiscard]] Future<meta::MetaNode> meta_get_async(
-        NodeId mp, const meta::MetaKey& key);
     [[nodiscard]] std::optional<meta::MetaNode> meta_try_get(
         NodeId mp, const meta::MetaKey& key);
     void meta_erase(NodeId mp, const meta::MetaKey& key);

@@ -10,11 +10,13 @@
 #include <algorithm>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "common/metrics.hpp"
 #include "provider/provider_manager.hpp"
 #include "provider/repair_queue.hpp"
 #include "qos/failure_schedule.hpp"
+#include "rpc/protocol.hpp"
 #include "testing_util.hpp"
 
 namespace blobseer::core {
@@ -272,6 +274,42 @@ TEST(Repair, DrainRestoresReplicasAfterKillWithDataLoss) {
     // still read back byte-identical.
     std::size_t second = (victim + 1) % cluster.data_provider_count();
     cluster.kill_data_provider(second, /*lose_volatile=*/true);
+    auto reader = cluster.make_client();
+    Buffer out(data.size());
+    EXPECT_EQ(reader->read(blob.id(), 1, 0, out), data.size());
+    EXPECT_EQ(out, data);
+}
+
+TEST(Repair, StreamedPullRestoresLargeChunk) {
+    // A chunk above the stream threshold re-replicates as a loop of
+    // ranged one-key chunk-get-batch reads (1 MiB each) and a streamed
+    // push.
+    constexpr std::uint64_t kBig = 8u << 20;
+    static_assert(kBig > rpc::kStreamThresholdBytes);
+    Cluster cluster(repair_config(4, 2));
+    auto client = cluster.make_client();
+    Blob blob = client->create(kBig, 2);
+    const Buffer data = make_pattern(blob.id(), 1, 0, kBig);
+    blob.write(0, data);
+
+    std::vector<std::size_t> holders;
+    for (std::size_t i = 0; i < cluster.data_provider_count(); ++i) {
+        if (cluster.data_provider(i).stored_bytes() != 0) {
+            holders.push_back(i);
+        }
+    }
+    ASSERT_EQ(holders.size(), 2u);
+    cluster.kill_data_provider(holders[0], /*lose_volatile=*/true);
+
+    Counter& batch_gets = MetricsRegistry::instance().counter(
+        "rpc_server_requests_total", {{"op", "chunk-get-batch"}});
+    const std::uint64_t before = batch_gets.get();
+    EXPECT_EQ(cluster.drain_repairs(), 1u);
+    EXPECT_GE(batch_gets.get() - before, kBig / rpc::kStreamSliceBytes);
+    EXPECT_EQ(live_index_replicas(cluster), 0u);
+
+    // Only the new replica is left: it must read back byte-exact.
+    cluster.kill_data_provider(holders[1], /*lose_volatile=*/true);
     auto reader = cluster.make_client();
     Buffer out(data.size());
     EXPECT_EQ(reader->read(blob.id(), 1, 0, out), data.size());

@@ -112,12 +112,12 @@ void put_one(MetadataProvider& mp, const meta::MetaKey& key,
 TEST(MetadataProvider, PutGetErase) {
     MetadataProvider mp(0, 0);
     put_one(mp, key_of(1), meta::MetaNode::leaf({NodeId{3}}, 77, 8));
-    const auto node = mp.get(key_of(1));
-    EXPECT_TRUE(node.is_leaf());
-    EXPECT_EQ(node.chunk_uid, 77u);
+    const auto node = mp.try_get(key_of(1));
+    ASSERT_TRUE(node.has_value());
+    EXPECT_TRUE(node->is_leaf());
+    EXPECT_EQ(node->chunk_uid, 77u);
     EXPECT_EQ(mp.stored_nodes(), 1u);
     mp.erase(key_of(1));
-    EXPECT_THROW((void)mp.get(key_of(1)), NotFoundError);
     EXPECT_FALSE(mp.try_get(key_of(1)).has_value());
 }
 
@@ -157,10 +157,11 @@ TEST(MetadataProvider, BatchChargesCapacityPerNode) {
 TEST(MetadataProvider, StatsCount) {
     MetadataProvider mp(0, 0);
     put_one(mp, key_of(1), meta::MetaNode::inner({}, {}));
-    (void)mp.get(key_of(1));
-    EXPECT_THROW((void)mp.get(key_of(2)), NotFoundError);
+    EXPECT_TRUE(mp.try_get(key_of(1)).has_value());
+    EXPECT_FALSE(mp.try_get(key_of(2)).has_value());
     EXPECT_EQ(mp.stats().ops.get(), 3u);
-    EXPECT_EQ(mp.stats().errors.get(), 1u);
+    // A miss is an answer, not a failure.
+    EXPECT_EQ(mp.stats().errors.get(), 0u);
 }
 
 }  // namespace

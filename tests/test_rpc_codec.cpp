@@ -485,7 +485,7 @@ TEST_F(MetaBatchFrame, StoresEveryRecord) {
     put_meta_batch(w, three_nodes());
     EXPECT_EQ(send(MsgType::kMetaPutBatch, w.take()), Status::kOk);
     EXPECT_EQ(mp_.stored_nodes(), 3u);
-    EXPECT_EQ(mp_.get(meta::MetaKey{1, 2, {1, 1}}).chunk_uid, 2u);
+    EXPECT_EQ(mp_.try_get(meta::MetaKey{1, 2, {1, 1}}).value().chunk_uid, 2u);
 }
 
 TEST_F(MetaBatchFrame, TruncatedRecordStoresNothing) {
@@ -675,28 +675,49 @@ TEST(RetiredTag, StatusTagsRejected) {
     // Tag 2 (v10 single-chunk get) is a chunk-get-batch of one since
     // v11, and tag 65 (v10 mark-dead) is gone: a client reports a
     // suspect with kReportFailure, which the manager corroborates.
+    // Since v12, tag 3 (chunk-erase) is gone — GC releases references
+    // with chunk-decref — tags 8 and 9 (chunk-pull-start/-some) are a
+    // ranged one-key chunk-get-batch, and tag 49 (meta-get) is a
+    // meta-try-get whose miss the client throws. Each is sent with its
+    // v11 body.
     provider::DataProvider dp(3, std::make_unique<chunk::RamStore>());
-    dp.put_chunk(chunk::ChunkKey{1, 1},
-                 std::make_shared<const Buffer>(Buffer(64, 7)));
+    const chunk::ChunkKey key{1, 1};
+    dp.put_chunk(key, std::make_shared<const Buffer>(Buffer(64, 7)));
     version::VersionManager vm;
     provider::ProviderManager pm(provider::PlacementStrategy::kRoundRobin);
     pm.register_provider(dp.node());
+    dht::MetadataProvider mp(4, 0);
+    const meta::KeyedNode node{meta::MetaKey{1, 1, {0, 1}},
+                               meta::MetaNode::leaf({3}, 1, 64)};
+    mp.put_many({&node, 1});
     Dispatcher d;
     d.add_data_provider(dp.node(), &dp);
     d.add_version_manager(1, &vm);
     d.set_provider_manager(2, &pm);
-    WireWriter get;  // the v10 kChunkGet body: key, offset, size
-    put_chunk_key(get, chunk::ChunkKey{1, 1});
+    d.add_metadata_provider(mp.node(), &mp);
+    // The v10 kChunkGet and v11 kChunkPullSome body: key, offset, size.
+    WireWriter get;
+    put_chunk_key(get, key);
     get.u64(0);
     get.u64(0);
     const Buffer get_body = get.take();
+    WireWriter key_only;  // the v11 kChunkErase and kChunkPullStart body
+    put_chunk_key(key_only, key);
+    const Buffer key_body = key_only.take();
+    WireWriter meta_get;  // the v11 kMetaGet body: the node key
+    put_meta_key(meta_get, node.key);
+    const Buffer meta_body = meta_get.take();
     WireWriter dead;  // the v10 kMarkDead body: the node id
     dead.u32(dp.node());
     const Buffer dead_body = dead.take();
-    for (const auto& [tag, node, body] :
+    for (const auto& [tag, dst, body] :
          {std::tuple{2, dp.node(), get_body},
+          std::tuple{3, dp.node(), key_body},
+          std::tuple{8, dp.node(), key_body},
+          std::tuple{9, dp.node(), get_body},
           std::tuple{11, dp.node(), Buffer{}},
           std::tuple{29, NodeId{1}, Buffer{}},
+          std::tuple{49, mp.node(), meta_body},
           std::tuple{65, NodeId{2}, dead_body},
           std::tuple{70, NodeId{2}, Buffer{}}}) {
         const auto type = static_cast<MsgType>(tag);
@@ -704,10 +725,12 @@ TEST(RetiredTag, StatusTagsRejected) {
         EXPECT_EQ(d.dispatch_class(type), DispatchClass::kPool);
         WireWriter w;
         w.raw(body);
-        const Buffer resp = d.dispatch(seal_request(type, node, std::move(w)));
+        const Buffer resp = d.dispatch(seal_request(type, dst, std::move(w)));
         EXPECT_EQ(parse_frame(resp).status(), Status::kRpcError) << tag;
     }
     EXPECT_TRUE(pm.is_alive(dp.node())) << "a retired mark-dead took effect";
+    ASSERT_TRUE(dp.has_chunk(key)) << "a retired chunk-erase took effect";
+    EXPECT_EQ(dp.get_chunk(key)->size(), 64u);
 }
 
 // ---- v7 header layout (wire ABI pin) -----------------------------------------
@@ -715,7 +738,7 @@ TEST(RetiredTag, StatusTagsRejected) {
 TEST(FrameV7, GoldenHeaderLayout) {
     // Byte-exact pin of the 40-byte v7 header. If this test breaks, the
     // wire ABI changed: bump kWireVersion and update DESIGN.md §7.
-    static_assert(kWireVersion == 11);
+    static_assert(kWireVersion == 12);
     static_assert(kFrameHeaderSize == 40);
     static_assert(kFrameTypeOffset == 6);
     static_assert(kFrameLenOffset == 12);
@@ -736,7 +759,7 @@ TEST(FrameV7, GoldenHeaderLayout) {
     ASSERT_EQ(frame.size(), kFrameHeaderSize + 8);
     const std::uint8_t expected_header[kFrameHeaderSize] = {
         0x50, 0x52, 0x53, 0x42,  //  0: magic "PRSB" little-endian
-        0x0b,                    //  4: wire version
+        0x0c,                    //  4: wire version
         0x00,                    //  5: kind = request
         0x15, 0x00,              //  6: MsgType::kGetVersion tag (21)
         0x0d, 0x0c, 0x0b, 0x0a,  //  8: destination node id
@@ -773,7 +796,7 @@ std::vector<MsgType> all_types() {
 TEST(DispatchClass, EveryTagHasExactlyOneClass) {
     const Dispatcher d;
     const std::vector<MsgType> types = all_types();
-    ASSERT_EQ(types.size(), 35u);
+    ASSERT_EQ(types.size(), 31u);
     std::set<std::string> loop;
     std::set<std::string> own_thread;
     for (const MsgType t : types) {
@@ -792,8 +815,8 @@ TEST(DispatchClass, EveryTagHasExactlyOneClass) {
     const std::set<std::string> expected_loop = {
         "topology",      "blob-create",  "blob-clone",  "blob-clone-from",
         "blob-info",     "assign",       "commit",      "get-version",
-        "descriptor-of", "pin",          "unpin",       "meta-get",
-        "meta-try-get",  "meta-erase",   "meta-put-batch", "place"};
+        "descriptor-of", "pin",          "unpin",       "meta-try-get",
+        "meta-erase",    "meta-put-batch", "place"};
     EXPECT_EQ(loop, expected_loop);
     EXPECT_EQ(own_thread, std::set<std::string>{"wait-published"});
     // Unknown or retired tags (corrupt frames) keep the pool; see also
@@ -818,7 +841,7 @@ TEST(DispatchClass, BlockingOrUnboundedFamiliesNeverRunOnTheLoop) {
             never.push_back(t);
         }
     }
-    ASSERT_EQ(never.size(), 8u + 10u);  // ten chunk-* families
+    ASSERT_EQ(never.size(), 8u + 7u);  // seven chunk-* families
     for (const MsgType t : never) {
         EXPECT_NE(d.dispatch_class(t), DispatchClass::kLoop) << to_string(t);
     }
@@ -829,7 +852,7 @@ TEST(DispatchClass, GatedMetadataProviderKeepsMetaFamiliesOffTheLoop) {
     // simulator benches) sleeps in every op. A dispatcher fronting such
     // a provider sends the metadata families to the pool; without a gate
     // they run inline.
-    const std::vector<MsgType> meta = {MsgType::kMetaGet, MsgType::kMetaTryGet,
+    const std::vector<MsgType> meta = {MsgType::kMetaTryGet,
                                        MsgType::kMetaErase,
                                        MsgType::kMetaPutBatch};
     dht::MetadataProvider free_mp(7, 0);

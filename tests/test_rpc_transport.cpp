@@ -113,8 +113,24 @@ TEST_P(TransportConformance, ChunkRoundTrip) {
     EXPECT_EQ(0, std::memcmp(slice.bytes.data(), payload.data() + 5000,
                              1000));
 
-    svc_->erase_chunk(dp, key);
+    cluster_->data_provider(0).erase_chunk(key);
     EXPECT_THROW((void)svc_->get_chunk(dp, key, 0, 0), NotFoundError);
+}
+
+TEST_P(TransportConformance, RangedReadCountsOnlyTheBytesItShips) {
+    const NodeId dp = cluster_->data_provider(0).node();
+    const chunk::ChunkKey key{7, 43};
+    svc_->put_chunk(dp, key, make_pattern(7, 2, 0, 10000));
+    const auto read_bytes = [&] {
+        return sum_series(MetricsRegistry::instance().snapshot(),
+                          "provider_read_bytes",
+                          {"node", std::to_string(dp)});
+    };
+    const std::uint64_t before = read_bytes();
+    const auto slice = svc_->get_chunk(dp, key, 5000, 1000);
+    ASSERT_EQ(slice.bytes.size(), 1000u);
+    EXPECT_EQ(slice.chunk_size, 10000u);
+    EXPECT_EQ(read_bytes() - before, 1000u);
 }
 
 TEST_P(TransportConformance, ChunkBatchServesEveryKeyWithoutCopies) {
@@ -163,14 +179,14 @@ TEST_P(TransportConformance, MetaRoundTrip) {
         {key, node},
         {meta::MetaKey{3, 1, {4, 4}}, meta::MetaNode::inner({3, 1}, {})}};
     svc_->meta_put_batch_async(mp, batch).get();
-    EXPECT_FALSE(svc_->meta_get(mp, batch[1].key).is_leaf());
-    const auto got = svc_->meta_get(mp, key);
-    EXPECT_TRUE(got.is_leaf());
-    EXPECT_EQ(got.chunk_uid, 99u);
-    EXPECT_EQ(got.replicas, (std::vector<NodeId>{1, 2}));
-    EXPECT_TRUE(svc_->meta_try_get(mp, key).has_value());
+    EXPECT_FALSE(svc_->meta_try_get(mp, batch[1].key).value().is_leaf());
+    const auto got = svc_->meta_try_get(mp, key);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_TRUE(got->is_leaf());
+    EXPECT_EQ(got->chunk_uid, 99u);
+    EXPECT_EQ(got->replicas, (std::vector<NodeId>{1, 2}));
     svc_->meta_erase(mp, key);
-    EXPECT_THROW((void)svc_->meta_get(mp, key), NotFoundError);
+    EXPECT_FALSE(svc_->meta_try_get(mp, key).has_value());
 }
 
 TEST_P(TransportConformance, PlacementRoundTrip) {
@@ -263,8 +279,7 @@ TEST_P(TransportConformance, AsyncRoundTripsMatchSync) {
     const meta::MetaKey mkey{11, 1, {0, 8}};
     const meta::KeyedNode one{mkey, meta::MetaNode::leaf({dp}, 7, 128)};
     svc_->meta_put_batch_async(mp, {&one, 1}).get();
-    const auto node = svc_->meta_get_async(mp, mkey).get();
-    EXPECT_EQ(node.chunk_uid, 7u);
+    EXPECT_EQ(svc_->meta_try_get(mp, mkey).value().chunk_uid, 7u);
 
     // Service errors surface from get() with the mapped type.
     EXPECT_THROW(
@@ -311,7 +326,7 @@ TEST_P(TransportConformance, SlowRequestDoesNotDelayConcurrentSmallOne) {
                         "server (TCP)";
     }
     // Head-of-line regression: a request blocking server-side for 1.5 s
-    // and a small meta_get travel the SAME multiplexed connection; the
+    // and a small meta_try_get travel the SAME multiplexed connection; the
     // small one must complete in roughly its own service time. Before
     // protocol v3 the serial connection would stall it behind the slow
     // response.
