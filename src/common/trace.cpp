@@ -74,7 +74,7 @@ void TraceBuffer::record(const SpanRecord& rec) noexcept {
         return;
     }
     for (std::size_t i = 0; i < kWords; ++i) {
-        slot.words[i].store(words[i], std::memory_order_relaxed);
+        slot.words[i].store(words[i], std::memory_order_release);
     }
     slot.seq.store(seq + 2, std::memory_order_release);
     recorded_.fetch_add(1, std::memory_order_relaxed);
@@ -92,11 +92,14 @@ std::vector<SpanRecord> TraceBuffer::snapshot(std::uint64_t trace_id,
         if (before == 0 || (before & 1) != 0) {
             continue;  // never written, or write in progress
         }
+        // Fence-free seqlock read (Boehm, MSPC 2012): each word load is
+        // an acquire, so the re-check of seq below cannot move above it,
+        // and a word from a newer writer's release store makes that
+        // writer's odd seq visible to the re-check.
         std::array<std::uint64_t, kWords> words;
         for (std::size_t i = 0; i < kWords; ++i) {
-            words[i] = slot.words[i].load(std::memory_order_relaxed);
+            words[i] = slot.words[i].load(std::memory_order_acquire);
         }
-        std::atomic_thread_fence(std::memory_order_acquire);
         if (slot.seq.load(std::memory_order_relaxed) != before) {
             continue;  // torn read: a writer recycled the slot
         }

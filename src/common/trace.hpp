@@ -19,9 +19,10 @@
 ///
 /// Completed spans land in a bounded lock-free ring (TraceBuffer) when
 /// the trace is sampled or the span was slow; kTraceDump drains the ring
-/// remotely. The ring is seqlock-per-slot over relaxed atomic words —
-/// writers never block, readers discard slots that changed underneath
-/// them — so it is safe (and TSan-clean) on the RPC hot path.
+/// remotely. The ring is seqlock-per-slot over atomic words (release
+/// stores, acquire loads, no fences) — writers never block, readers
+/// discard slots that changed underneath them — so it is safe (and
+/// TSan-clean) on the RPC hot path.
 
 #pragma once
 

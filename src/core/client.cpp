@@ -114,6 +114,8 @@ BlobSeerClient::BlobSeerClient(ClientEnv env)
                      stats_.chunk_retries);
     metrics_.counter("client_chunk_locates_total", labels,
                      stats_.chunk_locates);
+    metrics_.counter("client_tree_base_reads_total", labels,
+                     stats_.tree_base_reads);
     metrics_.counter("client_cas_chunks_total", labels, stats_.cas_chunks);
     metrics_.counter("client_cas_dedup_hits_total", labels,
                      stats_.cas_dedup_hits);
@@ -752,6 +754,7 @@ Version BlobSeerClient::write_impl(BlobId blob,
     in.size_after = ar.size_after;
     in.base = ar.base;
     in.concurrent = std::move(ar.concurrent);
+    in.borders = std::move(ar.borders);
     in.leaves.reserve(uploaded.size());
     for (const auto& up : uploaded) {
         in.leaves.push_back(
@@ -760,7 +763,7 @@ Version BlobSeerClient::write_impl(BlobId blob,
                                            up.key.uid, up.bytes)
                 : meta::MetaNode::leaf(up.replicas, up.key.uid, up.bytes));
     }
-    build_version_tree(cache_, in);
+    stats_.tree_base_reads.add(build_version_tree(cache_, in).store_reads);
 
     svc_.commit(blob, ar.version);
     stats_.write_latency_us.record(sw.elapsed_us());

@@ -131,6 +131,9 @@ struct ClientStats {
     /// Reads salvaged by probing providers outside the metadata leaf's
     /// replica list (a repair moved the chunk after the leaf was sealed).
     Counter chunk_locates;
+    /// Base-tree nodes read while building write trees: nonzero only when
+    /// an assign reply left a border out (a clone origin's node).
+    Counter tree_base_reads;
     Counter cas_chunks;         ///< content-addressed chunks uploaded
     Counter cas_dedup_hits;     ///< check-before-push hits (no transfer)
     Counter cas_bytes_skipped;  ///< payload bytes dedup kept off the wire

@@ -1,5 +1,6 @@
 #include "meta/tree_builder.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 #include <vector>
@@ -90,7 +91,16 @@ class Builder {
           in_(in),
           geo_(in.chunk_size),
           write_slots_(geo_.slots_of(in.write_range)),
-          slots_before_(geo_.tree_slots(in.size_before)) {}
+          slots_before_(geo_.tree_slots(in.size_before)) {
+        const WriteDescriptor self{in.version, in.write_range.offset,
+                                   in.write_range.size, in.size_before,
+                                   in.size_after};
+        for (const SlotRange& r : border_ranges(self, geo_)) {
+            if (given_border(r) == nullptr) {
+                unserved_.push_back(r);
+            }
+        }
+    }
 
     BuildResult run() {
         const SlotRange root = geo_.root_range(in_.size_after);
@@ -116,11 +126,30 @@ class Builder {
         return r.first == 0 && r.count > slots_before_;
     }
 
+    [[nodiscard]] const BorderRef* given_border(
+        const SlotRange& r) const noexcept {
+        const auto it =
+            std::find_if(in_.borders.begin(), in_.borders.end(),
+                         [&](const BorderRef& b) { return b.range == r; });
+        return it == in_.borders.end() ? nullptr : &*it;
+    }
+
+    /// True iff a border range below \p r has no given ref, so the base
+    /// cursor must follow the descent into \p r's halves.
+    [[nodiscard]] bool must_descend(const SlotRange& r) const {
+        return std::any_of(unserved_.begin(), unserved_.end(),
+                           [&](const SlotRange& u) { return r.contains(u); });
+    }
+
     /// Who provides the node covering \p r in the new tree when this
-    /// writer does not create it: the newest concurrent version that
-    /// creates it, else the borrowed node, else a hole.
+    /// writer does not create it: the given border ref, else the newest
+    /// concurrent version that creates it, else the borrowed node, else
+    /// a hole.
     [[nodiscard]] ChildRef resolve(const SlotRange& r,
                                    const BorrowCursor& cursor) const {
+        if (const BorderRef* b = given_border(r)) {
+            return b->ref;
+        }
         for (auto it = in_.concurrent.rbegin(); it != in_.concurrent.rend();
              ++it) {
             if (creates_node(*it, r, geo_)) {
@@ -144,10 +173,10 @@ class Builder {
         }
         BorrowCursor lc = BorrowCursor::null();
         BorrowCursor rc = BorrowCursor::null();
-        // Fetch borrow content only when some descendant may need to
-        // resolve through it; subtrees fully overwritten by this write
-        // never look at old metadata.
-        if (!write_slots_.contains(r)) {
+        // Fetch borrow content only when some descendant must resolve
+        // through it; subtrees fully overwritten by this write, or whose
+        // borders all came with the input, never look at old metadata.
+        if (must_descend(r)) {
             std::tie(lc, rc) = cursor.descend(store_, store_reads_);
         }
         const ChildRef left = recurse(r.left(), lc);
@@ -179,6 +208,8 @@ class Builder {
     TreeGeometry geo_;
     SlotRange write_slots_;
     std::uint64_t slots_before_;
+    /// Border ranges without a given ref; resolved by descent.
+    std::vector<SlotRange> unserved_;
     std::vector<KeyedNode> created_;  // stored in one batch by run()
     std::size_t store_reads_ = 0;
 };

@@ -7,11 +7,16 @@
 ///
 ///  * nodes it creates itself (ranges its write touches, plus bridge
 ///    prefixes when the blob grew),
-///  * *borrowed* references into the latest published tree (read with
-///    O(log n) metadata fetches along the write boundary),
+///  * *borrowed* references into the latest published tree,
 ///  * *woven* references to nodes of concurrent, not-yet-published
 ///    versions — predicted from their write descriptors alone, without
 ///    any communication with those writers.
+///
+/// The version manager names the node behind each of these references in
+/// the assign reply (BuildInput::borders), so the builder reads no
+/// metadata. It reads base nodes (O(log n) fetches along the write
+/// boundary) only for a border the reply leaves out: one whose node lies
+/// in a clone origin's tree.
 ///
 /// Weaving is what gives BlobSeer write/write concurrency: the only
 /// serialization between concurrent writers is the version-manager assign
@@ -96,6 +101,16 @@ class BorrowCursor {
     std::uint64_t base_slots_ = 0;  // virtual only
 };
 
+/// The node filling one border range of a new tree (see
+/// meta::border_ranges): the newest non-aborted earlier version that
+/// creates \p range, or a hole when none does.
+struct BorderRef {
+    SlotRange range;
+    ChildRef ref;
+
+    friend bool operator==(const BorderRef&, const BorderRef&) = default;
+};
+
 /// Everything the builder needs; assembled by the client from the version
 /// manager's assign reply.
 struct BuildInput {
@@ -111,6 +126,9 @@ struct BuildInput {
     /// Write descriptors of unpublished versions in (base.version, version),
     /// ascending by version.
     std::vector<WriteDescriptor> concurrent;
+    /// Known fillers of this version's border ranges. A border range with
+    /// no entry is resolved by descending \p base.
+    std::vector<BorderRef> borders;
     /// One leaf node per written slot, in slot order (replica lists and
     /// stored byte counts filled in by the caller after chunk upload).
     std::vector<MetaNode> leaves;
@@ -122,8 +140,9 @@ struct BuildResult {
     std::size_t store_reads = 0;
 };
 
-/// Build and store version `in.version`'s tree. The descent only reads
-/// (borrowed nodes); the nodes it creates go to \p store in one put_many
+/// Build and store version `in.version`'s tree. The descent reads base
+/// nodes only on the way to a border range `in.borders` leaves out; the
+/// nodes it creates go to \p store in one put_many
 /// call before the function returns, so the caller can commit to the
 /// version manager immediately afterwards.
 BuildResult build_version_tree(MetaStore& store, const BuildInput& in);

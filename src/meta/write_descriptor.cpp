@@ -16,6 +16,21 @@ void collect(const WriteDescriptor& w, const TreeGeometry& geo,
     }
 }
 
+/// \p r is created by \p w; append the borders below it.
+void collect_borders(const WriteDescriptor& w, const TreeGeometry& geo,
+                     const SlotRange& r, std::vector<SlotRange>& out) {
+    if (r.is_leaf()) {
+        return;
+    }
+    for (const SlotRange& child : {r.left(), r.right()}) {
+        if (creates_node(w, child, geo)) {
+            collect_borders(w, geo, child, out);
+        } else {
+            out.push_back(child);
+        }
+    }
+}
+
 }  // namespace
 
 std::vector<SlotRange> created_ranges(const WriteDescriptor& w,
@@ -24,6 +39,16 @@ std::vector<SlotRange> created_ranges(const WriteDescriptor& w,
     const SlotRange root = geo.root_range(w.size_after);
     if (!root.empty()) {
         collect(w, geo, root, out);
+    }
+    return out;
+}
+
+std::vector<SlotRange> border_ranges(const WriteDescriptor& w,
+                                     const TreeGeometry& geo) {
+    std::vector<SlotRange> out;
+    const SlotRange root = geo.root_range(w.size_after);
+    if (!root.empty() && creates_node(w, root, geo)) {
+        collect_borders(w, geo, root, out);
     }
     return out;
 }

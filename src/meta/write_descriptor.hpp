@@ -64,4 +64,11 @@ struct WriteDescriptor {
 [[nodiscard]] std::vector<SlotRange> created_ranges(const WriteDescriptor& w,
                                                     const TreeGeometry& geo);
 
+/// Enumerate the *border* ranges of \p w's tree: the children of nodes
+/// \p w creates that \p w does not create itself. These are the only
+/// ranges whose node \p w's tree takes from another version (at most two
+/// per tree level, along the write's edges), in depth-first order.
+[[nodiscard]] std::vector<SlotRange> border_ranges(const WriteDescriptor& w,
+                                                   const TreeGeometry& geo);
+
 }  // namespace blobseer::meta

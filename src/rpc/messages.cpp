@@ -246,6 +246,13 @@ void put_assign_result(WireWriter& w, const version::AssignResult& a) {
     for (const auto& d : a.concurrent) {
         put_write_descriptor(w, d);
     }
+    w.varint(a.borders.size());
+    for (const meta::BorderRef& b : a.borders) {
+        w.u64(b.range.first);
+        w.u64(b.range.count);
+        w.u64(b.ref.blob);
+        w.u64(b.ref.version);
+    }
     w.u64(a.chunk_size);
     w.u32(a.replication);
 }
@@ -261,6 +268,16 @@ version::AssignResult get_assign_result(WireReader& r) {
     a.concurrent.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
         a.concurrent.push_back(get_write_descriptor(r));
+    }
+    const std::uint64_t nb = r.varint_count(32);  // range + child ref
+    a.borders.reserve(nb);
+    for (std::uint64_t i = 0; i < nb; ++i) {
+        meta::BorderRef b;
+        b.range.first = r.u64();
+        b.range.count = r.u64();
+        b.ref.blob = r.u64();
+        b.ref.version = r.u64();
+        a.borders.push_back(b);
     }
     a.chunk_size = r.u64();
     a.replication = r.u32();

@@ -110,7 +110,12 @@ inline constexpr std::uint32_t kFrameMagic = 0x42535250;  // "PRSB" LE
 /// one-key ranged kChunkGetBatch reads; the first reply carries the
 /// chunk size) and kMetaGet (kMetaTryGet, with the miss thrown on the
 /// client). Tags 3, 8, 9 and 49 are reserved and rejected.
-inline constexpr std::uint8_t kWireVersion = 12;
+/// v13: the assign reply carries, after the concurrent descriptors, a
+/// varint count of border refs — (range first, range count, blob,
+/// version) u64 records naming the node behind each border range of the
+/// writer's new tree — so a writer reads no base-tree nodes unless a
+/// border lies in a clone origin's tree. No tag changed.
+inline constexpr std::uint8_t kWireVersion = 13;
 inline constexpr std::size_t kFrameHeaderSize = 40;
 /// Byte offset of the message-type tag (u16) within the header.
 inline constexpr std::size_t kFrameTypeOffset = 6;

@@ -21,6 +21,13 @@ enum JournalOp : std::uint8_t {
     kOpCloneFrom = 9,  ///< chunk_size, replication, origin blob/version/size
 };
 
+/// Unique key of a tree-node range: count is a power of two and divides
+/// first, so 2*first + count = count * (2*(first/count) + 1) factors
+/// back into both.
+std::uint64_t range_key(const meta::SlotRange& r) noexcept {
+    return 2 * r.first + r.count;
+}
+
 }  // namespace
 
 VersionManager::VersionManager(std::uint32_t shard,
@@ -42,6 +49,11 @@ VersionManager::VersionManager(std::uint32_t shard,
     metrics_.counter("vm_commits_total", labels, commits_);
     metrics_.counter("vm_aborts_total", labels, aborts_);
     metrics_.counter("vm_publishes_total", labels, publishes_);
+    MetricLabels border = labels;
+    border.emplace_back("outcome", "served");
+    metrics_.counter("vm_border_refs_total", border, borders_served_);
+    border.back().second = "missing";
+    metrics_.counter("vm_border_refs_total", border, borders_missing_);
     metrics_.gauge("vm_publish_backlog", labels, publish_backlog_);
     metrics_.callback("vm_blobs", labels, [this] { return blob_count(); });
 }
@@ -195,6 +207,8 @@ AssignResult VersionManager::assign(BlobId blob,
                                      r.size_after};
     rec.status = VersionStatus::kPending;
     rec.assigned_at = Clock::now();
+    fill_borders(b, r, rec.desc);
+    index_creator(b, rec.desc);
     b.records.push_back(rec);
     b.size = r.size_after;
     assigns_.add();
@@ -526,7 +540,44 @@ std::size_t VersionManager::abort_tail(BlobState& b, Version v) {
     // Roll the running size back to just before the first aborted version
     // so new writers do not build on vanished data.
     b.size = b.records[v - 1].desc.size_before;
+    // The tail's nodes never appear in a later tree: rebuild the creator
+    // index from the survivors (aborts are rare; this is O(records)).
+    b.creators.clear();
+    for (Version w = 1; w < v; ++w) {
+        const VersionRecord& rec = b.records[w - 1];
+        if (rec.status != VersionStatus::kAborted) {
+            index_creator(b, rec.desc);
+        }
+    }
     return aborted;
+}
+
+void VersionManager::index_creator(BlobState& b,
+                                   const meta::WriteDescriptor& d) {
+    const meta::TreeGeometry geo(b.info.chunk_size);
+    for (const meta::SlotRange& r : meta::created_ranges(d, geo)) {
+        b.creators[range_key(r)] = d.version;
+    }
+}
+
+void VersionManager::fill_borders(const BlobState& b, AssignResult& r,
+                                  const meta::WriteDescriptor& d) {
+    const meta::TreeGeometry geo(b.info.chunk_size);
+    for (const meta::SlotRange& range : meta::border_ranges(d, geo)) {
+        const auto it = b.creators.find(range_key(range));
+        if (it == b.creators.end() && b.origin.valid()) {
+            // The node lies in the origin's tree, which may live on
+            // another shard: the writer descends for it.
+            borders_missing_.add();
+            continue;
+        }
+        // No creator and no origin: no version wrote here (a hole).
+        const meta::ChildRef ref = it == b.creators.end()
+                                       ? meta::ChildRef{}
+                                       : meta::ChildRef{b.info.id, it->second};
+        r.borders.push_back({range, ref});
+        borders_served_.add();
+    }
 }
 
 meta::TreeRef VersionManager::published_base(const BlobState& b) const {

@@ -102,12 +102,17 @@ struct AssignResult {
     meta::TreeRef base;
     /// Descriptors of unpublished versions in (base, version), ascending.
     std::vector<meta::WriteDescriptor> concurrent;
+    /// The node behind each border range of the new tree
+    /// (meta::border_ranges), from the blob's creator index. A range
+    /// whose node lies in a clone origin's tree is left out; the builder
+    /// descends the base tree for it.
+    std::vector<meta::BorderRef> borders;
     std::uint64_t chunk_size = 0;
     std::uint32_t replication = 1;
 
     /// Wire-size estimate for network charging.
     [[nodiscard]] std::uint64_t serialized_size() const noexcept {
-        return 96 + 40 * concurrent.size();
+        return 96 + 40 * concurrent.size() + 32 * borders.size();
     }
 };
 
@@ -279,6 +284,12 @@ class VersionManager {
     [[nodiscard]] std::uint64_t publishes() const {
         return publishes_.get();
     }
+    [[nodiscard]] std::uint64_t borders_served() const {
+        return borders_served_.get();
+    }
+    [[nodiscard]] std::uint64_t borders_missing() const {
+        return borders_missing_.get();
+    }
 
     /// Assigned-but-unpublished versions across this shard's blobs, with
     /// high-water mark — the "is the serialized step keeping up" gauge.
@@ -304,6 +315,11 @@ class VersionManager {
         Version pub_cursor = 0;       ///< in-order publication scan position
         /// records[v-1] describes version v.
         std::vector<VersionRecord> records;
+        /// Creator index: tree-node range (range_key) -> newest
+        /// non-aborted version that creates it. Because aborts take the
+        /// whole tail, that version's node is what every later tree holds
+        /// at the range, so assign() answers border refs from it.
+        std::unordered_map<std::uint64_t, Version> creators;
         /// Snapshots protected from retirement (explicit pins and clone
         /// origins), with a nesting count per version: independent
         /// pinners — e.g. concurrent cross-shard clones of the same
@@ -348,6 +364,15 @@ class VersionManager {
     /// Abort the tail starting at version \p v. Caller holds the blob's
     /// stripe mutex.
     std::size_t abort_tail(BlobState& b, Version v);
+
+    /// Record \p d's version as the creator of every node it creates.
+    /// Caller holds the blob's stripe mutex.
+    static void index_creator(BlobState& b, const meta::WriteDescriptor& d);
+
+    /// Fill \p r.borders from the creator index. Caller holds the blob's
+    /// stripe mutex.
+    void fill_borders(const BlobState& b, AssignResult& r,
+                      const meta::WriteDescriptor& d);
 
     /// Base tree of the latest published snapshot. Caller holds the
     /// blob's stripe mutex.
@@ -401,6 +426,8 @@ class VersionManager {
     Counter commits_;
     Counter aborts_;
     Counter publishes_;
+    Counter borders_served_;   ///< border refs named in assign replies
+    Counter borders_missing_;  ///< border ranges left to descent (clones)
     Gauge publish_backlog_;
     /// Registry bindings; declared last so they unbind before the
     /// counters above destruct.

@@ -247,6 +247,40 @@ TEST_F(ClientFixture, StatsAccumulate) {
     EXPECT_EQ(st.write_latency_us.count(), 2u);
 }
 
+TEST_F(ClientFixture, WritersReadBaseNodesOnlyThroughCloneOrigins) {
+    // Two writers interleave appends to one blob: every assign reply
+    // names each border node, so neither builder reads a base node.
+    auto other = cluster_.make_client();
+    Blob blob = client_->create(kChunk);
+    Blob same = other->open(blob.id());
+    blob.write(0, make_pattern(blob.id(), 1, 0, 4 * kChunk));
+    for (std::uint64_t i = 0; i < 6; ++i) {
+        Blob& writer = i % 2 == 0 ? blob : same;
+        writer.append(make_pattern(blob.id(), 2 + i, 0, kChunk));
+    }
+    EXPECT_EQ(client_->stats().tree_base_reads.get(), 0u);
+    EXPECT_EQ(other->stats().tree_base_reads.get(), 0u);
+    MetricsSnapshot snap = MetricsRegistry::instance().snapshot();
+    const std::pair<std::string, std::string> served{"outcome", "served"};
+    const std::pair<std::string, std::string> missing{"outcome", "missing"};
+    EXPECT_GT(sum_series(snap, "vm_border_refs_total", served), 0u);
+    EXPECT_EQ(sum_series(snap, "vm_border_refs_total", missing), 0u);
+    EXPECT_EQ(sum_series(snap, "client_tree_base_reads_total"), 0u);
+
+    // A clone's first write borrows from the origin's tree, which the
+    // version manager leaves to descent: both series show it.
+    Blob copy = client_->clone(blob.id());
+    copy.write(0, make_pattern(copy.id(), 9, 0, kChunk));
+    EXPECT_GT(client_->stats().tree_base_reads.get(), 0u);
+    snap = MetricsRegistry::instance().snapshot();
+    EXPECT_GT(sum_series(snap, "vm_border_refs_total", missing), 0u);
+    EXPECT_EQ(sum_series(snap, "client_tree_base_reads_total"),
+              client_->stats().tree_base_reads.get());
+    Buffer out(kChunk);
+    copy.read(1, kChunk, out);
+    EXPECT_TRUE(blobseer::testing::matches(blob.id(), 1, kChunk, out));
+}
+
 TEST_F(ClientFixture, EmptyReadIsNoop) {
     Blob blob = client_->create(kChunk);
     Buffer out;

@@ -145,6 +145,10 @@ version::AssignResult random_assign(Rng& rng) {
     for (std::size_t i = 0; i < n; ++i) {
         a.concurrent.push_back(random_descriptor(rng));
     }
+    const std::size_t nb = rng() % 24;
+    for (std::size_t i = 0; i < nb; ++i) {
+        a.borders.push_back({{rng(), rng()}, {rng(), rng()}});
+    }
     a.chunk_size = rng();
     a.replication = static_cast<std::uint32_t>(rng());
     return a;
@@ -262,7 +266,32 @@ TEST(Codec, AssignResultRandomRoundTrip) {
             EXPECT_EQ(back.concurrent[k].offset, a.concurrent[k].offset);
             EXPECT_EQ(back.concurrent[k].size, a.concurrent[k].size);
         }
+        EXPECT_EQ(back.borders, a.borders);
     }
+}
+
+TEST(Codec, AssignResultCarriesBorderRefs) {
+    // v13: the border refs follow the concurrent descriptors, one
+    // (first, count, blob, version) record each, holes included.
+    version::AssignResult a;
+    a.version = 9;
+    a.concurrent.push_back({8, 28, 4, 24, 32});
+    a.borders = {{{0, 4}, {77, 5}}, {{6, 1}, {77, 8}}, {{7, 1}, {}}};
+    WireWriter w;
+    put_assign_result(w, a);
+    const Buffer buf = w.take();
+    EXPECT_EQ(buf.size(), 4 * 8 + 24 + 1 + 40 + 1 + 3 * 32 + 8 + 4);
+    WireReader r{ConstBytes(buf)};
+    const version::AssignResult back = get_assign_result(r);
+    r.expect_end();
+    ASSERT_EQ(back.borders.size(), 3u);
+    EXPECT_EQ(back.borders, a.borders);
+    EXPECT_TRUE(back.borders[2].ref.is_hole());
+    // A count larger than the bytes left is rejected before any reserve.
+    Buffer lying = buf;
+    lying[4 * 8 + 24 + 1 + 40] = 0x7f;
+    WireReader bad{ConstBytes(lying)};
+    EXPECT_THROW((void)get_assign_result(bad), RpcError);
 }
 
 TEST(Codec, RetireInfoRoundTrip) {
@@ -738,7 +767,7 @@ TEST(RetiredTag, StatusTagsRejected) {
 TEST(FrameV7, GoldenHeaderLayout) {
     // Byte-exact pin of the 40-byte v7 header. If this test breaks, the
     // wire ABI changed: bump kWireVersion and update DESIGN.md §7.
-    static_assert(kWireVersion == 12);
+    static_assert(kWireVersion == 13);
     static_assert(kFrameHeaderSize == 40);
     static_assert(kFrameTypeOffset == 6);
     static_assert(kFrameLenOffset == 12);
@@ -759,7 +788,7 @@ TEST(FrameV7, GoldenHeaderLayout) {
     ASSERT_EQ(frame.size(), kFrameHeaderSize + 8);
     const std::uint8_t expected_header[kFrameHeaderSize] = {
         0x50, 0x52, 0x53, 0x42,  //  0: magic "PRSB" little-endian
-        0x0c,                    //  4: wire version
+        0x0d,                    //  4: wire version
         0x00,                    //  5: kind = request
         0x15, 0x00,              //  6: MsgType::kGetVersion tag (21)
         0x0d, 0x0c, 0x0b, 0x0a,  //  8: destination node id
@@ -776,6 +805,30 @@ TEST(FrameV7, GoldenHeaderLayout) {
     EXPECT_EQ(static_cast<std::uint16_t>(MsgType::kGetVersion), 21)
         << "update the golden bytes if the tag moved";
     EXPECT_EQ(frame_type(frame), MsgType::kGetVersion);
+}
+
+TEST(FrameV13, PreviousWireVersionRejected) {
+    // A v12 peer's assign reply lacks the border list: its frames must
+    // fail the header check, never decode as a short v13 body.
+    WireWriter body;
+    body.u64(1);
+    Buffer frame = seal_request(MsgType::kGetVersion, 1, std::move(body));
+    frame[4] = 12;
+    EXPECT_THROW((void)parse_frame(frame), RpcError);
+    frame[4] = kWireVersion;
+    EXPECT_NO_THROW((void)parse_frame(frame));
+}
+
+TEST(FrameV13, RetiredTagsUnchanged) {
+    // v13 changed a body, not the tag table: no tag left or returned.
+    const std::vector<std::pair<int, int>> expected = {
+        {2, 11}, {3, 12},  {8, 12},  {9, 12},  {11, 9},
+        {29, 10}, {48, 8}, {49, 12}, {65, 11}, {70, 10}};
+    std::vector<std::pair<int, int>> actual;
+    for (const RetiredTag& t : kRetiredTags) {
+        actual.emplace_back(t.tag, t.wire_version);
+    }
+    EXPECT_EQ(actual, expected);
 }
 
 // ---- dispatch classes (where the TCP server runs each family) ----------------

@@ -13,12 +13,18 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <map>
+#include <memory>
 #include <numeric>
+#include <set>
 #include <vector>
 
 #include "common/random.hpp"
+#include "engine/log_engine.hpp"
 #include "meta/meta_store.hpp"
 #include "meta/tree_builder.hpp"
 #include "meta/tree_reader.hpp"
@@ -86,6 +92,7 @@ struct Harness {
         in.size_after = ar.size_after;
         in.base = ar.base;
         in.concurrent = ar.concurrent;
+        in.borders = ar.borders;
         const auto slots = geo.slots_of(in.write_range);
         for (std::uint64_t i = 0; i < slots.count; ++i) {
             const std::uint64_t slot = slots.first + i;
@@ -277,6 +284,161 @@ TEST_P(ConcurrentProperty, WeavingMatchesModel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConcurrentProperty,
                          ::testing::Range<std::uint64_t>(1, 17));
+
+/// Border refs from the version manager's creator index name exactly the
+/// nodes a descent of the base tree finds. One journaled VersionManager
+/// runs a random history over several blobs: concurrent writes and
+/// appends, aborts of random pending versions (each takes its tail,
+/// often mid-history), retirement, same-shard clones (whose borders may
+/// lie in the origin's tree), and a restart midway that rebuilds the
+/// creator index by journal replay. Every assign is built twice, into
+/// two stores: once with the reply's borders, once with them withheld so
+/// the builder descends. The two trees must match node for node.
+class BorderProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(BorderProperty, BorderRefsEqualDescent) {
+    Rng rng(GetParam());
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("blobseer-border-" + std::to_string(GetParam()) + "-" +
+         std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    engine::EngineConfig jc;
+    jc.dir = dir;
+    jc.background_compaction = false;
+    jc.checkpoint_interval_records = 0;
+    auto vm = std::make_unique<version::VersionManager>();
+    vm->attach_journal(std::make_shared<engine::LogEngine>(jc));
+
+    meta::InMemoryMetaStore given;
+    meta::InMemoryMetaStore descended;
+    const meta::TreeGeometry geo(kChunk);
+    std::vector<BlobId> blobs{vm->create_blob(kChunk, 1).id};
+    std::set<BlobId> clones;
+    std::vector<std::pair<BlobId, Version>> pending;
+    std::size_t served = 0;
+    std::size_t descents = 0;
+
+    const auto assign_and_build = [&](BlobId blob) {
+        std::optional<std::uint64_t> offset;
+        std::uint64_t size = kChunk * (1 + rng.below(3));
+        if (rng.uniform() < 0.5) {
+            size = 1 + rng.below(3 * kChunk);  // append, often unaligned
+        } else {
+            offset = rng.below(24) * kChunk;  // may leave holes
+        }
+        const version::AssignResult ar = vm->assign(blob, offset, size);
+        pending.emplace_back(blob, ar.version);
+
+        meta::BuildInput in;
+        in.blob = blob;
+        in.chunk_size = kChunk;
+        in.version = ar.version;
+        in.write_range = {ar.offset, size};
+        in.size_before = ar.size_before;
+        in.size_after = ar.size_after;
+        in.base = ar.base;
+        in.concurrent = ar.concurrent;
+        const meta::SlotRange slots = geo.slots_of(in.write_range);
+        for (std::uint64_t i = 0; i < slots.count; ++i) {
+            in.leaves.push_back(meta::MetaNode::leaf(
+                {NodeId{1}}, ar.version * 1'000'000 + slots.first + i,
+                static_cast<std::uint32_t>(kChunk)));
+        }
+        const meta::BuildResult by_descent = build_version_tree(descended, in);
+        in.borders = ar.borders;
+        const meta::BuildResult by_refs = build_version_tree(given, in);
+        ASSERT_EQ(by_refs.root, by_descent.root);
+        ASSERT_EQ(by_refs.nodes_created, by_descent.nodes_created);
+
+        const meta::WriteDescriptor desc{ar.version, ar.offset, size,
+                                         ar.size_before, ar.size_after};
+        for (const meta::SlotRange& r : meta::created_ranges(desc, geo)) {
+            const meta::MetaKey key{blob, ar.version, r};
+            const meta::MetaNode a = given.get(key);
+            const meta::MetaNode b = descended.get(key);
+            ASSERT_EQ(a.is_leaf(), b.is_leaf()) << key.to_string();
+            ASSERT_EQ(a.left, b.left) << key.to_string();
+            ASSERT_EQ(a.right, b.right) << key.to_string();
+            ASSERT_EQ(a.chunk_uid, b.chunk_uid) << key.to_string();
+        }
+        served += ar.borders.size();
+        if (!clones.contains(blob)) {
+            // A blob that is no clone has every border answered: its
+            // writer reads no metadata at all.
+            ASSERT_EQ(ar.borders.size(), border_ranges(desc, geo).size());
+            ASSERT_EQ(by_refs.store_reads, 0u);
+        } else {
+            ASSERT_LE(by_refs.store_reads, by_descent.store_reads);
+            descents += by_refs.store_reads;
+        }
+    };
+
+    const int steps = 160;
+    for (int step = 0; step < steps; ++step) {
+        if (step == steps / 2) {
+            // Restart: the creator index must come back from the journal.
+            vm.reset();
+            vm = std::make_unique<version::VersionManager>();
+            vm->attach_journal(std::make_shared<engine::LogEngine>(jc));
+        }
+        const BlobId blob =
+            rng.uniform() < 0.5 ? blobs[0] : blobs[rng.below(blobs.size())];
+        const double dice = rng.uniform();
+        if (dice < 0.45 || pending.empty()) {
+            assign_and_build(blob);
+            if (::testing::Test::HasFatalFailure()) {
+                break;
+            }
+        } else if (dice < 0.75) {
+            const std::size_t i = rng.below(pending.size());
+            const auto [b, v] = pending[i];
+            pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
+            try {
+                vm->commit(b, v);
+            } catch (const VersionAborted&) {
+                // Aborted by an earlier version's cascade.
+            }
+        } else if (dice < 0.84) {
+            const auto [b, v] = pending[rng.below(pending.size())];
+            vm->abort(b, v);
+            std::erase_if(pending, [&](const auto& p) {
+                return p.first == b && p.second >= v;
+            });
+        } else if (dice < 0.95) {
+            if (const Version latest = vm->latest(blob); latest > 0) {
+                (void)vm->retire(blob, latest);
+            }
+        } else {
+            const Version from =
+                rng.uniform() < 0.8 ? vm->latest(blob) : Version{0};
+            const BlobId clone = vm->clone_blob(blob, from).id;
+            blobs.push_back(clone);
+            clones.insert(clone);
+        }
+    }
+    for (const auto& [b, v] : pending) {
+        try {
+            vm->commit(b, v);
+        } catch (const VersionAborted&) {
+        }
+    }
+    for (const BlobId b : blobs) {
+        const auto vi = vm->get_version(b, kLatestVersion);
+        if (vi.tree.valid()) {
+            EXPECT_NO_THROW((void)meta::validate_tree(
+                given, vi.tree.blob, vi.tree.version, kChunk, vi.size));
+        }
+    }
+    EXPECT_GT(served, 0u);
+    RecordProperty("served", std::to_string(served));
+    RecordProperty("descent_reads", std::to_string(descents));
+    vm.reset();
+    std::filesystem::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BorderProperty,
+                         ::testing::Range<std::uint64_t>(1, 9));
 
 }  // namespace
 }  // namespace blobseer

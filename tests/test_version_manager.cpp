@@ -6,11 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <filesystem>
 #include <set>
 #include <thread>
 
 #include "common/metrics.hpp"
+#include "engine/log_engine.hpp"
 #include "version/version_manager.hpp"
 
 namespace blobseer::version {
@@ -426,6 +430,100 @@ TEST(VmStatus, AbortedTailDrainsTheBacklog) {
     EXPECT_EQ(vm.publish_backlog().get(), 0u);
     EXPECT_EQ(vm.aborts(), 2u);
     EXPECT_EQ(vm.publishes(), 0u);
+}
+
+// ---- border refs (the creator index) -----------------------------------------
+
+meta::BorderRef border(BlobId blob, std::uint64_t first, std::uint64_t count,
+                       Version v) {
+    return {{first, count}, {blob, v}};
+}
+
+meta::BorderRef hole(std::uint64_t first, std::uint64_t count) {
+    return {{first, count}, {}};
+}
+
+TEST(VmBorders, AssignNamesEachBorderAndAbortRebuildsTheIndex) {
+    VersionManager vm;
+    const BlobId b = vm.create_blob(8, 1).id;
+    // v1 fills slots 0-3: it creates its whole tree, so it has no border.
+    EXPECT_TRUE(vm.assign(b, 0, 32).borders.empty());
+    // v2 appends slot 4 (tree [0,8)): [0,4) is v1's; [5,6) and [6,8)
+    // were never written. Depth-first order.
+    const auto a2 = vm.assign(b, std::nullopt, 8);
+    EXPECT_EQ(a2.borders, (std::vector<meta::BorderRef>{
+                              border(b, 0, 4, 1), hole(5, 1), hole(6, 2)}));
+    // v3 rewrites slot 0 while v2 is pending: [4,8) comes from v2.
+    const auto a3 = vm.assign(b, 0, 8);
+    EXPECT_EQ(a3.borders,
+              (std::vector<meta::BorderRef>{border(b, 1, 1, 1),
+                                            border(b, 2, 2, 1),
+                                            border(b, 4, 4, 2)}));
+    // Aborting v2 takes v3 too; the index forgets both, so a rewrite of
+    // slot 0 sees v1's four-slot tree again.
+    vm.abort(b, 2);
+    const auto a4 = vm.assign(b, 0, 8);
+    EXPECT_EQ(a4.size_before, 32u);
+    EXPECT_EQ(a4.borders, (std::vector<meta::BorderRef>{
+                              border(b, 1, 1, 1), border(b, 2, 2, 1)}));
+    EXPECT_EQ(vm.borders_served(), 3u + 3u + 2u);
+    EXPECT_EQ(vm.borders_missing(), 0u);
+}
+
+TEST(VmBorders, CloneOriginBordersAreLeftToDescent) {
+    VersionManager vm;
+    const BlobId src = vm.create_blob(8, 1).id;
+    vm.commit(src, vm.assign(src, 0, 32).version);
+    const BlobId clone = vm.clone_blob(src, 1).id;
+    // The clone's first write: [1,2) and [2,4) lie in src's tree.
+    const auto c1 = vm.assign(clone, 0, 8);
+    EXPECT_TRUE(c1.borders.empty());
+    EXPECT_EQ(vm.borders_missing(), 2u);
+    // Once the clone wrote slot 0, a concurrent rewrite of slot 1 gets
+    // [0,1) from the clone's own v1; [2,4) is still the origin's.
+    const auto c2 = vm.assign(clone, 8, 8);
+    EXPECT_EQ(c2.borders,
+              (std::vector<meta::BorderRef>{border(clone, 0, 1, 1)}));
+    EXPECT_EQ(vm.borders_missing(), 3u);
+
+    const MetricsSnapshot snap = MetricsRegistry::instance().snapshot();
+    const std::pair<std::string, std::string> served{"outcome", "served"};
+    const std::pair<std::string, std::string> missing{"outcome", "missing"};
+    EXPECT_EQ(sum_series(snap, "vm_border_refs_total", served), 1u);
+    EXPECT_EQ(sum_series(snap, "vm_border_refs_total", missing), 3u);
+}
+
+TEST(VmBorders, JournalReplayRebuildsTheIndex) {
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("blobseer-vm-borders-" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    engine::EngineConfig jc;
+    jc.dir = dir;
+    jc.background_compaction = false;
+    jc.checkpoint_interval_records = 0;
+    BlobId b = kInvalidBlob;
+    std::vector<meta::BorderRef> before;
+    {
+        VersionManager vm;
+        vm.attach_journal(std::make_shared<engine::LogEngine>(jc));
+        b = vm.create_blob(8, 1).id;
+        vm.commit(b, vm.assign(b, 0, 32).version);
+        (void)vm.assign(b, std::nullopt, 8);   // v2 pending
+        vm.abort(b, vm.assign(b, 48, 8).version);  // v3 aborted
+        before = vm.assign(b, 0, 8).borders;   // v4 pending
+    }
+    VersionManager vm;
+    vm.attach_journal(std::make_shared<engine::LogEngine>(jc));
+    // The replayed index answers a v5 exactly as the live one would.
+    const auto a5 = vm.assign(b, 0, 8);
+    EXPECT_EQ(a5.version, 5u);
+    EXPECT_EQ(a5.borders,
+              (std::vector<meta::BorderRef>{border(b, 1, 1, 1),
+                                            border(b, 2, 2, 1),
+                                            border(b, 4, 4, 2)}));
+    EXPECT_EQ(before, a5.borders);
+    std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -22,7 +22,10 @@ never by a single run.
 Steal-aware: each run's host CPU steal is measured on its own, and a run
 whose steal exceeds 5% is re-run, at most twice; the last attempt is
 the one kept. The entry's `run_log` lists every attempt (trace, seed,
-steal, whether it was a re-run, whether it was kept, its metrics).
+steal, whether it was a re-run, whether it was kept, its wall time
+including build, set-up and teardown, the driver's summary line with
+its teardown time, its metrics). A run that outlasts run.py's timeout
+shows up there as a failed attempt with a wall time near the limit.
 Medians and quartiles come from the kept runs only, but `all_correct`
 and `failed_ops` count every attempt, discarded ones included.
 
@@ -38,6 +41,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -103,16 +107,20 @@ def summarize(samples: list[float], unit: str) -> dict:
 
 
 def run_one(checkout: Path, workload: str, seed: int, seconds: float,
-            trace: int) -> dict | None:
+            trace: int) -> tuple[dict | None, str]:
+    """(the run's result or None, the driver's summary line or "")."""
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE,
-                          text=True)
+                          stderr=subprocess.PIPE, text=True)
+    sys.stderr.write(proc.stderr)
+    summary = next((l for l in reversed(proc.stderr.splitlines())
+                    if l.startswith("perfbench: ") and "teardown" in l), "")
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        return None
-    return json.loads(lines[-1])
+        return None, summary
+    return json.loads(lines[-1]), summary
 
 
 def run_kept(checkout: Path, workload: str, seed: int, seconds: float,
@@ -122,13 +130,16 @@ def run_kept(checkout: Path, workload: str, seed: int, seconds: float,
     and returns the kept (last) attempt's result, None if it failed."""
     for attempt in range(1 + MAX_RERUNS):
         before = cpu_jiffies()
-        r = run_one(checkout, workload, seed, seconds, trace)
+        t0 = time.monotonic()
+        r, summary = run_one(checkout, workload, seed, seconds, trace)
+        wall_s = round(time.monotonic() - t0, 1)
         steal = steal_pct(before, cpu_jiffies())
         last = (r is None or steal <= STEAL_RERUN_PCT
                 or attempt == MAX_RERUNS)
         log.append({
             "trace": trace, "seed": seed, "steal_pct": steal,
             "rerun": attempt > 0, "kept": last,
+            "wall_s": wall_s, "driver": summary,
             "correct": r["correct"] if r else None,
             "failed": r["failed"] if r else None,
             "metrics": ({m: v["value"] for m, v in r["metrics"].items()}
