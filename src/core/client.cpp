@@ -150,61 +150,9 @@ Blob BlobSeerClient::create(std::uint64_t chunk_size,
 Blob BlobSeerClient::open(BlobId id) { return Blob(*this, blob_info(id)); }
 
 Blob BlobSeerClient::clone(BlobId src, Version version) {
-    version::BlobInfo info;
-    if (svc_.vm_nodes().size() == 1) {
-        // Single shard: source and destination share a version manager,
-        // one RPC does everything atomically.
-        info = svc_.clone_blob(src, version);
-    } else {
-        // Cross-shard protocol (DESIGN.md §10.3): the destination shard
-        // cannot see the source blob, so the client resolves the
-        // published snapshot on the owning shard, pins it there (clones
-        // read through their origin's tree forever), and hands the
-        // resolved TreeRef to the destination shard.
-        const auto src_info = blob_info(src);  // missing blob throws here
-        version::VersionInfo vi;
-        try {
-            vi = svc_.get_version(src, version);
-        } catch (const NotFoundError&) {
-            // The blob exists (resolved above), so the version is just
-            // not assigned yet — same contract as the single-shard
-            // clone_blob path.
-            throw InvalidArgument("cannot clone unpublished version " +
-                                  std::to_string(version));
-        }
-        bool pinned_here = false;
-        if (vi.version > 0) {
-            if (vi.status == version::VersionStatus::kPending ||
-                vi.status == version::VersionStatus::kCommitted) {
-                throw InvalidArgument("cannot clone unpublished version " +
-                                      std::to_string(vi.version));
-            }
-            if (vi.status != version::VersionStatus::kPublished) {
-                throw VersionAborted(
-                    "cannot clone " + std::string(to_string(vi.status)) +
-                    " version " + std::to_string(vi.version));
-            }
-            (void)svc_.pin(src, vi.version);
-            pinned_here = true;
-        }
-        try {
-            info = svc_.clone_from(src_info.chunk_size,
-                                   src_info.replication, vi.tree);
-        } catch (...) {
-            // Abandoned clone: drop the pin count this attempt added so
-            // retirement of the source is not blocked forever. Pins
-            // nest (VersionManager::pin), so this can never strip a
-            // concurrent cloner's protection.
-            if (pinned_here) {
-                try {
-                    svc_.unpin(src, vi.version);
-                } catch (const Error&) {
-                    // Best effort; a leaked pin only delays reclamation.
-                }
-            }
-            throw;
-        }
-    }
+    // The source's shard resolves, pins and clones in one step; the
+    // clone lives there too (DESIGN.md §10.3).
+    const auto info = svc_.clone_blob(src, version);
     {
         const std::scoped_lock lock(info_mu_);
         info_cache_[info.id] = info;
@@ -753,7 +701,6 @@ Version BlobSeerClient::write_impl(BlobId blob,
     in.size_before = ar.size_before;
     in.size_after = ar.size_after;
     in.base = ar.base;
-    in.concurrent = std::move(ar.concurrent);
     in.borders = std::move(ar.borders);
     in.leaves.reserve(uploaded.size());
     for (const auto& up : uploaded) {

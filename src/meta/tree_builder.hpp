@@ -124,7 +124,9 @@ struct BuildInput {
     /// Latest published tree at assign time (invalid for a fresh blob).
     TreeRef base;
     /// Write descriptors of unpublished versions in (base.version, version),
-    /// ascending by version.
+    /// ascending by version: weaving without the version manager's
+    /// borders. The assign reply does not carry them (its borders already
+    /// name every node they could), so only reference builds fill this.
     std::vector<WriteDescriptor> concurrent;
     /// Known fillers of this version's border ranges. A border range with
     /// no entry is resolved by descending \p base.

@@ -478,16 +478,6 @@ Buffer Dispatcher::handle_version_manager(const FrameView& f) {
             put_write_descriptor(w, vm.descriptor_of(blob, v));
             return seal_response(f.type, std::move(w));
         }
-        case MsgType::kBlobCloneFrom: {
-            const std::uint64_t chunk_size = r.u64();
-            const std::uint32_t replication = r.u32();
-            const meta::TreeRef origin = get_tree_ref(r);
-            r.expect_end();
-            WireWriter w;
-            put_blob_info(w,
-                          vm.clone_from(chunk_size, replication, origin));
-            return seal_response(f.type, std::move(w));
-        }
         default:
             throw RpcError("bad version-manager message");
     }

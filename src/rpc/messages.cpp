@@ -242,10 +242,6 @@ void put_assign_result(WireWriter& w, const version::AssignResult& a) {
     w.u64(a.size_before);
     w.u64(a.size_after);
     put_tree_ref(w, a.base);
-    w.varint(a.concurrent.size());
-    for (const auto& d : a.concurrent) {
-        put_write_descriptor(w, d);
-    }
     w.varint(a.borders.size());
     for (const meta::BorderRef& b : a.borders) {
         w.u64(b.range.first);
@@ -264,11 +260,6 @@ version::AssignResult get_assign_result(WireReader& r) {
     a.size_before = r.u64();
     a.size_after = r.u64();
     a.base = get_tree_ref(r);
-    const std::uint64_t n = r.varint_count(40);  // encoded WriteDescriptor
-    a.concurrent.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        a.concurrent.push_back(get_write_descriptor(r));
-    }
     const std::uint64_t nb = r.varint_count(32);  // range + child ref
     a.borders.reserve(nb);
     for (std::uint64_t i = 0; i < nb; ++i) {

@@ -62,7 +62,7 @@ inline constexpr std::uint32_t kFrameMagic = 0x42535250;  // "PRSB" LE
 /// transports match out-of-order responses by it).
 /// v4: the version-manager layer is sharded — Topology advertises a
 /// vm_nodes list instead of a single vm_node, and the version-manager
-/// block gained kBlobCloneFrom (cross-shard clone) and kVmStatus
+/// block gained tag 28 (cross-shard clone; retired in v14) and kVmStatus
 /// (per-shard observability; retired in v10).
 /// v5: content-addressed storage — ChunkKey carries a kind byte (uid vs
 /// SHA-256-derived content key), meta-node leaves a flags byte plus the
@@ -115,7 +115,12 @@ inline constexpr std::uint32_t kFrameMagic = 0x42535250;  // "PRSB" LE
 /// version) u64 records naming the node behind each border range of the
 /// writer's new tree — so a writer reads no base-tree nodes unless a
 /// border lies in a clone origin's tree. No tag changed.
-inline constexpr std::uint8_t kWireVersion = 13;
+/// v14: one clone protocol — every clone is a kBlobClone on its source's
+/// shard, so tag 28 (blob-clone-from, the last step of a client-driven
+/// get-version + pin + clone across shards) is retired, and the assign
+/// reply drops the concurrent descriptors the border refs made
+/// redundant. Tag 28 is reserved and rejected.
+inline constexpr std::uint8_t kWireVersion = 14;
 inline constexpr std::size_t kFrameHeaderSize = 40;
 /// Byte offset of the message-type tag (u16) within the header.
 inline constexpr std::size_t kFrameTypeOffset = 6;
@@ -200,7 +205,6 @@ inline constexpr NodeId kControlNode = 0xfffffffeu;
     X(25, kUnpin, "unpin", kVersionManager, kLoop)                        \
     X(26, kRetire, "retire", kVersionManager, kPool)                      \
     X(27, kDescriptorOf, "descriptor-of", kVersionManager, kLoop)         \
-    X(28, kBlobCloneFrom, "blob-clone-from", kVersionManager, kLoop)      \
     X(50, kMetaTryGet, "meta-try-get", kMeta, kMetaLoop)                  \
     X(51, kMetaErase, "meta-erase", kMeta, kMetaLoop)                     \
     X(52, kMetaPutBatch, "meta-put-batch", kMeta, kMetaLoop)              \
@@ -226,6 +230,7 @@ inline constexpr RetiredTag kRetiredTags[] = {
     {8, 12},   // chunk-pull-start: a kChunkGetBatch reply carries the size
     {9, 12},   // chunk-pull-some: a ranged one-key kChunkGetBatch
     {11, 9},   // dedup-status: served by kMetricsDump
+    {28, 14},  // blob-clone-from: kBlobClone on the source's shard
     {29, 10},  // vm-status: served by kMetricsDump
     {48, 8},   // meta-put: a kMetaPutBatch of one
     {49, 12},  // meta-get: kMetaTryGet, the miss thrown client-side

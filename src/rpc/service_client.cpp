@@ -199,21 +199,6 @@ version::BlobInfo ServiceClient::clone_blob(BlobId src, Version version) {
     return out;
 }
 
-version::BlobInfo ServiceClient::clone_from(std::uint64_t chunk_size,
-                                            std::uint32_t replication,
-                                            const meta::TreeRef& origin) {
-    WireWriter w;
-    w.u64(chunk_size);
-    w.u32(replication);
-    put_tree_ref(w, origin);
-    const Buffer resp =
-        invoke(MsgType::kBlobCloneFrom, pick_create_node(), std::move(w));
-    auto r = open_reply(resp, MsgType::kBlobCloneFrom);
-    auto out = get_blob_info(r);
-    r.expect_end();
-    return out;
-}
-
 version::BlobInfo ServiceClient::blob_info(BlobId blob) {
     WireWriter w;
     w.u64(blob);

@@ -75,15 +75,9 @@ class ServiceClient {
 
     [[nodiscard]] version::BlobInfo create_blob(std::uint64_t chunk_size,
                                                 std::uint32_t replication);
-    /// Single-shard clone (source and destination on the owning shard of
-    /// \p src). Multi-shard deployments use the client-driven
-    /// get_version + pin + clone_from protocol instead (DESIGN.md §10.3).
+    /// Clone on the owning shard of \p src, which also owns the clone
+    /// (DESIGN.md §10.3).
     [[nodiscard]] version::BlobInfo clone_blob(BlobId src, Version version);
-    /// Create a blob aliasing the resolved published snapshot \p origin
-    /// on a shard picked by the create-routing policy.
-    [[nodiscard]] version::BlobInfo clone_from(std::uint64_t chunk_size,
-                                               std::uint32_t replication,
-                                               const meta::TreeRef& origin);
     [[nodiscard]] version::BlobInfo blob_info(BlobId blob);
     [[nodiscard]] version::AssignResult assign(
         BlobId blob, std::optional<std::uint64_t> offset, std::uint64_t size);
@@ -268,9 +262,10 @@ class ServiceClient {
                                               WireWriter&& body,
                                               NodeId via = kInvalidNode);
 
-    /// Shard node for the next create_blob/clone_from: consistent-hash
-    /// the (client, creation#) pair over the shard ring so creations
-    /// spread without any cross-client coordination.
+    /// Shard node for the next create_blob: consistent-hash the (client,
+    /// creation#) pair over the shard ring so creations spread without
+    /// any cross-client coordination. Clones do not use it: they live on
+    /// their source's shard.
     [[nodiscard]] NodeId pick_create_node();
 
     Transport& transport_;

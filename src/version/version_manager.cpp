@@ -19,6 +19,7 @@ enum JournalOp : std::uint8_t {
     kOpUnpin = 7,      ///< blob, version
     kOpRetire = 8,     ///< blob, keep_from
     kOpCloneFrom = 9,  ///< chunk_size, replication, origin blob/version/size
+                       ///< (replay only: no longer written)
 };
 
 /// Unique key of a tree-node range: count is a power of two and divides
@@ -60,22 +61,8 @@ VersionManager::VersionManager(std::uint32_t shard,
 
 BlobInfo VersionManager::create_blob(std::uint64_t chunk_size,
                                      std::uint32_t replication) {
-    if (chunk_size == 0) {
-        throw InvalidArgument("chunk_size must be > 0");
-    }
-    if (replication == 0) {
-        throw InvalidArgument("replication must be >= 1");
-    }
-    auto st = std::make_shared<BlobState>();
-    st->info = BlobInfo{kInvalidBlob, chunk_size, replication};
-
-    const std::scoped_lock lock(map_mu_);
-    st->info.id = make_blob_id(shard_, next_seq_++);
-    const BlobInfo info = st->info;
-    blobs_.emplace(info.id, st);
-    by_seq_.push_back(std::move(st));
-    journal_append(kOpCreate, {chunk_size, replication});
-    return info;
+    return add_blob(chunk_size, replication, meta::TreeRef{}, kOpCreate,
+                    {chunk_size, replication});
 }
 
 BlobInfo VersionManager::clone_blob(BlobId src, Version src_version) {
@@ -94,35 +81,24 @@ BlobInfo VersionManager::clone_blob(BlobId src, Version src_version) {
         throw VersionAborted("cannot clone aborted version " +
                              std::to_string(v));
     }
-
-    auto st = std::make_shared<BlobState>();
-    st->info = BlobInfo{kInvalidBlob, s.info.chunk_size, s.info.replication};
-    if (v == 0) {
-        // Cloning version 0 of a clone chains to the original tree;
-        // cloning version 0 of a fresh blob yields another empty blob.
-        st->origin = s.origin;
-        st->v0_size = s.v0_size;
-    } else {
-        st->origin = meta::TreeRef{src, v, size_of_version(s, v)};
-        st->v0_size = st->origin.size;
+    // Cloning version 0 of a clone chains to the original tree; cloning
+    // version 0 of a fresh blob yields another empty blob.
+    meta::TreeRef origin = s.origin;
+    if (v > 0) {
+        origin = meta::TreeRef{src, v, size_of_version(s, v)};
         // The clone reads through the origin's tree forever: protect that
         // snapshot from retirement (nested: one count per clone).
         ++s.pinned[v];
     }
-    st->size = st->v0_size;
-
-    const std::scoped_lock lock(map_mu_);
-    st->info.id = make_blob_id(shard_, next_seq_++);
-    const BlobInfo info = st->info;
-    blobs_.emplace(info.id, st);
-    by_seq_.push_back(std::move(st));
-    journal_append(kOpClone, {src, v});  // v resolved: replay-stable
-    return info;
+    return add_blob(s.info.chunk_size, s.info.replication, origin,
+                    kOpClone, {src, v});  // v resolved: replay-stable
 }
 
-BlobInfo VersionManager::clone_from(std::uint64_t chunk_size,
-                                    std::uint32_t replication,
-                                    const meta::TreeRef& origin) {
+BlobInfo VersionManager::add_blob(std::uint64_t chunk_size,
+                                  std::uint32_t replication,
+                                  const meta::TreeRef& origin,
+                                  std::uint8_t op,
+                                  std::initializer_list<std::uint64_t> args) {
     if (chunk_size == 0) {
         throw InvalidArgument("chunk_size must be > 0");
     }
@@ -133,17 +109,15 @@ BlobInfo VersionManager::clone_from(std::uint64_t chunk_size,
     st->info = BlobInfo{kInvalidBlob, chunk_size, replication};
     if (origin.valid()) {
         st->origin = origin;
-        st->v0_size = origin.size;
+        st->size = origin.size;
     }
-    st->size = st->v0_size;
 
     const std::scoped_lock lock(map_mu_);
     st->info.id = make_blob_id(shard_, next_seq_++);
     const BlobInfo info = st->info;
     blobs_.emplace(info.id, st);
     by_seq_.push_back(std::move(st));
-    journal_append(kOpCloneFrom, {chunk_size, replication, origin.blob,
-                                  origin.version, origin.size});
+    journal_append(op, args);
     return info;
 }
 
@@ -195,12 +169,6 @@ AssignResult VersionManager::assign(BlobId blob,
     r.base = published_base(b);
     r.chunk_size = c;
     r.replication = b.info.replication;
-    for (Version w = b.published + 1; w < r.version; ++w) {
-        const VersionRecord& rec = b.records[w - 1];
-        if (rec.status != VersionStatus::kAborted) {
-            r.concurrent.push_back(rec.desc);
-        }
-    }
 
     VersionRecord rec;
     rec.desc = meta::WriteDescriptor{r.version, offset, size, r.size_before,
@@ -350,7 +318,7 @@ VersionInfo VersionManager::get_version(BlobId blob, Version v) const {
                             " of blob " + std::to_string(blob));
     }
     if (info.version == 0) {
-        info.size = b.v0_size;
+        info.size = b.origin.size;
         info.status = VersionStatus::kPublished;
         info.tree = b.origin;  // invalid TreeRef for a fresh blob: no data
         return info;
@@ -590,7 +558,7 @@ meta::TreeRef VersionManager::published_base(const BlobState& b) const {
 
 std::uint64_t VersionManager::size_of_version(const BlobState& b,
                                               Version v) const {
-    return v == 0 ? b.v0_size : b.records[v - 1].desc.size_after;
+    return v == 0 ? b.origin.size : b.records[v - 1].desc.size_after;
 }
 
 // ---- durability (operation journal) ------------------------------------------
@@ -699,9 +667,12 @@ void VersionManager::apply_journal_op(ConstBytes value) {
             (void)clone_blob(a[0], a[1]);
             break;
         case kOpCloneFrom:
+            // Written before wire v14 by a cross-shard clone (its pin is
+            // in the source shard's journal); replayed, never written.
             need(5);
-            (void)clone_from(a[0], static_cast<std::uint32_t>(a[1]),
-                             meta::TreeRef{a[2], a[3], a[4]});
+            (void)add_blob(a[0], static_cast<std::uint32_t>(a[1]),
+                           meta::TreeRef{a[2], a[3], a[4]}, kOpCloneFrom,
+                           {});
             break;
         case kOpAssign:
             need(4);

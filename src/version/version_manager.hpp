@@ -100,8 +100,6 @@ struct AssignResult {
     std::uint64_t size_after = 0;
     /// Latest published tree at assign time (invalid for a fresh blob).
     meta::TreeRef base;
-    /// Descriptors of unpublished versions in (base, version), ascending.
-    std::vector<meta::WriteDescriptor> concurrent;
     /// The node behind each border range of the new tree
     /// (meta::border_ranges), from the blob's creator index. A range
     /// whose node lies in a clone origin's tree is left out; the builder
@@ -109,11 +107,6 @@ struct AssignResult {
     std::vector<meta::BorderRef> borders;
     std::uint64_t chunk_size = 0;
     std::uint32_t replication = 1;
-
-    /// Wire-size estimate for network charging.
-    [[nodiscard]] std::uint64_t serialized_size() const noexcept {
-        return 96 + 40 * concurrent.size() + 32 * borders.size();
-    }
 };
 
 /// Reply to a version query.
@@ -140,21 +133,11 @@ class VersionManager {
     /// Create a blob. \p chunk_size must be > 0; \p replication >= 1.
     BlobInfo create_blob(std::uint64_t chunk_size, std::uint32_t replication);
 
-    /// O(1) snapshot clone (extension feature; see DESIGN.md): the new
+    /// O(1) snapshot clone (extension feature; DESIGN.md §10.3): the new
     /// blob's version 0 is an alias of (\p src, \p src_version), which
-    /// must be published AND live on this shard. Cross-shard clones go
-    /// through clone_from().
+    /// must be published and live on this shard. The clone lives on this
+    /// shard too, and pins the aliased snapshot here in the same step.
     BlobInfo clone_blob(BlobId src, Version src_version);
-
-    /// Cross-shard half of CLONE (DESIGN.md §10.3): create a blob whose
-    /// version 0 aliases the already-resolved published snapshot
-    /// \p origin (possibly owned by another shard). The caller — the
-    /// client library — is responsible for having resolved \p origin via
-    /// get_version() on the owning shard and for pinning it there so it
-    /// survives retirement. An invalid \p origin creates an empty blob
-    /// (the clone-of-a-fresh-blob case).
-    BlobInfo clone_from(std::uint64_t chunk_size, std::uint32_t replication,
-                        const meta::TreeRef& origin);
 
     [[nodiscard]] BlobInfo blob_info(BlobId blob) const;
 
@@ -231,10 +214,10 @@ class VersionManager {
 
     /// Pin a published snapshot: it survives retirement (clones pin their
     /// origin automatically). Pins NEST — each pin() adds a count that
-    /// one unpin() removes, so independent pinners never release each
-    /// other's protection (a cross-shard clone that fails after pinning
-    /// compensates with exactly one unpin). Returns true when this call
-    /// created the version's first pin.
+    /// one unpin() removes, so independent pinners (explicit pins and
+    /// every clone of the snapshot) never release each other's
+    /// protection. Returns true when this call created the version's
+    /// first pin.
     bool pin(BlobId blob, Version v);
     /// Drop one pin count of \p v (no-op when unpinned).
     void unpin(BlobId blob, Version v);
@@ -306,9 +289,9 @@ class VersionManager {
 
     struct BlobState {
         BlobInfo info;
-        /// Valid for clones: the aliased snapshot backing version 0.
+        /// Valid for clones: the aliased snapshot backing version 0 (its
+        /// size is version 0's size; 0 for a fresh blob).
         meta::TreeRef origin;
-        std::uint64_t v0_size = 0;
         std::uint64_t size = 0;       ///< running size over assigned versions
         Version max_assigned = 0;
         Version published = 0;        ///< highest version visible to readers
@@ -321,10 +304,10 @@ class VersionManager {
         /// at the range, so assign() answers border refs from it.
         std::unordered_map<std::uint64_t, Version> creators;
         /// Snapshots protected from retirement (explicit pins and clone
-        /// origins), with a nesting count per version: independent
-        /// pinners — e.g. concurrent cross-shard clones of the same
-        /// snapshot — each hold their own pin, and one party's
-        /// compensating unpin can never strip another's protection.
+        /// origins), with a nesting count per version: each clone of a
+        /// snapshot and each explicit pin holds its own count, so one
+        /// party's unpin can never strip another's protection. A clone
+        /// always lives on its origin's shard, so its pin is here.
         std::map<Version, std::uint64_t> pinned;
         /// Waiters of wait_published() on THIS blob (used with the
         /// blob's stripe mutex): a publish elsewhere in the deployment —
@@ -346,6 +329,13 @@ class VersionManager {
     [[nodiscard]] std::mutex& stripe_mu(BlobId blob) const {
         return stripe_mu_[stripe_of(blob)];
     }
+
+    /// Insert a new blob whose version 0 is \p origin (invalid: an empty
+    /// blob) and journal (\p op, \p args) under the map lock, so journal
+    /// order is blob-id allocation order. Validates the parameters.
+    BlobInfo add_blob(std::uint64_t chunk_size, std::uint32_t replication,
+                      const meta::TreeRef& origin, std::uint8_t op,
+                      std::initializer_list<std::uint64_t> args);
 
     /// Look the blob up (throws NotFoundError). Takes and releases the
     /// map lock; callers then lock the blob's stripe. Lock order is

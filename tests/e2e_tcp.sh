@@ -169,9 +169,8 @@ grep -q "shard 1 .*: blobs [1-9]" "$WORK/cli2a.log" ||
     { cat "$WORK/cli2a.log"; fail "shard 1 owns no blobs"; }
 
 # Write distinct tagged patterns to the first two blobs (one expected on
-# each shard), read them back, and clone blob A — the clone lands on a
-# shard picked by the same routing, exercising the cross-shard
-# get_version + pin + clone_from protocol over the wire.
+# each shard), read them back, and clone blob A — one blob-clone to A's
+# shard, which resolves, pins and creates the clone there.
 A=${BLOBS[0]}
 B=${BLOBS[1]}
 "$CLI" --connect "127.0.0.1:$PORT" >"$WORK/cli2b.log" 2>&1 <<EOF
@@ -190,12 +189,15 @@ cat "$WORK/cli2b.log"
 }
 CLONE=$(sed -n 's/^clone -> blob \([0-9]*\).*/\1/p' "$WORK/cli2b.log")
 [ -n "$CLONE" ] || fail "clone did not report a blob id"
+# Blob ids carry their owning shard in the top byte.
+[ $((CLONE >> 56)) -eq $((A >> 56)) ] ||
+    fail "clone $CLONE is not on the shard of its source $A"
 FNV_BEFORE=$(sed -n 's/.*fnv=\([0-9a-f]*\).*/\1/p' "$WORK/cli2b.log" | head -1)
 [ -n "$FNV_BEFORE" ] || fail "no pre-restart fnv recorded"
 
 # Kill the daemon and restart it on the same root: chunks, metadata and
 # BOTH per-shard version-manager journals must all come back from the
-# log engines — including the clone's cross-shard origin alias.
+# log engines — including the clone's origin alias.
 stop_serverd
 # shellcheck disable=SC2086
 start_serverd "$WORK/serverd3.log" $SHARDED
@@ -222,8 +224,8 @@ cat "$WORK/cli3.log"
 FNV_AFTER=$(sed -n 's/.*fnv=\([0-9a-f]*\).*/\1/p' "$WORK/cli3.log" | head -1)
 [ "$FNV_BEFORE" = "$FNV_AFTER" ] ||
     fail "post-restart bytes differ (fnv $FNV_BEFORE != $FNV_AFTER)"
-# The clone's version 0 (an alias into A's v1 tree, restored from the
-# destination shard's journal) must read the exact pre-restart bytes.
+# The clone's version 0 (an alias into A's v1 tree, restored from A's
+# shard's journal) must read the exact pre-restart bytes.
 FNV_CLONE=$(sed -n 's/.*fnv=\([0-9a-f]*\).*/\1/p' "$WORK/cli3.log" |
     sed -n 3p)
 [ "$FNV_BEFORE" = "$FNV_CLONE" ] ||

@@ -620,10 +620,23 @@ TEST(ShardedVm, CrossShardCloneSharesStorageAndDiverges) {
     const Buffer data = make_pattern(src.id(), 1, 0, 6 * kChunk);
     src.write(0, data);
 
-    // The clone aliases the published snapshot regardless of which
-    // shard it lands on (the client resolves + pins on the source
-    // shard and hands the TreeRef to the destination shard).
+    // One blob-clone to the source's shard resolves, pins and clones:
+    // the clone lives there too, and no get-version or pin travels.
+    auto& registry = MetricsRegistry::instance();
+    Counter& clones = registry.counter("rpc_server_requests_total",
+                                       {{"op", "blob-clone"}});
+    Counter& get_versions = registry.counter("rpc_server_requests_total",
+                                             {{"op", "get-version"}});
+    Counter& pins =
+        registry.counter("rpc_server_requests_total", {{"op", "pin"}});
+    const std::uint64_t clones_before = clones.get();
+    const std::uint64_t get_versions_before = get_versions.get();
+    const std::uint64_t pins_before = pins.get();
     Blob copy = client->clone(src.id());
+    EXPECT_EQ(clones.get() - clones_before, 1u);
+    EXPECT_EQ(get_versions.get() - get_versions_before, 0u);
+    EXPECT_EQ(pins.get() - pins_before, 0u);
+    EXPECT_EQ(blob_shard(copy.id()), blob_shard(src.id()));
     Buffer out(6 * kChunk);
     EXPECT_EQ(copy.read(0, 0, out), out.size());
     EXPECT_EQ(out, data);
@@ -641,15 +654,15 @@ TEST(ShardedVm, CrossShardCloneSharesStorageAndDiverges) {
     EXPECT_EQ(src.read(1, 0, src_head), kChunk);
     EXPECT_TRUE(blobseer::testing::matches(src.id(), 1, 0, src_head));
 
-    // Clone-of-clone (version 0) chains to the original tree even
-    // through the cross-shard protocol.
+    // Clone-of-clone (version 0) chains to the original tree and lands
+    // on the same shard.
     Blob copy2 = client->clone(copy.id(), 0);
+    EXPECT_EQ(blob_shard(copy2.id()), blob_shard(src.id()));
     Buffer out2(6 * kChunk);
     EXPECT_EQ(copy2.read(0, 0, out2), out2.size());
     EXPECT_EQ(out2, data);
 
-    // Cloning an unpublished version fails the same way it does on a
-    // single shard.
+    // Cloning an unpublished version fails.
     (void)cluster.version_manager(blob_shard(src.id()))
         .assign(src.id(), std::nullopt, kChunk);
     EXPECT_THROW((void)client->clone(src.id(), 2), InvalidArgument);

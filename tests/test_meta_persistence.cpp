@@ -9,9 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <initializer_list>
 #include <set>
 #include <string>
+#include <string_view>
 
+#include "engine/format.hpp"
 #include "engine/log_engine.hpp"
 #include "cache/compressed_file_cache.hpp"
 #include "chunk/log_store.hpp"
@@ -379,12 +382,74 @@ TEST(VmJournal, CloneReplaysAcrossRestart) {
     EXPECT_EQ(ca.base.blob, src);
 }
 
-/// kOpCloneFrom replay: with a sharded version-manager deployment every
-/// client clone goes through the resolve + pin + clone_from protocol; a
-/// full cluster restart must replay both shards' journals and restore
-/// the clone's cross-shard origin alias end to end (byte-identical
-/// readback through the origin's tree).
-TEST(VmJournal, ShardedClusterRestartReplaysClientClone) {
+/// kOpCloneFrom (op 9) replay: before wire v14 a sharded deployment
+/// journaled every client clone as op 9 on the clone's shard (chunk
+/// size, replication, origin blob/version/size; the origin's pin went to
+/// the source shard as its own record). Nothing writes op 9 any more,
+/// but a disk root holding such records must still open: the record
+/// rebuilds the clone's origin alias, version-0 size and append base.
+TEST(VmJournal, PreV14CloneFromRecordReplays) {
+    TempDir dir;
+    engine::EngineConfig jc;
+    jc.dir = dir.path() / "vm-0";
+    jc.background_compaction = false;
+    jc.checkpoint_interval_records = 0;
+
+    const BlobId src = make_blob_id(0, 1);
+    {
+        // Records exactly as the pre-v14 journal wrote them: key = the
+        // u64 sequence number, value = op byte then u64 arguments.
+        engine::LogEngine journal(jc);
+        std::uint64_t seq = 0;
+        const auto record = [&](std::uint8_t op,
+                                std::initializer_list<std::uint64_t> args) {
+            Buffer value{op};
+            for (const std::uint64_t a : args) {
+                engine::put_u64(value, a);
+            }
+            Buffer key;
+            engine::put_u64(key, seq++);
+            journal.put(std::string_view(
+                            reinterpret_cast<const char*>(key.data()),
+                            key.size()),
+                        value);
+        };
+        record(1, {8, 2});              // create src
+        record(3, {src, 1, 0, 24});     // assign v1: 24 bytes at 0
+        record(4, {src, 1});            // commit v1
+        record(9, {8, 2, src, 1, 24});  // clone-from src v1
+        record(9, {8, 2, 0, 0, 0});     // clone-from a fresh blob: empty
+    }
+
+    version::VersionManager vm;
+    vm.attach_journal(std::make_shared<engine::LogEngine>(jc));
+    ASSERT_EQ(vm.blob_count(), 3u);
+    const BlobId clone = make_blob_id(0, 2);
+    EXPECT_EQ(vm.blob_info(clone).chunk_size, 8u);
+    EXPECT_EQ(vm.blob_info(clone).replication, 2u);
+
+    const auto v0 = vm.get_version(clone, 0);
+    EXPECT_EQ(v0.size, 24u);
+    EXPECT_EQ(v0.tree.blob, src);
+    EXPECT_EQ(v0.tree.version, 1u);
+    EXPECT_EQ(v0.tree.size, 24u);
+
+    const auto ca = vm.assign(clone, std::nullopt, 8);
+    EXPECT_EQ(ca.offset, 24u);
+    EXPECT_EQ(ca.size_before, 24u);
+    EXPECT_EQ(ca.base.blob, src);
+    EXPECT_EQ(ca.base.version, 1u);
+
+    const auto empty = vm.get_version(make_blob_id(0, 3), 0);
+    EXPECT_EQ(empty.size, 0u);
+    EXPECT_FALSE(empty.tree.valid());
+}
+
+/// A clone on a sharded version-manager deployment lives on its source's
+/// shard and is journaled there as op 2; a full cluster restart must
+/// replay the shards' journals and restore the clone's origin alias end
+/// to end (byte-identical readback through the origin's tree).
+TEST(VmJournal, ShardedClusterRestartReplaysSourceShardClone) {
     TempDir dir;
     auto cfg = blobseer::testing::fast_config();
     cfg.durable = true;
@@ -403,6 +468,7 @@ TEST(VmJournal, ShardedClusterRestartReplaysClientClone) {
         blob.write(0, make_pattern(src, 1, 0, size));
         clone = client->clone(src).id();
     }
+    EXPECT_EQ(blob_shard(clone), blob_shard(src));
 
     core::Cluster restarted(cfg);
     auto client = restarted.make_client();

@@ -141,10 +141,6 @@ version::AssignResult random_assign(Rng& rng) {
     a.size_before = rng();
     a.size_after = rng();
     a.base = meta::TreeRef{rng(), rng(), rng()};
-    const std::size_t n = rng() % 6;
-    for (std::size_t i = 0; i < n; ++i) {
-        a.concurrent.push_back(random_descriptor(rng));
-    }
     const std::size_t nb = rng() % 24;
     for (std::size_t i = 0; i < nb; ++i) {
         a.borders.push_back({{rng(), rng()}, {rng(), rng()}});
@@ -260,27 +256,21 @@ TEST(Codec, AssignResultRandomRoundTrip) {
         EXPECT_EQ(back.base.size, a.base.size);
         EXPECT_EQ(back.chunk_size, a.chunk_size);
         EXPECT_EQ(back.replication, a.replication);
-        ASSERT_EQ(back.concurrent.size(), a.concurrent.size());
-        for (std::size_t k = 0; k < a.concurrent.size(); ++k) {
-            EXPECT_EQ(back.concurrent[k].version, a.concurrent[k].version);
-            EXPECT_EQ(back.concurrent[k].offset, a.concurrent[k].offset);
-            EXPECT_EQ(back.concurrent[k].size, a.concurrent[k].size);
-        }
         EXPECT_EQ(back.borders, a.borders);
     }
 }
 
 TEST(Codec, AssignResultCarriesBorderRefs) {
-    // v13: the border refs follow the concurrent descriptors, one
-    // (first, count, blob, version) record each, holes included.
+    // v14: the border refs follow the base tree ref, one (first, count,
+    // blob, version) record each, holes included; no concurrent
+    // descriptors precede them.
     version::AssignResult a;
     a.version = 9;
-    a.concurrent.push_back({8, 28, 4, 24, 32});
     a.borders = {{{0, 4}, {77, 5}}, {{6, 1}, {77, 8}}, {{7, 1}, {}}};
     WireWriter w;
     put_assign_result(w, a);
     const Buffer buf = w.take();
-    EXPECT_EQ(buf.size(), 4 * 8 + 24 + 1 + 40 + 1 + 3 * 32 + 8 + 4);
+    EXPECT_EQ(buf.size(), 4 * 8 + 24 + 1 + 3 * 32 + 8 + 4);
     WireReader r{ConstBytes(buf)};
     const version::AssignResult back = get_assign_result(r);
     r.expect_end();
@@ -289,7 +279,7 @@ TEST(Codec, AssignResultCarriesBorderRefs) {
     EXPECT_TRUE(back.borders[2].ref.is_hole());
     // A count larger than the bytes left is rejected before any reserve.
     Buffer lying = buf;
-    lying[4 * 8 + 24 + 1 + 40] = 0x7f;
+    lying[4 * 8 + 24] = 0x7f;
     WireReader bad{ConstBytes(lying)};
     EXPECT_THROW((void)get_assign_result(bad), RpcError);
 }
@@ -707,8 +697,9 @@ TEST(RetiredTag, StatusTagsRejected) {
     // Since v12, tag 3 (chunk-erase) is gone — GC releases references
     // with chunk-decref — tags 8 and 9 (chunk-pull-start/-some) are a
     // ranged one-key chunk-get-batch, and tag 49 (meta-get) is a
-    // meta-try-get whose miss the client throws. Each is sent with its
-    // v11 body.
+    // meta-try-get whose miss the client throws. Since v14, tag 28
+    // (blob-clone-from) is gone: every clone is a blob-clone on its
+    // source's shard. Each is sent with its last live body.
     provider::DataProvider dp(3, std::make_unique<chunk::RamStore>());
     const chunk::ChunkKey key{1, 1};
     dp.put_chunk(key, std::make_shared<const Buffer>(Buffer(64, 7)));
@@ -739,12 +730,19 @@ TEST(RetiredTag, StatusTagsRejected) {
     WireWriter dead;  // the v10 kMarkDead body: the node id
     dead.u32(dp.node());
     const Buffer dead_body = dead.take();
+    // The v13 tag-28 body: chunk size, replication, origin tree ref.
+    WireWriter old_clone;
+    old_clone.u64(8);
+    old_clone.u32(1);
+    put_tree_ref(old_clone, meta::TreeRef{});
+    const Buffer old_clone_body = old_clone.take();
     for (const auto& [tag, dst, body] :
          {std::tuple{2, dp.node(), get_body},
           std::tuple{3, dp.node(), key_body},
           std::tuple{8, dp.node(), key_body},
           std::tuple{9, dp.node(), get_body},
           std::tuple{11, dp.node(), Buffer{}},
+          std::tuple{28, NodeId{1}, old_clone_body},
           std::tuple{29, NodeId{1}, Buffer{}},
           std::tuple{49, mp.node(), meta_body},
           std::tuple{65, NodeId{2}, dead_body},
@@ -760,6 +758,7 @@ TEST(RetiredTag, StatusTagsRejected) {
     EXPECT_TRUE(pm.is_alive(dp.node())) << "a retired mark-dead took effect";
     ASSERT_TRUE(dp.has_chunk(key)) << "a retired chunk-erase took effect";
     EXPECT_EQ(dp.get_chunk(key)->size(), 64u);
+    EXPECT_EQ(vm.blob_count(), 0u) << "a retired blob-clone-from took effect";
 }
 
 // ---- v7 header layout (wire ABI pin) -----------------------------------------
@@ -767,7 +766,7 @@ TEST(RetiredTag, StatusTagsRejected) {
 TEST(FrameV7, GoldenHeaderLayout) {
     // Byte-exact pin of the 40-byte v7 header. If this test breaks, the
     // wire ABI changed: bump kWireVersion and update DESIGN.md §7.
-    static_assert(kWireVersion == 13);
+    static_assert(kWireVersion == 14);
     static_assert(kFrameHeaderSize == 40);
     static_assert(kFrameTypeOffset == 6);
     static_assert(kFrameLenOffset == 12);
@@ -788,7 +787,7 @@ TEST(FrameV7, GoldenHeaderLayout) {
     ASSERT_EQ(frame.size(), kFrameHeaderSize + 8);
     const std::uint8_t expected_header[kFrameHeaderSize] = {
         0x50, 0x52, 0x53, 0x42,  //  0: magic "PRSB" little-endian
-        0x0d,                    //  4: wire version
+        0x0e,                    //  4: wire version
         0x00,                    //  5: kind = request
         0x15, 0x00,              //  6: MsgType::kGetVersion tag (21)
         0x0d, 0x0c, 0x0b, 0x0a,  //  8: destination node id
@@ -807,22 +806,23 @@ TEST(FrameV7, GoldenHeaderLayout) {
     EXPECT_EQ(frame_type(frame), MsgType::kGetVersion);
 }
 
-TEST(FrameV13, PreviousWireVersionRejected) {
-    // A v12 peer's assign reply lacks the border list: its frames must
-    // fail the header check, never decode as a short v13 body.
+TEST(FrameV14, PreviousWireVersionRejected) {
+    // A v13 peer's assign reply carries concurrent descriptors before the
+    // border list: its frames must fail the header check, never decode
+    // as a misaligned v14 body.
     WireWriter body;
     body.u64(1);
     Buffer frame = seal_request(MsgType::kGetVersion, 1, std::move(body));
-    frame[4] = 12;
+    frame[4] = 13;
     EXPECT_THROW((void)parse_frame(frame), RpcError);
     frame[4] = kWireVersion;
     EXPECT_NO_THROW((void)parse_frame(frame));
 }
 
-TEST(FrameV13, RetiredTagsUnchanged) {
-    // v13 changed a body, not the tag table: no tag left or returned.
+TEST(FrameV14, RetiredTagsAddTag28) {
+    // v14 retired tag 28 (blob-clone-from); no other tag left or returned.
     const std::vector<std::pair<int, int>> expected = {
-        {2, 11}, {3, 12},  {8, 12},  {9, 12},  {11, 9},
+        {2, 11},  {3, 12}, {8, 12},  {9, 12},  {11, 9},  {28, 14},
         {29, 10}, {48, 8}, {49, 12}, {65, 11}, {70, 10}};
     std::vector<std::pair<int, int>> actual;
     for (const RetiredTag& t : kRetiredTags) {
@@ -849,7 +849,7 @@ std::vector<MsgType> all_types() {
 TEST(DispatchClass, EveryTagHasExactlyOneClass) {
     const Dispatcher d;
     const std::vector<MsgType> types = all_types();
-    ASSERT_EQ(types.size(), 31u);
+    ASSERT_EQ(types.size(), 30u);
     std::set<std::string> loop;
     std::set<std::string> own_thread;
     for (const MsgType t : types) {
@@ -866,10 +866,10 @@ TEST(DispatchClass, EveryTagHasExactlyOneClass) {
     // The inline set is deliberate: growing it needs the handler audit
     // dispatcher.hpp's kLoop contract asks for.
     const std::set<std::string> expected_loop = {
-        "topology",      "blob-create",  "blob-clone",  "blob-clone-from",
-        "blob-info",     "assign",       "commit",      "get-version",
-        "descriptor-of", "pin",          "unpin",       "meta-try-get",
-        "meta-erase",    "meta-put-batch", "place"};
+        "topology",      "blob-create",    "blob-clone",   "blob-info",
+        "assign",        "commit",         "get-version",  "descriptor-of",
+        "pin",           "unpin",          "meta-try-get", "meta-erase",
+        "meta-put-batch", "place"};
     EXPECT_EQ(loop, expected_loop);
     EXPECT_EQ(own_thread, std::set<std::string>{"wait-published"});
     // Unknown or retired tags (corrupt frames) keep the pool; see also

@@ -18,6 +18,7 @@
 #include "meta/meta_store.hpp"
 #include "meta/tree_builder.hpp"
 #include "meta/tree_reader.hpp"
+#include "testing_util.hpp"
 #include "version/version_manager.hpp"
 
 namespace blobseer {
@@ -100,7 +101,7 @@ class TreeFixture : public ::testing::Test {
         in.size_before = ar.size_before;
         in.size_after = ar.size_after;
         in.base = ar.base;
-        in.concurrent = ar.concurrent;
+        in.concurrent = testing::concurrent_of(vm_, blob, ar);
         const auto slots = geo.slots_of(in.write_range);
         for (std::uint64_t i = 0; i < slots.count; ++i) {
             const std::uint64_t slot_begin = (slots.first + i) * kChunk;
@@ -287,8 +288,9 @@ TEST_F(TreeFixture, WeavingTwoConcurrentWriters) {
     // Two concurrent writers assigned before either builds:
     auto a2 = vm_.assign(info_.id, 16, 16);  // v2: slots [2,4)
     auto a3 = vm_.assign(info_.id, 24, 16);  // v3: slots [3,5)
-    ASSERT_EQ(a3.concurrent.size(), 1u);
-    EXPECT_EQ(a3.concurrent[0].version, 2u);
+    const auto woven = testing::concurrent_of(vm_, info_.id, a3);
+    ASSERT_EQ(woven.size(), 1u);
+    EXPECT_EQ(woven[0].version, 2u);
 
     // v3 builds FIRST, weaving references to v2's future nodes.
     build(info_.id, a3, 16);

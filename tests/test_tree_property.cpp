@@ -28,6 +28,7 @@
 #include "meta/meta_store.hpp"
 #include "meta/tree_builder.hpp"
 #include "meta/tree_reader.hpp"
+#include "testing_util.hpp"
 #include "version/version_manager.hpp"
 
 namespace blobseer {
@@ -91,7 +92,6 @@ struct Harness {
         in.size_before = ar.size_before;
         in.size_after = ar.size_after;
         in.base = ar.base;
-        in.concurrent = ar.concurrent;
         in.borders = ar.borders;
         const auto slots = geo.slots_of(in.write_range);
         for (std::uint64_t i = 0; i < slots.count; ++i) {
@@ -338,7 +338,7 @@ TEST_P(BorderProperty, BorderRefsEqualDescent) {
         in.size_before = ar.size_before;
         in.size_after = ar.size_after;
         in.base = ar.base;
-        in.concurrent = ar.concurrent;
+        in.concurrent = testing::concurrent_of(*vm, blob, ar);
         const meta::SlotRange slots = geo.slots_of(in.write_range);
         for (std::uint64_t i = 0; i < slots.count; ++i) {
             in.leaves.push_back(meta::MetaNode::leaf(

@@ -1,8 +1,8 @@
 /// \file test_version_manager.cpp
 /// \brief Tests of version assignment, in-order publication, clone
 ///        aliasing, the abort/timeout policy, and the sharded layout
-///        (shard-embedded blob ids, cross-shard clone_from, the
-///        incremental stalled sweep, per-shard backlog accounting).
+///        (shard-embedded blob ids, the incremental stalled sweep,
+///        per-shard backlog accounting).
 
 #include <gtest/gtest.h>
 
@@ -51,16 +51,12 @@ TEST_F(VmFixture, AssignSequence) {
     EXPECT_EQ(a1.version, 1u);
     EXPECT_EQ(a1.size_before, 0u);
     EXPECT_EQ(a1.size_after, 16u);
-    EXPECT_TRUE(a1.concurrent.empty());
     EXPECT_FALSE(a1.base.valid());
 
     const auto a2 = vm_.assign(info_.id, std::nullopt, 8);
     EXPECT_EQ(a2.version, 2u);
     EXPECT_EQ(a2.offset, 16u);  // append lands at the running end
     EXPECT_EQ(a2.size_before, 16u);
-    // v1 has not published: it appears as a concurrent descriptor.
-    ASSERT_EQ(a2.concurrent.size(), 1u);
-    EXPECT_EQ(a2.concurrent[0].version, 1u);
 }
 
 TEST_F(VmFixture, PublicationIsInOrder) {
@@ -74,11 +70,10 @@ TEST_F(VmFixture, PublicationIsInOrder) {
     EXPECT_EQ(vm_.latest(info_.id), 3u);  // all flush at once
 }
 
-TEST_F(VmFixture, ConcurrentListShrinksAfterPublication) {
+TEST_F(VmFixture, BaseIsTheLatestPublishedVersion) {
     const auto a1 = vm_.assign(info_.id, 0, 8);
     vm_.commit(info_.id, a1.version);
     const auto a2 = vm_.assign(info_.id, 0, 8);
-    EXPECT_TRUE(a2.concurrent.empty());
     EXPECT_TRUE(a2.base.valid());
     EXPECT_EQ(a2.base.version, 1u);
     EXPECT_EQ(a2.base.size, 8u);
@@ -175,7 +170,6 @@ TEST_F(VmFixture, AbortCascadesToTail) {
     const auto a4 = vm_.assign(info_.id, std::nullopt, 8);
     EXPECT_EQ(a4.version, 4u);
     EXPECT_EQ(a4.offset, 0u);
-    EXPECT_TRUE(a4.concurrent.empty());  // aborted versions excluded
     vm_.commit(info_.id, 4);
     EXPECT_EQ(vm_.latest(info_.id), 4u);
     EXPECT_EQ(vm_.get_version(info_.id, 4).size, 8u);
@@ -274,12 +268,10 @@ TEST_F(VmFixture, PinsNestAcrossIndependentPinners) {
     vm_.commit(info_.id, a1.version);
     const auto a2 = vm_.assign(info_.id, 8, 8);
     vm_.commit(info_.id, a2.version);
-    // Two independent pinners of v1 (e.g. two concurrent cross-shard
-    // clones resolving the same snapshot).
+    // Two independent pinners of v1.
     EXPECT_TRUE(vm_.pin(info_.id, 1));
     EXPECT_FALSE(vm_.pin(info_.id, 1));  // nested, not newly created
-    // One pinner releases (a failed clone's compensation): v1 must stay
-    // protected for the other.
+    // One pinner releases: v1 must stay protected for the other.
     vm_.unpin(info_.id, 1);
     EXPECT_TRUE(vm_.retire(info_.id, 2).retired.empty());
     EXPECT_EQ(vm_.pinned(info_.id), (std::vector<Version>{1}));
@@ -299,6 +291,9 @@ TEST(VmSharding, ShardIndexRidesInBlobIds) {
     EXPECT_EQ(blob_shard(b2.id), 3u);
     EXPECT_NE(b1.id, b2.id);
     EXPECT_EQ(make_blob_id(3, 1), b1.id);
+    // A clone lives on its source's shard.
+    vm3.commit(b1.id, vm3.assign(b1.id, 0, 8).version);
+    EXPECT_EQ(blob_shard(vm3.clone_blob(b1.id, 1).id), 3u);
 
     // Shard 0 mints the legacy unsharded id space: first blob is 1.
     VersionManager vm0;
@@ -307,41 +302,6 @@ TEST(VmSharding, ShardIndexRidesInBlobIds) {
 
     EXPECT_THROW(VersionManager(4, 4), InvalidArgument);
     EXPECT_THROW(VersionManager(0, 0), InvalidArgument);
-}
-
-TEST(VmSharding, CloneFromAliasesForeignSnapshot) {
-    // Two shards of one deployment. The client-driven cross-shard clone
-    // protocol: resolve + pin on the source shard, hand the TreeRef to
-    // the destination shard's clone_from.
-    VersionManager src_shard(0, 2);
-    VersionManager dst_shard(1, 2);
-    const auto a = src_shard.create_blob(8, 2);
-    const auto w = src_shard.assign(a.id, 0, 24);
-    src_shard.commit(a.id, w.version);
-
-    const auto vi = src_shard.get_version(a.id, 1);
-    src_shard.pin(a.id, 1);
-    const auto c =
-        dst_shard.clone_from(a.chunk_size, a.replication, vi.tree);
-    EXPECT_EQ(blob_shard(c.id), 1u);
-    EXPECT_EQ(c.chunk_size, a.chunk_size);
-
-    const auto v0 = dst_shard.get_version(c.id, 0);
-    EXPECT_EQ(v0.size, 24u);
-    EXPECT_EQ(v0.tree.blob, a.id);
-    EXPECT_EQ(v0.tree.version, 1u);
-
-    // First write to the clone bases on the alias.
-    const auto ca = dst_shard.assign(c.id, std::nullopt, 8);
-    EXPECT_EQ(ca.offset, 24u);
-    EXPECT_EQ(ca.size_before, 24u);
-    EXPECT_EQ(ca.base.blob, a.id);
-
-    // An invalid origin creates a fresh empty blob (clone of a blob
-    // that never published anything).
-    const auto empty = dst_shard.clone_from(8, 1, meta::TreeRef{});
-    EXPECT_EQ(dst_shard.get_version(empty.id, 0).size, 0u);
-    EXPECT_FALSE(dst_shard.get_version(empty.id, 0).tree.valid());
 }
 
 // ---- incremental stalled sweep --------------------------------------------
