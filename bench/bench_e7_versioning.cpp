@@ -187,7 +187,6 @@ void publish_throughput_sharded() {
             engine::EngineConfig jc;
             jc.dir = root / ("vm-" + std::to_string(i));
             jc.background_compaction = false;
-            jc.checkpoint_interval_records = 0;
             jc.fsync_appends = true;
             journals.push_back(std::make_shared<engine::LogEngine>(jc));
             vms.back()->attach_journal(journals.back());

@@ -10,7 +10,8 @@
 /// The workload the ROADMAP's production north star implies — millions of
 /// 4 KiB–256 KiB chunks — is where per-object overhead dominates. The
 /// first table measures put, random get and (most importantly) reopen
-/// time at 100k small chunks; reopen is a checkpoint load, O(live keys).
+/// time at 100k small chunks; reopen applies the segments' hint files
+/// (one small entry per record) and reads no chunk bytes.
 /// DESIGN.md §8.2 records how this compared with the file-per-chunk
 /// store the engine replaced.
 ///
@@ -19,6 +20,8 @@
 ///
 /// Scale note (see bench_util.hpp): absolute numbers depend on the host
 /// filesystem.
+
+#include <malloc.h>
 
 #include <algorithm>
 #include <filesystem>
@@ -79,6 +82,12 @@ Timings run_log_store(const fs::path& dir, std::size_t n_chunks,
         }
         t.get_s = get_sw.elapsed_seconds();
     }  // close the store (provider shutdown)
+
+    // A restarted provider starts with a fresh heap. Settle this one
+    // first: glibc may still hold the closed index's ~200k freed nodes in
+    // its fastbins, and consolidating them (20-30 ms at 100k chunks)
+    // would otherwise be billed to whichever allocation comes next.
+    malloc_trim(0);
 
     // Provider restart: reopen on the same directory and count recovery.
     const Stopwatch reopen_sw;
@@ -205,7 +214,6 @@ void run_compression_section(const fs::path& root) {
     engine::EngineConfig cfg;
     cfg.dir = root / "compress";
     cfg.segment_target_bytes = 256 << 10;
-    cfg.checkpoint_interval_records = 0;
     cfg.background_compaction = false;
     cfg.compress_on_compact = true;
     fs::remove_all(cfg.dir);

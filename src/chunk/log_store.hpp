@@ -5,9 +5,9 @@
 /// per chunk, and restarts an O(directory) rescan — untenable at
 /// millions of 4 KiB–256 KiB chunks. LogStore appends chunks as
 /// checksummed records to the shared engine (engine::LogEngine,
-/// DESIGN.md §8): restart recovery is a checkpoint load, deletes are
-/// tombstones, and dead space from erase() is reclaimed by the engine's
-/// background compactor. It is the chunk store of every durable
+/// DESIGN.md §8): restart recovery applies per-segment hint files and
+/// reads no chunk bytes, deletes are tombstones, and dead space from
+/// erase() is reclaimed by the engine's background compactor. It is the chunk store of every durable
 /// deployment (ClusterConfig::durable), alone or under a TieredStore.
 
 #pragma once

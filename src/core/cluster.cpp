@@ -168,7 +168,6 @@ Cluster::Cluster(ClusterConfig config)
             // Replay depends on append order, so the compactor (which
             // relocates records) stays off; the journals are tiny anyway.
             jc.background_compaction = false;
-            jc.checkpoint_interval_records = 0;
             vm_journals_.push_back(std::make_shared<engine::LogEngine>(jc));
             vms_.back()->attach_journal(vm_journals_.back());
         }

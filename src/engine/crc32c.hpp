@@ -1,7 +1,7 @@
 /// \file crc32c.hpp
 /// \brief CRC32C (Castagnoli) checksum for storage-engine records.
 ///
-/// Every record and checkpoint the log engine writes is protected by
+/// Every record and hint file the log engine writes is protected by
 /// CRC32C (the polynomial used by iSCSI, ext4 and most storage engines,
 /// chosen over CRC32 for its better error-detection properties on short
 /// frames). On x86-64 CPUs with SSE4.2 the update runs on the `crc32`
@@ -35,7 +35,7 @@ namespace detail {
 /// Slicing-by-8 tables: table[0] is the classic byte-at-a-time table;
 /// table[k][i] advances a byte through k additional zero bytes, letting
 /// the update loop fold 8 input bytes per iteration (~4-8x faster than
-/// byte-at-a-time — reopen CRCs a whole multi-MB checkpoint).
+/// byte-at-a-time — reopen CRCs whole multi-MB hint files).
 [[nodiscard]] constexpr std::array<std::array<std::uint32_t, 256>, 8>
 make_crc32c_tables() {
     std::array<std::array<std::uint32_t, 256>, 8> t{};

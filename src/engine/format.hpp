@@ -1,7 +1,8 @@
 /// \file format.hpp
 /// \brief On-disk layout of the log-structured storage engine.
 ///
-/// Three file kinds live in an engine directory (DESIGN.md §8.1):
+/// Two file kinds live in an engine directory (DESIGN.md §8.1), beside
+/// its LOCK file:
 ///
 ///   seg-<id>.log   bounded append-only segments. 24-byte header
 ///                  [magic 8B | format u32 | reserved u32 | id u64]
@@ -11,13 +12,14 @@
 ///                  so a torn or corrupted record can never be mistaken
 ///                  for a committed one.
 ///
-///   ckpt-<seq>.idx index checkpoints: the key->location map of live
-///                  records and current tombstones (entry layout
-///                  [klen u32 | vlen u32 | segment u64 | offset u64 |
-///                  kind u8 | key]) plus a (segment, offset) watermark;
-///                  reopen loads the newest valid checkpoint and replays
-///                  only the log suffix past the watermark. Whole file
-///                  is CRC-trailed.
+///   seg-<id>.hint  per-segment hint (Bitcask's hint files): a 40-byte
+///                  header [magic 8B | format u32 | reserved u32 |
+///                  segment u64 | covered u64 | count u64], then one
+///                  entry [type u8 | klen u32 | vlen u32 | offset u64 |
+///                  key] per record of seg-<id>.log in record order,
+///                  describing exactly its first `covered` bytes. Reopen
+///                  applies a valid hint instead of reading those bytes
+///                  and scans only the rest. Whole file is CRC-trailed.
 ///
 /// All integers are little-endian with explicit byte shuffling (the same
 /// convention as the RPC wire format, DESIGN.md §7.1), so files are
@@ -35,15 +37,15 @@ namespace blobseer::engine {
 
 inline constexpr std::array<std::uint8_t, 8> kSegmentMagic = {
     'B', 'S', 'L', 'G', 'S', 'E', 'G', '1'};
-inline constexpr std::array<std::uint8_t, 8> kCheckpointMagic = {
-    'B', 'S', 'L', 'G', 'C', 'K', 'P', '1'};
+inline constexpr std::array<std::uint8_t, 8> kHintMagic = {
+    'B', 'S', 'L', 'G', 'H', 'N', 'T', '1'};
 
 /// On-disk format version, bumped on incompatible layout changes.
 /// Version history:
 ///   1  original layout (record types kPut/kTombstone only).
 ///   2  adds the kPutCompressed record type: the value bytes are a
 ///      codec frame (codec/codec.hpp) instead of the raw value. The
-///      record and checkpoint-entry layouts are unchanged — the CRC
+///      record and hint-entry layouts are unchanged — the CRC
 ///      still covers the stored (compressed) bytes — so v1 readers of
 ///      the *structure* only differ in the extra type byte value.
 /// Readers accept kMinFormatVersion..kFormatVersion; writers emit
@@ -60,7 +62,8 @@ inline constexpr std::uint32_t kMinFormatVersion = 1;
 
 inline constexpr std::size_t kSegmentHeaderSize = 24;
 inline constexpr std::size_t kRecordHeaderSize = 13;  // crc + klen + vlen + type
-inline constexpr std::size_t kCheckpointHeaderSize = 40;
+inline constexpr std::size_t kHintHeaderSize = 40;
+inline constexpr std::size_t kHintEntryHeaderSize = 17;  // type + klen + vlen + offset
 
 /// Sanity bounds applied while scanning: a length field beyond these is
 /// treated as a torn/corrupt record rather than an allocation request.

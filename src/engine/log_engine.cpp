@@ -4,10 +4,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "codec/codec.hpp"
 #include "codec/lz4.hpp"
+#include "common/clock.hpp"
 #include "engine/crc32c.hpp"
 
 namespace blobseer::engine {
@@ -58,6 +60,62 @@ std::optional<std::uint64_t> parse_numbered(const std::string& name,
     }
 }
 
+/// Walk the entries of hint file bytes \p raw, checking that they
+/// describe segment \p id record by record from its header up to the
+/// length the hint covers, and that this length is within the segment's
+/// current \p seg_size. Returns the covered length, or nullopt for a
+/// torn, foreign or stale hint (\p fn, if set, has then seen a prefix of
+/// the entries — validate with an empty \p fn first).
+std::optional<std::uint64_t> walk_hint(
+    ConstBytes raw, std::uint64_t id, std::uint64_t seg_size,
+    const std::function<void(RecordType type, std::string_view key,
+                             std::uint32_t vlen, std::uint64_t offset)>& fn) {
+    if (raw.size() < kHintHeaderSize + 4) {
+        return std::nullopt;
+    }
+    const std::size_t body = raw.size() - 4;
+    if (crc32c(raw.first(body)) != get_u32(raw, body) ||
+        !std::equal(kHintMagic.begin(), kHintMagic.end(), raw.begin()) ||
+        !supported_format_version(get_u32(raw, 8)) || get_u64(raw, 16) != id) {
+        return std::nullopt;
+    }
+    const std::uint64_t covered = get_u64(raw, 24);
+    const std::uint64_t count = get_u64(raw, 32);
+    if (covered < kSegmentHeaderSize || covered > seg_size) {
+        return std::nullopt;  // reaches past a (possibly truncated) log
+    }
+    std::size_t pos = kHintHeaderSize;
+    std::uint64_t next = kSegmentHeaderSize;  // where the next record starts
+    for (std::uint64_t i = 0; i < count; ++i) {
+        if (pos + kHintEntryHeaderSize > body) {
+            return std::nullopt;
+        }
+        const std::uint8_t type = raw[pos];
+        const std::uint32_t klen = get_u32(raw, pos + 1);
+        const std::uint32_t vlen = get_u32(raw, pos + 5);
+        const std::uint64_t offset = get_u64(raw, pos + 9);
+        pos += kHintEntryHeaderSize;
+        if (!valid_record_type(type) || klen == 0 || klen > kMaxKeyLen ||
+            vlen > kMaxValueLen || offset != next ||
+            offset + record_size(klen, vlen) > covered ||
+            pos + klen > body) {
+            return std::nullopt;
+        }
+        if (fn) {
+            fn(static_cast<RecordType>(type),
+               std::string_view(reinterpret_cast<const char*>(&raw[pos]),
+                                klen),
+               vlen, offset);
+        }
+        pos += klen;
+        next = offset + record_size(klen, vlen);
+    }
+    if (next != covered || pos != body) {
+        return std::nullopt;
+    }
+    return covered;
+}
+
 Buffer read_whole_file(const std::filesystem::path& path) {
     std::FILE* f = std::fopen(path.c_str(), "rb");
     if (f == nullptr) {
@@ -103,8 +161,14 @@ LogEngine::DirLock::~DirLock() {
 
 LogEngine::LogEngine(EngineConfig cfg)
     : cfg_(std::move(cfg)), dir_lock_(cfg_.dir) {
-    recover();
+    std::vector<PendingHint> unhinted = recover();
     pool_ = std::make_unique<ThreadPool>(1);
+    {
+        const std::scoped_lock lock(mu_);
+        for (PendingHint& hint : unhinted) {
+            schedule_hint_write_locked(std::move(hint));
+        }
+    }
 
     const MetricLabels labels{{"dir", cfg_.dir}};
     metrics_.counter("engine_appends_total", labels, appends_);
@@ -126,8 +190,9 @@ LogEngine::LogEngine(EngineConfig cfg)
                      compact_raw_bytes_in_);
     metrics_.counter("engine_compact_stored_bytes_out_total", labels,
                      compact_stored_bytes_out_);
-    metrics_.counter("engine_checkpoints_written_total", labels,
-                     checkpoints_written_);
+    metrics_.counter("engine_hints_written_total", labels, hints_written_);
+    metrics_.counter("engine_hint_bytes_total", labels, hint_bytes_);
+    metrics_.histogram("engine_hint_write_us", labels, hint_write_us_);
     metrics_.counter("engine_torn_bytes_discarded_total", labels,
                      torn_bytes_discarded_);
     metrics_.counter("engine_crc_read_failures_total", labels,
@@ -159,48 +224,42 @@ LogEngine::~LogEngine() {
         const std::scoped_lock lock(mu_);
         closing_ = true;
     }
-    pool_.reset();  // joins after draining queued chores (they early-exit)
-    if (cfg_.checkpoint_interval_records != 0) {
-        bool dirty = false;
-        {
-            const std::scoped_lock lock(mu_);
-            dirty = appends_since_checkpoint_ > 0;
+    pool_.reset();  // joins after draining queued chores (hint writes run)
+    try {
+        const std::uint64_t size = segments_.at(active_id_).file->size();
+        if (size > active_hint_covered_) {
+            write_hint(PendingHint{active_id_, size, std::move(active_hint_)});
         }
-        try {
-            if (dirty) {
-                checkpoint();
-            }
-        } catch (...) {
-            // Clean-close checkpoint is an optimization; recovery
-            // rescans. Nothing (filesystem_error included) may escape a
-            // destructor.
-        }
+    } catch (...) {
+        // The hint is an optimization; the next open scans instead.
+        // Nothing (filesystem_error included) may escape a destructor.
     }
 }
 
 // ---- recovery ---------------------------------------------------------------
 
-void LogEngine::recover() {
+std::vector<LogEngine::PendingHint> LogEngine::recover() {
     std::vector<std::uint64_t> seg_ids;
-    std::vector<std::pair<std::uint64_t, std::filesystem::path>> ckpts;
+    std::vector<std::uint64_t> hint_ids;
     for (const auto& entry : std::filesystem::directory_iterator(cfg_.dir)) {
         if (!entry.is_regular_file()) {
             continue;
         }
         const std::string name = entry.path().filename().string();
-        if (name.ends_with(".tmp")) {
-            // A checkpoint write that never reached its rename.
-            std::error_code ec;
-            std::filesystem::remove(entry.path(), ec);
-            continue;
-        }
         if (const auto id = parse_numbered(name, "seg-", ".log")) {
             seg_ids.push_back(*id);
-        } else if (const auto seq = parse_numbered(name, "ckpt-", ".idx")) {
-            ckpts.emplace_back(*seq, entry.path());
+        } else if (const auto hid = parse_numbered(name, "seg-", ".hint")) {
+            hint_ids.push_back(*hid);
+        } else if (name.ends_with(".tmp") ||
+                   parse_numbered(name, "ckpt-", ".idx")) {
+            // A hint write that never reached its rename, or an index
+            // checkpoint of the format before hints: this open scans.
+            std::error_code ec;
+            std::filesystem::remove(entry.path(), ec);
         }
     }
     std::sort(seg_ids.begin(), seg_ids.end());
+    std::sort(hint_ids.begin(), hint_ids.end());
 
     for (const std::uint64_t id : seg_ids) {
         auto file = SegmentFile::open(segment_path(id), false);
@@ -221,47 +280,72 @@ void LogEngine::recover() {
         segments_.emplace(
             id, Segment{.file = std::move(file), .sealed = true});
     }
-
-    // Newest valid checkpoint wins; older ones remain as fallbacks (the
-    // watermark is only ever behind, never wrong).
-    std::sort(ckpts.begin(), ckpts.end(),
-              [](const auto& a, const auto& b) { return a.first > b.first; });
-    if (!ckpts.empty()) {
-        next_checkpoint_seq_ = ckpts.front().first + 1;
-    }
-    std::uint64_t wm_seg = 0;
-    std::uint64_t wm_off = 0;
-    for (const auto& [seq, path] : ckpts) {
-        (void)seq;
-        if (try_load_checkpoint(path)) {
-            wm_seg = ckpt_watermark_seg_;
-            wm_off = ckpt_watermark_off_;
-            recovered_from_checkpoint_ = true;
-            break;
+    // Load the valid hints first: their entry counts size the index once.
+    std::map<std::uint64_t, std::pair<Buffer, std::uint64_t>> hints;
+    std::uint64_t hinted = 0;
+    for (const std::uint64_t id : hint_ids) {
+        const auto seg = segments_.find(id);
+        Buffer raw;
+        std::optional<std::uint64_t> covered;
+        if (seg != segments_.end()) {
+            try {
+                raw = read_whole_file(hint_path(id));
+                covered = walk_hint(raw, id, seg->second.file->size(), {});
+            } catch (const Error&) {
+            }
         }
-        std::error_code ec;  // invalid (stale or torn) checkpoint: drop it
-        std::filesystem::remove(path, ec);
-    }
-
-    std::uint64_t replayed = 0;
-    for (auto& [id, seg] : segments_) {
-        if (recovered_from_checkpoint_ && id < wm_seg) {
+        if (!covered) {
+            // Its segment was compacted away; or it is torn, or stale
+            // after the log lost bytes it describes: drop it before the
+            // segment can regrow past it.
+            std::filesystem::remove(hint_path(id));
             continue;
         }
-        const std::uint64_t from =
-            recovered_from_checkpoint_ && id == wm_seg ? wm_off
-                                                       : kSegmentHeaderSize;
+        hinted += get_u64(raw, 32);
+        hints.emplace(id, std::pair{std::move(raw), *covered});
+    }
+    index_.reserve(hinted);
+
+    // Segment order, as a full scan: a valid hint stands in for the bytes
+    // it covers, and only the rest of the segment is read.
+    std::vector<PendingHint> unhinted;
+    for (auto& [id, seg] : segments_) {
         const bool is_tail = id == segments_.rbegin()->first;
+        const auto apply = [&](RecordType type, std::string_view key,
+                               std::uint32_t vlen, std::uint64_t offset) {
+            apply_record_locked(
+                type, key, vlen,
+                Location{id, offset, static_cast<std::uint32_t>(key.size()),
+                         vlen});
+        };
+        std::uint64_t from = kSegmentHeaderSize;
+        Buffer hint;
+        if (auto found = hints.extract(id)) {
+            hint = std::move(found.mapped().first);
+            from = found.mapped().second;
+            (void)walk_hint(hint, id, from, apply);
+            hinted_records_ += get_u64(hint, 32);
+        }
+        // Entries for a hint still to be written: the active segment's
+        // (completed at seal or close) and a sealed one not fully hinted.
+        // A loaded hint's entries are already encoded as a HintLog's.
+        PendingHint rebuilt{id, 0, {}};
+        const bool keep = is_tail || from < seg.file->size();
+        if (keep && !hint.empty()) {
+            rebuilt.entries.blocks.emplace_back(hint.begin() + kHintHeaderSize,
+                                                hint.end() - 4);
+            rebuilt.entries.count = get_u64(hint, 32);
+        }
         const auto outcome = for_each_record(
             *seg.file, from,
             [&](std::uint64_t offset, RecordType type, std::string_view key,
                 ConstBytes value) {
-                ++replayed;
-                apply_record_locked(
-                    type, key, static_cast<std::uint32_t>(value.size()),
-                    Location{id, offset,
-                             static_cast<std::uint32_t>(key.size()),
-                             static_cast<std::uint32_t>(value.size())});
+                ++scanned_records_;
+                const auto vlen = static_cast<std::uint32_t>(value.size());
+                apply(type, key, vlen, offset);
+                if (keep) {
+                    rebuilt.entries.add(type, key, vlen, offset);
+                }
             });
         if (!outcome.clean) {
             if (!is_tail) {
@@ -274,6 +358,13 @@ void LogEngine::recover() {
             torn_bytes_discarded_.add(seg.file->size() - outcome.end_offset);
             seg.file->truncate(outcome.end_offset);
         }
+        if (is_tail) {
+            active_hint_ = std::move(rebuilt.entries);
+            active_hint_covered_ = from;
+        } else if (keep) {
+            rebuilt.covered = seg.file->size();
+            unhinted.push_back(std::move(rebuilt));
+        }
     }
 
     if (segments_.empty()) {
@@ -282,123 +373,7 @@ void LogEngine::recover() {
         active_id_ = segments_.rbegin()->first;
         segments_[active_id_].sealed = false;
     }
-
-    // Count the replayed records (the whole log after a full scan, the
-    // post-watermark suffix after a checkpoint load) as un-checkpointed:
-    // a clean close then writes a fresh checkpoint, so the next open
-    // never re-replays the same suffix.
-    appends_since_checkpoint_ = replayed;
-}
-
-bool LogEngine::try_load_checkpoint(const std::filesystem::path& file) {
-    Buffer raw;
-    try {
-        raw = read_whole_file(file);
-    } catch (const Error&) {
-        return false;
-    }
-    if (raw.size() < kCheckpointHeaderSize + 4) {
-        return false;
-    }
-    const std::size_t body = raw.size() - 4;
-    if (crc32c(ConstBytes(raw).first(body)) != get_u32(raw, body)) {
-        return false;
-    }
-    for (std::size_t i = 0; i < kCheckpointMagic.size(); ++i) {
-        if (raw[i] != kCheckpointMagic[i]) {
-            return false;
-        }
-    }
-    if (!supported_format_version(get_u32(raw, 8))) {
-        return false;
-    }
-    const std::uint64_t wm_seg = get_u64(raw, 16);
-    const std::uint64_t wm_off = get_u64(raw, 24);
-    const std::uint64_t count = get_u64(raw, 32);
-
-    const auto wm_it = segments_.find(wm_seg);
-    if (wm_it == segments_.end() || wm_off < kSegmentHeaderSize ||
-        wm_off > wm_it->second.file->size()) {
-        return false;  // watermark beyond a (possibly truncated) tail
-    }
-
-    KeyMap index;
-    KeyMap dead;
-    std::unordered_map<std::uint64_t, std::uint64_t> live;
-    std::unordered_map<std::uint64_t, std::uint64_t> tomb;
-    index.reserve(count);  // rehash-free bulk load: reopen is O(live keys)
-    std::uint64_t value_bytes = 0;
-    std::uint64_t compressed_records = 0;
-    std::uint64_t compressed_bytes = 0;
-    std::size_t pos = kCheckpointHeaderSize;
-    // Entries cluster by segment; memoize the last lookup.
-    std::uint64_t cached_seg = 0;
-    std::uint64_t cached_seg_size = 0;
-    bool cached_valid = false;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        if (pos + 25 > body) {
-            return false;
-        }
-        Location loc;
-        loc.klen = get_u32(raw, pos);
-        loc.vlen = get_u32(raw, pos + 4);
-        loc.segment = get_u64(raw, pos + 8);
-        loc.offset = get_u64(raw, pos + 16);
-        const std::uint8_t kind = raw[pos + 24];
-        pos += 25;
-        if (!valid_record_type(kind) || loc.klen == 0 ||
-            loc.klen > kMaxKeyLen || pos + loc.klen > body) {
-            return false;
-        }
-        if (!cached_valid || cached_seg != loc.segment) {
-            const auto seg = segments_.find(loc.segment);
-            if (seg == segments_.end()) {
-                return false;  // entry points at a compacted-away segment
-            }
-            cached_seg = loc.segment;
-            cached_seg_size = seg->second.file->size();
-            cached_valid = true;
-        }
-        if (loc.offset < kSegmentHeaderSize ||
-            loc.offset + loc.size() > cached_seg_size) {
-            return false;  // entry points at torn bytes
-        }
-        std::string key(reinterpret_cast<const char*>(raw.data() + pos),
-                        loc.klen);
-        pos += loc.klen;
-        if (is_put_type(static_cast<RecordType>(kind))) {
-            loc.compressed =
-                kind == static_cast<std::uint8_t>(RecordType::kPutCompressed);
-            if (loc.compressed) {
-                ++compressed_records;
-                compressed_bytes += loc.vlen;
-            }
-            live[loc.segment] += loc.size();
-            value_bytes += loc.vlen;
-            index.emplace(std::move(key), loc);
-        } else {
-            tomb[loc.segment] += loc.size();
-            dead.emplace(std::move(key), loc);
-        }
-    }
-    if (pos != body) {
-        return false;
-    }
-
-    index_ = std::move(index);
-    dead_keys_ = std::move(dead);
-    for (const auto& [seg, bytes] : live) {
-        segments_[seg].live_bytes = bytes;
-    }
-    for (const auto& [seg, bytes] : tomb) {
-        segments_[seg].tomb_bytes = bytes;
-    }
-    live_value_bytes_ = value_bytes;
-    compressed_live_records_ = compressed_records;
-    compressed_live_bytes_ = compressed_bytes;
-    ckpt_watermark_seg_ = wm_seg;
-    ckpt_watermark_off_ = wm_off;
-    return true;
+    return unhinted;
 }
 
 LogEngine::ScanOutcome LogEngine::for_each_record(
@@ -676,11 +651,11 @@ void LogEngine::append_locked(RecordType type, std::string_view key,
     if (overwrote) {
         overwrites_.add();
     }
+    active_hint_.add(type, key, static_cast<std::uint32_t>(value.size()),
+                     offset);
 
-    ++appends_since_checkpoint_;
     roll_segment_if_needed_locked();
     maybe_schedule_compaction_locked();
-    maybe_schedule_checkpoint_locked();
 }
 
 bool LogEngine::apply_record_locked(RecordType type, std::string_view key,
@@ -740,6 +715,9 @@ void LogEngine::roll_segment_if_needed_locked() {
     }
     active.sealed = true;
     victim_hint_ = true;  // the freshly sealed segment may qualify
+    schedule_hint_write_locked(PendingHint{
+        active_id_, active.file->size(), std::exchange(active_hint_, {})});
+    active_hint_covered_ = kSegmentHeaderSize;
     open_fresh_segment_locked(active_id_ + 1);
 }
 
@@ -822,36 +800,13 @@ void LogEngine::maybe_schedule_compaction_locked() {
     });
 }
 
-void LogEngine::maybe_schedule_checkpoint_locked() {
-    if (cfg_.checkpoint_interval_records == 0 || checkpoint_pending_ ||
-        closing_ || background_failed_ || pool_ == nullptr ||
-        appends_since_checkpoint_ < cfg_.checkpoint_interval_records) {
-        return;
-    }
-    checkpoint_pending_ = true;
-    pool_->submit([this] {
-        {
-            const std::scoped_lock lock(mu_);
-            checkpoint_pending_ = false;
-            if (closing_) {
-                return;
-            }
-        }
-        try {
-            checkpoint();
-        } catch (const std::exception& e) {
-            background_chore_failed(e.what());
-        }
-    });
-}
-
 void LogEngine::background_chore_failed(const char* what) {
     const std::scoped_lock lock(mu_);
     background_failed_ = true;
     background_failures_.add();
     std::fprintf(stderr,
                  "blobseer-engine[%s]: background chore failed, "
-                 "disabling background compaction/checkpoints: %s\n",
+                 "disabling background compaction and hint writes: %s\n",
                  cfg_.dir.c_str(), what);
 }
 
@@ -860,18 +815,6 @@ std::size_t LogEngine::compact() {
     std::size_t n = 0;
     while (compact_one()) {
         ++n;
-    }
-    if (n > 0 && cfg_.checkpoint_interval_records != 0) {
-        // Deleting victims invalidated any checkpoint that referenced
-        // them; write a fresh one so the next reopen stays O(live keys).
-        bool write = false;
-        {
-            const std::scoped_lock lock(mu_);
-            write = !closing_;
-        }
-        if (write) {
-            checkpoint();
-        }
     }
     return n;
 }
@@ -981,75 +924,87 @@ bool LogEngine::compact_one() {
         deferred_unlinks_.add();
     }
     pin->retire(file->path());
+    // Any hint of the victim goes now (a pending write of it sees the
+    // segment gone and skips); a leftover would be dropped at open.
+    std::error_code ec;
+    std::filesystem::remove(hint_path(victim_id), ec);
     return true;
 }
 
-// ---- checkpoint -------------------------------------------------------------
+// ---- hints ------------------------------------------------------------------
 
-void LogEngine::checkpoint() {
-    // Snapshot under the lock; do the file I/O (append, fsync, rename)
-    // with it released so the data plane never stalls on checkpoint disk
-    // latency.
-    Buffer out;
-    std::uint64_t seq = 0;
-    {
-        const std::scoped_lock lock(mu_);
-        out.insert(out.end(), kCheckpointMagic.begin(),
-                   kCheckpointMagic.end());
-        // v2 whenever compressed entries exist (or may soon), v1
-        // otherwise so no-compression deployments stay byte-identical.
-        put_u32(out, compressed_live_records_ > 0 ? kFormatVersion
-                                                  : write_version());
-        put_u32(out, 0);  // reserved
-        put_u64(out, active_id_);
-        put_u64(out, segments_.at(active_id_).file->size());
-        put_u64(out, index_.size() + dead_keys_.size());
-        const auto emit = [&out](const std::string& key, const Location& loc,
-                                 RecordType kind) {
-            put_u32(out, loc.klen);
-            put_u32(out, loc.vlen);
-            put_u64(out, loc.segment);
-            put_u64(out, loc.offset);
-            out.push_back(static_cast<std::uint8_t>(kind));
-            out.insert(out.end(), key.begin(), key.end());
-        };
-        for (const auto& [key, loc] : index_) {
-            emit(key, loc,
-                 loc.compressed ? RecordType::kPutCompressed
-                                : RecordType::kPut);
-        }
-        for (const auto& [key, loc] : dead_keys_) {
-            emit(key, loc, RecordType::kTombstone);
-        }
-        put_u32(out, crc32c(out));
-        seq = next_checkpoint_seq_++;
-        // The snapshot covers every append so far; reset at snapshot
-        // time (a failed write below just means the next open rescans).
-        appends_since_checkpoint_ = 0;
+void LogEngine::HintLog::add(RecordType type, std::string_view key,
+                             std::uint32_t vlen, std::uint64_t offset) {
+    constexpr std::size_t kBlockBytes = 64 << 10;
+    const std::size_t need = kHintEntryHeaderSize + key.size();
+    if (blocks.empty() ||
+        blocks.back().capacity() - blocks.back().size() < need) {
+        blocks.emplace_back().reserve(std::max(kBlockBytes, need));
     }
+    Buffer& out = blocks.back();
+    out.push_back(static_cast<std::uint8_t>(type));
+    put_u32(out, static_cast<std::uint32_t>(key.size()));
+    put_u32(out, vlen);
+    put_u64(out, offset);
+    out.insert(out.end(), key.begin(), key.end());
+    ++count;
+}
 
-    const auto final_path = checkpoint_path(seq);
-    const auto tmp_path =
-        std::filesystem::path(final_path.string() + ".tmp");
+void LogEngine::schedule_hint_write_locked(PendingHint hint) {
+    if (pool_ == nullptr || background_failed_) {
+        return;
+    }
+    pool_->submit([this, hint = std::move(hint)] {
+        try {
+            const std::scoped_lock serialize(compact_mu_);
+            {
+                const std::scoped_lock lock(mu_);
+                if (!segments_.contains(hint.segment)) {
+                    return;  // compacted away before its hint was due
+                }
+            }
+            write_hint(hint);
+        } catch (const std::exception& e) {
+            background_chore_failed(e.what());
+        }
+    });
+}
+
+void LogEngine::write_hint(const PendingHint& hint) {
+    const Stopwatch sw;
+    Buffer head;
+    head.reserve(kHintHeaderSize);
+    head.insert(head.end(), kHintMagic.begin(), kHintMagic.end());
+    put_u32(head, write_version());
+    put_u32(head, 0);  // reserved
+    put_u64(head, hint.segment);
+    put_u64(head, hint.covered);
+    put_u64(head, hint.entries.count);
+    std::uint32_t crc = crc32c_update(crc32c_init(), head);
+    std::uint64_t bytes = head.size() + 4;
+    for (const Buffer& block : hint.entries.blocks) {
+        crc = crc32c_update(crc, block);
+        bytes += block.size();
+    }
+    Buffer trailer;
+    put_u32(trailer, crc32c_final(crc));
+
+    const auto final_path = hint_path(hint.segment);
+    const auto tmp_path = std::filesystem::path(final_path.string() + ".tmp");
     {
         auto file = SegmentFile::open(tmp_path, true);
         file->truncate(0);
-        file->append(out);
+        file->append(head);
+        for (const Buffer& block : hint.entries.blocks) {
+            file->append(block);
+        }
+        file->append(trailer);
         file->sync();
     }
     std::filesystem::rename(tmp_path, final_path);
-    checkpoints_written_.add();
-
-    // Older checkpoints are now strictly worse; reclaim them.
-    for (const auto& entry :
-         std::filesystem::directory_iterator(cfg_.dir)) {
-        const auto old =
-            parse_numbered(entry.path().filename().string(), "ckpt-", ".idx");
-        if (old && *old < seq) {
-            std::error_code ec;
-            std::filesystem::remove(entry.path(), ec);
-        }
-    }
+    hints_written_.add();
+    hint_bytes_.add(bytes);
+    hint_write_us_.record(sw.elapsed_us());
 }
 
 // ---- misc -------------------------------------------------------------------
@@ -1058,7 +1013,7 @@ void LogEngine::wait_idle() {
     for (;;) {
         pool_->submit([] {}).get();  // single worker: drains earlier tasks
         const std::scoped_lock lock(mu_);
-        if (!compaction_pending_ && !checkpoint_pending_) {
+        if (!compaction_pending_) {
             return;
         }
     }
@@ -1089,8 +1044,10 @@ EngineStatsSnapshot LogEngine::stats() {
     s.compact_compressed_records = compact_compressed_records_.get();
     s.compact_raw_bytes_in = compact_raw_bytes_in_.get();
     s.compact_stored_bytes_out = compact_stored_bytes_out_.get();
-    s.checkpoints_written = checkpoints_written_.get();
-    s.recovered_from_checkpoint = recovered_from_checkpoint_;
+    s.hints_written = hints_written_.get();
+    s.hint_bytes_written = hint_bytes_.get();
+    s.hinted_records = hinted_records_;
+    s.scanned_records = scanned_records_;
     s.torn_bytes_discarded = torn_bytes_discarded_.get();
     s.crc_read_failures = crc_read_failures_.get();
     s.background_failures = background_failures_.get();
@@ -1140,10 +1097,10 @@ void LogEngine::scan(
                 }
             });
         if (!outcome.clean) {
-            // Pre-watermark bytes were not re-verified at open (the
-            // checkpoint vouched for locations, not contents): a bad
-            // record here must fail the scan loudly, not truncate the
-            // consumer's view of the log.
+            // Hinted bytes were not re-verified at open (a hint vouches
+            // for locations, not contents): a bad record here must fail
+            // the scan loudly, not truncate the consumer's view of the
+            // log.
             throw ConsistencyError("corrupt record while scanning " +
                                    file->path().string() +
                                    " at offset " +
@@ -1156,8 +1113,8 @@ std::filesystem::path LogEngine::segment_path(std::uint64_t id) const {
     return cfg_.dir / ("seg-" + pad10(id) + ".log");
 }
 
-std::filesystem::path LogEngine::checkpoint_path(std::uint64_t seq) const {
-    return cfg_.dir / ("ckpt-" + pad10(seq) + ".idx");
+std::filesystem::path LogEngine::hint_path(std::uint64_t id) const {
+    return cfg_.dir / ("seg-" + pad10(id) + ".hint");
 }
 
 }  // namespace blobseer::engine

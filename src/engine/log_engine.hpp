@@ -5,13 +5,15 @@
 /// object) with an append-only log: puts and tombstones are checksummed,
 /// length-prefixed records appended to bounded segment files; an in-memory
 /// index maps each live key to its (segment, offset, lengths) location.
-/// Opening a directory recovers the index by loading the newest valid
-/// checkpoint and replaying only the log suffix past its watermark —
-/// O(live keys) instead of O(log bytes) — and tolerates a torn tail left
-/// by a crash mid-append (the torn suffix is discarded; everything before
-/// it is recovered exactly). A background compactor, driven by
-/// common::ThreadPool, rewrites low-liveness sealed segments to reclaim
-/// space freed by overwrites and removes.
+/// Each segment gets a hint file when it seals (and the active one at
+/// clean close) listing its records' keys and locations, so opening a
+/// directory applies the hints in segment order and reads only the log
+/// bytes no valid hint covers — O(records) of small entries instead of
+/// O(log bytes), with nothing ever re-encoding the whole index. Recovery
+/// tolerates a torn tail left by a crash mid-append (the torn suffix is
+/// discarded; everything before it is recovered exactly). A background
+/// compactor, driven by common::ThreadPool, rewrites low-liveness sealed
+/// segments to reclaim space freed by overwrites and removes.
 ///
 /// One engine serves three persistence layers: chunk::LogStore (data
 /// providers), meta::LogMetaStore (metadata providers) and the version
@@ -34,6 +36,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "common/buffer.hpp"
 #include "common/error.hpp"
@@ -46,15 +49,11 @@
 namespace blobseer::engine {
 
 struct EngineConfig {
-    /// Directory holding segments and checkpoints (created if absent).
+    /// Directory holding segments and their hints (created if absent).
     std::filesystem::path dir;
 
     /// Roll to a new segment once the active one reaches this size.
     std::uint64_t segment_target_bytes = 64ULL << 20;
-
-    /// Write an index checkpoint every N appended records (0 = only on
-    /// clean close / explicit checkpoint()).
-    std::uint64_t checkpoint_interval_records = 16384;
 
     /// Sealed segments whose live fraction drops below this become
     /// compaction victims.
@@ -115,13 +114,17 @@ struct EngineStatsSnapshot {
     std::uint64_t compact_raw_bytes_in = 0;     ///< pre-compression bytes
     std::uint64_t compact_stored_bytes_out = 0; ///< post-compression bytes
 
-    std::uint64_t checkpoints_written = 0;
-    bool recovered_from_checkpoint = false;
+    std::uint64_t hints_written = 0;
+    std::uint64_t hint_bytes_written = 0;
+    /// How the last open rebuilt the index: records applied from hint
+    /// entries vs. records read back from the log itself.
+    std::uint64_t hinted_records = 0;
+    std::uint64_t scanned_records = 0;
     std::uint64_t torn_bytes_discarded = 0;
     std::uint64_t crc_read_failures = 0;
     /// Background chores that threw (their futures are discarded, so
-    /// failures latch background_compaction/checkpoints off and count
-    /// here; reads keep surfacing corruption per access).
+    /// failures latch background compaction and hint writes off and
+    /// count here; reads keep surfacing corruption per access).
     std::uint64_t background_failures = 0;
 };
 
@@ -185,6 +188,8 @@ struct ValueRef {
     std::shared_ptr<const void> keepalive{};
 };
 
+struct LogEngineTestPeer;
+
 class LogEngine {
   public:
     /// Open (creating if needed) the engine rooted at cfg.dir, running
@@ -192,8 +197,9 @@ class LogEngine {
     /// corrupt (a torn tail on the newest segment is recovered silently).
     explicit LogEngine(EngineConfig cfg);
 
-    /// Clean close: drains background work and writes a final checkpoint
-    /// (when checkpointing is enabled) so the next open is O(live keys).
+    /// Clean close: drains background work (queued hint writes included)
+    /// and writes the active segment's hint, so the next open reads no
+    /// record it already saw.
     ~LogEngine();
 
     LogEngine(const LogEngine&) = delete;
@@ -236,14 +242,12 @@ class LogEngine {
 
     // ---- maintenance -----------------------------------------------------
 
-    /// Write an index checkpoint now.
-    void checkpoint();
-
     /// Compact every victim segment now (foreground). Returns the number
     /// of segments rewritten.
     std::size_t compact();
 
-    /// Block until queued background work (compaction/checkpoint) drains.
+    /// Block until queued background work (compaction, hint writes)
+    /// drains.
     void wait_idle();
 
     [[nodiscard]] EngineStatsSnapshot stats();
@@ -261,6 +265,10 @@ class LogEngine {
     }
 
   private:
+    /// test_engine compares the index and segment accounting that two
+    /// recoveries of one directory rebuild.
+    friend struct LogEngineTestPeer;
+
     struct Location {
         std::uint64_t segment = 0;
         std::uint64_t offset = 0;  // of the record header within the file
@@ -310,9 +318,29 @@ class LogEngine {
         int fd_ = -1;
     };
 
-    // Recovery.
-    void recover();
-    bool try_load_checkpoint(const std::filesystem::path& file);
+    /// Hint entries of one segment in record order, encoded as they are
+    /// written (format.hpp). Fixed-capacity blocks: adding an entry never
+    /// moves the ones before it, so an append pays O(key), not a copy.
+    struct HintLog {
+        std::vector<Buffer> blocks;
+        std::uint64_t count = 0;
+
+        void add(RecordType type, std::string_view key, std::uint32_t vlen,
+                 std::uint64_t offset);
+    };
+
+    /// A hint to write: \p entries describe the first \p covered bytes
+    /// of segment \p segment.
+    struct PendingHint {
+        std::uint64_t segment = 0;
+        std::uint64_t covered = 0;
+        HintLog entries;
+    };
+
+    /// Rebuild the index from hints and the bytes they do not cover.
+    /// Returns the hints of sealed segments it had to scan, for the
+    /// background worker to write.
+    std::vector<PendingHint> recover();
 
     /// Walk records of one segment from \p from, invoking \p fn for each
     /// fully-committed one; stops at the first torn/corrupt record.
@@ -346,7 +374,11 @@ class LogEngine {
     // Background work.
     [[nodiscard]] std::optional<std::uint64_t> pick_victim_locked() const;
     void maybe_schedule_compaction_locked();
-    void maybe_schedule_checkpoint_locked();
+    /// Queue \p hint for the background worker. Once background chores
+    /// have failed it is dropped, and the next open scans that segment.
+    void schedule_hint_write_locked(PendingHint hint);
+    /// tmp + fsync + rename; callers hold compact_mu_ or run at close.
+    void write_hint(const PendingHint& hint);
     bool compact_one();  ///< returns false when no victim remains
 
     /// Record a failed background chore and fail-stop further ones (the
@@ -354,8 +386,7 @@ class LogEngine {
     void background_chore_failed(const char* what);
 
     [[nodiscard]] std::filesystem::path segment_path(std::uint64_t id) const;
-    [[nodiscard]] std::filesystem::path checkpoint_path(
-        std::uint64_t seq) const;
+    [[nodiscard]] std::filesystem::path hint_path(std::uint64_t id) const;
 
     const EngineConfig cfg_;
     DirLock dir_lock_;  // initialized right after cfg_, before recovery
@@ -371,7 +402,7 @@ class LogEngine {
     using KeyMap =
         std::unordered_map<std::string, Location, KeyHash, std::equal_to<>>;
 
-    /// Segment/checkpoint header version this engine writes (v2 only
+    /// Segment/hint header version this engine writes (v2 only
     /// when compression may produce kPutCompressed records).
     [[nodiscard]] std::uint32_t write_version() const noexcept {
         return cfg_.compress_on_compact ? kFormatVersion : kMinFormatVersion;
@@ -381,18 +412,19 @@ class LogEngine {
     KeyMap index_;
     /// Current tombstone of each removed key. Needed so compaction can
     /// tell a tombstone that still shadows stale puts (relocate it) from
-    /// a superseded one (drop it), and so checkpoints restore exactly the
-    /// shadowing state a full scan would rebuild.
+    /// a superseded one (drop it).
     KeyMap dead_keys_;
     std::map<std::uint64_t, Segment> segments_;  // ordered by segment id
     std::uint64_t active_id_ = 0;
     std::uint64_t live_value_bytes_ = 0;
     std::uint64_t compressed_live_records_ = 0;  // gauges; guarded by mu_
     std::uint64_t compressed_live_bytes_ = 0;
-    std::uint64_t appends_since_checkpoint_ = 0;
-    std::uint64_t next_checkpoint_seq_ = 1;
+    /// Entries of the active segment's records so far, handed to the
+    /// background worker when it seals; and how far its hint on disk
+    /// (written at a previous close) reaches.
+    HintLog active_hint_;
+    std::uint64_t active_hint_covered_ = kSegmentHeaderSize;
     bool compaction_pending_ = false;
-    bool checkpoint_pending_ = false;
     bool background_failed_ = false;  // fail-stop latch for chores
     /// O(1) append-path gate for the O(#segments) victim scan: set when
     /// an event that can create a victim happens (a sealed segment lost
@@ -400,11 +432,12 @@ class LogEngine {
     /// Starts true so post-recovery dead space gets one look.
     bool victim_hint_ = true;
     bool closing_ = false;
-    bool recovered_from_checkpoint_ = false;
-    std::uint64_t ckpt_watermark_seg_ = 0;  // set by try_load_checkpoint
-    std::uint64_t ckpt_watermark_off_ = 0;
+    std::uint64_t hinted_records_ = 0;  // set by recover()
+    std::uint64_t scanned_records_ = 0;
 
-    std::mutex compact_mu_;  // serializes foreground and background compaction
+    /// Serializes compactions, and a hint write with the compaction that
+    /// may delete its segment (so no hint outlives its segment).
+    std::mutex compact_mu_;
 
     Counter appends_;
     Counter overwrites_;
@@ -419,12 +452,14 @@ class LogEngine {
     Counter compact_compressed_records_;
     Counter compact_raw_bytes_in_;
     Counter compact_stored_bytes_out_;
-    Counter checkpoints_written_;
+    Counter hints_written_;
+    Counter hint_bytes_;
+    Histogram hint_write_us_;
     Counter torn_bytes_discarded_;
     Counter crc_read_failures_;
     Counter background_failures_;
 
-    /// One worker is enough: compaction and checkpointing are sequential
+    /// One worker is enough: compaction and hint writes are sequential
     /// background chores, not a parallel workload.
     std::unique_ptr<ThreadPool> pool_;
     /// Registry bindings; declared last so they unbind before the

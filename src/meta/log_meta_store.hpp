@@ -4,8 +4,8 @@
 /// The durable metadata backend (ClusterConfig::durable): tree nodes are
 /// tiny (tens of bytes), so they serialize with serialize_node
 /// (meta_node.hpp) and append to an engine::LogEngine (DESIGN.md §8)
-/// keyed by the 32-byte MetaKey encoding; restart recovery is the
-/// engine's checkpoint load. Every node read or written is mirrored in a
+/// keyed by the 32-byte MetaKey encoding; restart recovery applies the
+/// engine's per-segment hint files. Every node read or written is mirrored in a
 /// RAM map — the paper keeps the RAM scheme "as an underlying caching
 /// mechanism" — and lose_volatile() drops only that cache; get() then
 /// falls back to the engine.

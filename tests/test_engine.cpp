@@ -1,23 +1,67 @@
 /// \file test_engine.cpp
 /// \brief Tests of the log-structured storage engine: record round-trips,
-///        segment rollover, checkpointed reopen, compaction, CRC
-///        corruption surfacing, and the crash-recovery property test
-///        (arbitrary-byte torn tails recover exactly the committed
-///        prefix). Format contract: DESIGN.md §8.
+///        segment rollover, hinted reopen, compaction, CRC corruption
+///        surfacing, and the crash-recovery property tests (arbitrary-byte
+///        torn tails recover exactly the committed prefix; hints rebuild
+///        exactly what a full scan does). Format contract: DESIGN.md §8.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <mutex>
 #include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "engine/crc32c.hpp"
 #include "engine/log_engine.hpp"
 
 namespace blobseer::engine {
+
+/// Everything recovery rebuilds, in a form two engines can compare.
+struct LogEngineTestPeer {
+    using Loc = std::tuple<std::uint64_t, std::uint64_t, std::uint32_t,
+                           std::uint32_t, bool>;
+    struct Rebuilt {
+        std::map<std::string, Loc> index;
+        std::map<std::string, Loc> dead_keys;
+        /// segment id -> (live bytes, tombstone bytes)
+        std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>>
+            segments;
+        std::uint64_t live_value_bytes = 0;
+        std::uint64_t compressed_live_records = 0;
+        std::uint64_t compressed_live_bytes = 0;
+
+        bool operator==(const Rebuilt&) const = default;
+    };
+
+    static Rebuilt rebuilt(LogEngine& eng) {
+        const std::scoped_lock lock(eng.mu_);
+        Rebuilt r;
+        const auto loc = [](const LogEngine::Location& l) {
+            return Loc{l.segment, l.offset, l.klen, l.vlen, l.compressed};
+        };
+        for (const auto& [key, l] : eng.index_) {
+            r.index.emplace(key, loc(l));
+        }
+        for (const auto& [key, l] : eng.dead_keys_) {
+            r.dead_keys.emplace(key, loc(l));
+        }
+        for (const auto& [id, seg] : eng.segments_) {
+            r.segments.emplace(id,
+                               std::pair{seg.live_bytes, seg.tomb_bytes});
+        }
+        r.live_value_bytes = eng.live_value_bytes_;
+        r.compressed_live_records = eng.compressed_live_records_;
+        r.compressed_live_bytes = eng.compressed_live_bytes_;
+        return r;
+    }
+};
+
 namespace {
 
 namespace fs = std::filesystem;
@@ -41,8 +85,7 @@ class TempDir {
 EngineConfig manual_config(const fs::path& dir) {
     EngineConfig cfg;
     cfg.dir = dir;
-    cfg.checkpoint_interval_records = 0;  // checkpoints only when asked
-    cfg.background_compaction = false;    // compaction only when asked
+    cfg.background_compaction = false;  // compaction only when asked
     return cfg;
 }
 
@@ -52,6 +95,23 @@ Buffer bytes_of(const std::string& s) {
 
 std::string str_of(const Buffer& b) {
     return {b.begin(), b.end()};
+}
+
+std::vector<fs::path> hint_files(const fs::path& dir) {
+    std::vector<fs::path> out;
+    for (const auto& entry : fs::directory_iterator(dir)) {
+        if (entry.path().extension() == ".hint") {
+            out.push_back(entry.path());
+        }
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+void remove_hints(const fs::path& dir) {
+    for (const fs::path& hint : hint_files(dir)) {
+        fs::remove(hint);
+    }
 }
 
 // ---- basics -----------------------------------------------------------------
@@ -205,29 +265,34 @@ TEST(LogEngine, PersistsAcrossReopenByFullScan) {
         eng.put("a", bytes_of("333"));  // overwrite
         EXPECT_TRUE(eng.remove("b"));
     }
+    remove_hints(dir.path());
     LogEngine eng(manual_config(dir.path()));
-    EXPECT_FALSE(eng.stats().recovered_from_checkpoint);
+    EXPECT_EQ(eng.stats().scanned_records, 4u);
+    EXPECT_EQ(eng.stats().hinted_records, 0u);
     EXPECT_EQ(eng.count(), 1u);
     EXPECT_EQ(str_of(*eng.get("a")), "333");
     EXPECT_FALSE(eng.get("b").has_value());
 }
 
-TEST(LogEngine, CheckpointedReopen) {
+TEST(LogEngine, HintedReopenReadsNoRecord) {
     TempDir dir;
+    EngineConfig cfg = manual_config(dir.path());
+    cfg.segment_target_bytes = 1024;  // several sealed segments
     {
-        LogEngine eng(manual_config(dir.path()));
+        LogEngine eng(cfg);
         for (int i = 0; i < 100; ++i) {
             eng.put("key-" + std::to_string(i),
                     bytes_of("value-" + std::to_string(i)));
         }
-        eng.checkpoint();
-        // Writes after the checkpoint are replayed from the watermark.
         eng.put("key-5", bytes_of("rewritten"));
         EXPECT_TRUE(eng.remove("key-6"));
         eng.put("late", bytes_of("arrival"));
     }
-    LogEngine eng(manual_config(dir.path()));
-    EXPECT_TRUE(eng.stats().recovered_from_checkpoint);
+    LogEngine eng(cfg);
+    const auto st = eng.stats();
+    EXPECT_GT(st.segment_count, 2u);
+    EXPECT_EQ(st.hinted_records, 103u);
+    EXPECT_EQ(st.scanned_records, 0u);
     EXPECT_EQ(eng.count(), 100u);  // 100 - 1 removed + 1 added
     EXPECT_EQ(str_of(*eng.get("key-5")), "rewritten");
     EXPECT_FALSE(eng.get("key-6").has_value());
@@ -235,17 +300,27 @@ TEST(LogEngine, CheckpointedReopen) {
     EXPECT_EQ(str_of(*eng.get("key-99")), "value-99");
 }
 
-TEST(LogEngine, CleanCloseWritesCheckpointWhenEnabled) {
+TEST(LogEngine, CleanCloseWritesActiveSegmentHint) {
     TempDir dir;
     EngineConfig cfg = manual_config(dir.path());
-    cfg.checkpoint_interval_records = 1000;  // enabled, but far away
     {
         LogEngine eng(cfg);
         eng.put("x", bytes_of("y"));
-    }  // destructor checkpoints
+        EXPECT_EQ(eng.stats().hints_written, 0u);  // nothing sealed yet
+    }  // destructor hints the active segment
+    EXPECT_EQ(hint_files(dir.path()).size(), 1u);
     LogEngine eng(cfg);
-    EXPECT_TRUE(eng.stats().recovered_from_checkpoint);
+    EXPECT_EQ(eng.stats().hinted_records, 1u);
+    EXPECT_EQ(eng.stats().scanned_records, 0u);
     EXPECT_EQ(str_of(*eng.get("x")), "y");
+}
+
+TEST(LogEngine, EmptyOpenAndCloseWriteNoHint) {
+    TempDir dir;
+    { LogEngine eng(manual_config(dir.path())); }
+    EXPECT_TRUE(hint_files(dir.path()).empty());
+    LogEngine eng(manual_config(dir.path()));
+    EXPECT_EQ(eng.stats().hinted_records + eng.stats().scanned_records, 0u);
 }
 
 TEST(LogEngine, SegmentRollover) {
@@ -376,10 +451,10 @@ TEST(LogEngine, PinnedReadSurvivesCompaction) {
         eng.put("key-" + std::to_string(i), Buffer(64, 0xEE));
     }
 
-    auto count_files = [&] {
+    auto count_files = [&] {  // segments only: hint writes run meanwhile
         std::size_t n = 0;
         for (const auto& e : fs::directory_iterator(dir.path())) {
-            n += e.is_regular_file() ? 1 : 0;
+            n += e.path().extension() == ".log" ? 1 : 0;
         }
         return n;
     };
@@ -408,26 +483,29 @@ TEST(LogEngine, PinnedReadSurvivesCompaction) {
     ASSERT_TRUE(eng.get("key-5").has_value());  // survivors intact
 }
 
-TEST(LogEngine, CleanCloseAdvancesCheckpointPastReplayedSuffix) {
+TEST(LogEngine, CleanCloseExtendsHintPastScannedSuffix) {
     TempDir dir;
     EngineConfig cfg = manual_config(dir.path());
-    cfg.checkpoint_interval_records = 1000;  // enabled; manual distance
     {
         LogEngine eng(cfg);
         eng.put("a", bytes_of("1"));
-        eng.checkpoint();
-        eng.put("b", bytes_of("2"));  // suffix past the watermark
-    }  // clean close checkpoints the suffix too
+    }  // hint covers ["a"]
+    TempDir crash;
     {
-        LogEngine eng(cfg);  // replays ["b"], then must re-checkpoint
-        EXPECT_TRUE(eng.stats().recovered_from_checkpoint);
+        LogEngine eng(cfg);
+        EXPECT_EQ(eng.stats().hinted_records, 1u);
+        eng.put("b", bytes_of("2"));  // past the hint
+        fs::copy(dir.path(), crash.path());  // a crash here keeps ["b"]
+    }  // clean close rewrites the hint to cover ["a", "b"]
+    {
+        LogEngine eng(manual_config(crash.path()));
+        EXPECT_EQ(eng.stats().hinted_records, 1u);
+        EXPECT_EQ(eng.stats().scanned_records, 1u);
+        EXPECT_EQ(str_of(*eng.get("b")), "2");
     }
     LogEngine eng(cfg);
-    // If the second close had skipped its checkpoint, this open would
-    // still replay "b" from the log; instead the newest checkpoint
-    // covers it (watermark == log end, zero records replayed — observed
-    // here as a checkpoint recovery with both keys present).
-    EXPECT_TRUE(eng.stats().recovered_from_checkpoint);
+    EXPECT_EQ(eng.stats().hinted_records, 2u);
+    EXPECT_EQ(eng.stats().scanned_records, 0u);
     EXPECT_EQ(str_of(*eng.get("a")), "1");
     EXPECT_EQ(str_of(*eng.get("b")), "2");
 }
@@ -436,7 +514,6 @@ TEST(LogEngine, BackgroundCompactionRuns) {
     TempDir dir;
     EngineConfig cfg;
     cfg.dir = dir.path();
-    cfg.checkpoint_interval_records = 0;
     cfg.segment_target_bytes = 512;
     cfg.background_compaction = true;
     cfg.compact_min_live_ratio = 0.9;
@@ -497,6 +574,13 @@ TEST(LogEngine, CorruptSealedSegmentRejectedAtOpen) {
         eng.put("b", Buffer(64, 0x99));  // lives in segment 2
     }
     flip_byte(first_seg, 24 + 13 + 1 + 5);  // corrupt sealed segment 1
+    {
+        // A hint vouches for locations, not bytes: the open reads none of
+        // segment 1, and the read CRC-checks what it serves.
+        LogEngine hinted(cfg);
+        EXPECT_THROW((void)hinted.get("a"), ConsistencyError);
+    }
+    remove_hints(dir.path());  // the scan reads every record
     EXPECT_THROW(LogEngine reopened(cfg), ConsistencyError);
 }
 
@@ -600,33 +684,68 @@ TEST(LogEngineCrash, TornTailRecoversExactCommittedPrefix) {
     }
 }
 
-/// Torn tails interact correctly with checkpoints: a truncation *past*
-/// the watermark keeps the checkpoint usable; a truncation *behind* it
-/// invalidates the checkpoint and recovery falls back to the full scan.
-TEST(LogEngineCrash, TornTailBehindCheckpointFallsBackToScan) {
+/// Torn tails interact correctly with hints: a truncation *behind* the
+/// length a hint covers invalidates the hint — recovery scans, and the
+/// hint is deleted before the segment can regrow past it — while a
+/// truncation past it keeps the hint and scans only the rest.
+TEST(LogEngineCrash, TornTailBehindHintFallsBackToScan) {
     TempDir dir;
     EngineConfig cfg = manual_config(dir.path());
-    std::uint64_t pre_checkpoint_size = 0;
+    std::uint64_t ab_size = 0;
     {
         LogEngine eng(cfg);
         eng.put("a", bytes_of("alpha"));
         eng.put("b", bytes_of("beta"));
-        pre_checkpoint_size = eng.stats().disk_bytes;
+        ab_size = eng.stats().disk_bytes;
         eng.put("c", bytes_of("gamma"));
-        eng.checkpoint();
-        eng.put("d", bytes_of("delta"));
-    }
+    }  // hint covers a, b, c
     const fs::path seg = only_segment(dir.path());
 
-    // Cut behind the watermark: record "c" (covered by the checkpoint)
-    // is gone, so the checkpoint must be rejected, not trusted.
-    fs::resize_file(seg, pre_checkpoint_size);
+    // Cut behind the hint: record "c" (which it covers) is gone, so the
+    // hint must be rejected, not trusted.
+    fs::resize_file(seg, ab_size);
+    {
+        LogEngine eng(cfg);
+        EXPECT_EQ(eng.stats().hinted_records, 0u);
+        EXPECT_EQ(eng.stats().scanned_records, 2u);
+        EXPECT_TRUE(hint_files(dir.path()).empty());
+        EXPECT_EQ(eng.count(), 2u);
+        EXPECT_EQ(str_of(*eng.get("a")), "alpha");
+        EXPECT_EQ(str_of(*eng.get("b")), "beta");
+        EXPECT_FALSE(eng.contains("c"));
+        eng.put("d", bytes_of("a longer value than gamma"));
+    }
     LogEngine eng(cfg);
-    EXPECT_FALSE(eng.stats().recovered_from_checkpoint);
-    EXPECT_EQ(eng.count(), 2u);
-    EXPECT_EQ(str_of(*eng.get("a")), "alpha");
-    EXPECT_EQ(str_of(*eng.get("b")), "beta");
+    EXPECT_EQ(eng.stats().hinted_records, 3u);
+    EXPECT_EQ(str_of(*eng.get("d")), "a longer value than gamma");
     EXPECT_FALSE(eng.contains("c"));
+}
+
+TEST(LogEngineCrash, TornTailPastHintScansOnlyTheRest) {
+    TempDir dir;
+    EngineConfig cfg = manual_config(dir.path());
+    {
+        LogEngine eng(cfg);
+        eng.put("a", bytes_of("alpha"));
+        eng.put("b", bytes_of("beta"));
+    }  // hint covers a, b
+    TempDir crash;
+    std::uint64_t c_end = 0;
+    {
+        LogEngine eng(cfg);
+        eng.put("c", bytes_of("gamma"));
+        c_end = eng.stats().disk_bytes;
+        eng.put("d", bytes_of("delta"));
+        fs::copy(dir.path(), crash.path());  // crash image
+    }
+    fs::resize_file(only_segment(crash.path()), c_end + 5);  // tears "d"
+    LogEngine eng(manual_config(crash.path()));
+    const auto st = eng.stats();
+    EXPECT_EQ(st.hinted_records, 2u);
+    EXPECT_EQ(st.scanned_records, 1u);
+    EXPECT_EQ(st.torn_bytes_discarded, 5u);
+    EXPECT_EQ(eng.count(), 3u);
+    EXPECT_EQ(str_of(*eng.get("c")), "gamma");
     EXPECT_FALSE(eng.contains("d"));
 }
 
@@ -729,7 +848,7 @@ TEST(LogEngineCompression, ScanDecompressesTransparently) {
     }
 }
 
-TEST(LogEngineCompression, SurvivesReopenByScanAndByCheckpoint) {
+TEST(LogEngineCompression, SurvivesReopenByScanAndByHint) {
     TempDir dir;
     EngineConfig cfg = compress_config(dir.path());
     std::uint64_t compressed = 0;
@@ -739,26 +858,26 @@ TEST(LogEngineCompression, SurvivesReopenByScanAndByCheckpoint) {
         EXPECT_GT(eng.compact(), 0u);
         compressed = eng.stats().compressed_live_records;
         EXPECT_GT(compressed, 0u);
-    }  // no checkpoint: next open replays segments
-    {
-        LogEngine eng(cfg);
-        EXPECT_FALSE(eng.stats().recovered_from_checkpoint);
+    }
+    const auto check = [&](LogEngine& eng) {
         EXPECT_EQ(eng.stats().compressed_live_records, compressed);
         for (int i = 0; i < 30; ++i) {
             const auto got = eng.get("key-" + std::to_string(i));
             ASSERT_TRUE(got.has_value());
             EXPECT_EQ(*got, runs_value(i, 300));
         }
-        eng.checkpoint();  // persists the kPutCompressed kinds
+    };
+    {
+        // The kPutCompressed kinds come back through the hint entries.
+        LogEngine eng(cfg);
+        EXPECT_EQ(eng.stats().scanned_records, 0u);
+        EXPECT_GT(eng.stats().hinted_records, 0u);
+        check(eng);
     }
+    remove_hints(dir.path());
     LogEngine eng(cfg);
-    EXPECT_TRUE(eng.stats().recovered_from_checkpoint);
-    EXPECT_EQ(eng.stats().compressed_live_records, compressed);
-    for (int i = 0; i < 30; ++i) {
-        const auto got = eng.get("key-" + std::to_string(i));
-        ASSERT_TRUE(got.has_value());
-        EXPECT_EQ(*got, runs_value(i, 300));
-    }
+    EXPECT_EQ(eng.stats().hinted_records, 0u);
+    check(eng);
 }
 
 TEST(LogEngineCompression, IncompressibleRecordsStayRaw) {
@@ -893,6 +1012,245 @@ TEST(LogEngineCompression, CorruptCompressedRecordCaughtByCrc) {
     }
     EXPECT_THROW((void)eng.get("k"), ConsistencyError);
     EXPECT_GT(eng.stats().crc_read_failures, 0u);
+}
+
+// ---- per-segment hints (DESIGN.md §8.2) --------------------------------------
+
+Buffer read_file(const fs::path& file) {
+    Buffer out(fs::file_size(file));
+    std::FILE* f = std::fopen(file.c_str(), "rb");
+    EXPECT_NE(f, nullptr);
+    if (f != nullptr) {
+        EXPECT_EQ(std::fread(out.data(), 1, out.size(), f), out.size());
+        std::fclose(f);
+    }
+    return out;
+}
+
+void write_file(const fs::path& file, const Buffer& bytes) {
+    std::FILE* f = std::fopen(file.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+}
+
+TEST(LogEngineHints, TornHintFallsBackToScan) {
+    TempDir dir;
+    EngineConfig cfg = manual_config(dir.path());
+    {
+        LogEngine eng(cfg);
+        for (int i = 0; i < 10; ++i) {
+            eng.put("key-" + std::to_string(i), Buffer(20, 0x5A));
+        }
+    }
+    const auto hints = hint_files(dir.path());
+    ASSERT_EQ(hints.size(), 1u);
+    fs::resize_file(hints[0], fs::file_size(hints[0]) - 3);  // torn write
+    {
+        LogEngine eng(cfg);
+        EXPECT_EQ(eng.stats().hinted_records, 0u);
+        EXPECT_EQ(eng.stats().scanned_records, 10u);
+        EXPECT_EQ(eng.count(), 10u);
+    }  // the close writes a whole hint again
+    flip_byte(hint_files(dir.path()).at(0), 40 + 3);  // inside an entry
+    LogEngine eng(cfg);
+    EXPECT_EQ(eng.stats().hinted_records, 0u);
+    EXPECT_EQ(eng.count(), 10u);
+}
+
+TEST(LogEngineHints, HintOfCompactedAwaySegmentIsDropped) {
+    TempDir dir;
+    EngineConfig cfg = manual_config(dir.path());
+    cfg.segment_target_bytes = 512;
+    const fs::path first_hint = dir.path() / "seg-0000000001.hint";
+    Buffer saved;
+    {
+        LogEngine eng(cfg);
+        for (int i = 0; i < 100; ++i) {
+            eng.put("key-" + std::to_string(i), Buffer(40, 0x22));
+        }
+        for (int i = 0; i < 70; ++i) {
+            EXPECT_TRUE(eng.remove("key-" + std::to_string(i)));
+        }
+        eng.wait_idle();  // every sealed segment's hint is on disk
+        ASSERT_TRUE(fs::exists(first_hint));
+        saved = read_file(first_hint);
+        EXPECT_GT(eng.compact(), 0u);
+        EXPECT_FALSE(fs::exists(dir.path() / "seg-0000000001.log"));
+        for (const fs::path& hint : hint_files(dir.path())) {
+            fs::path log = hint;
+            EXPECT_TRUE(fs::exists(log.replace_extension(".log"))) << hint;
+        }
+    }
+    write_file(first_hint, saved);  // an unlink lost to a crash
+    LogEngine eng(cfg);
+    EXPECT_FALSE(fs::exists(first_hint));
+    EXPECT_EQ(eng.stats().scanned_records, 0u);
+    EXPECT_EQ(eng.count(), 30u);
+    for (int i = 0; i < 100; ++i) {
+        EXPECT_EQ(eng.contains("key-" + std::to_string(i)), i >= 70);
+    }
+}
+
+/// A root written before hints existed holds an index checkpoint
+/// (ckpt-<seq>.idx). It is ignored — this one even claims a key the log
+/// never held — and removed, and the open scans.
+TEST(LogEngineHints, ParentCheckpointIsIgnoredAndRemoved) {
+    TempDir dir;
+    fs::create_directories(dir.path());
+    write_segment(dir.path() / "seg-0000000001.log", 1,
+                  {{RecordType::kPut, "a", bytes_of("alpha")},
+                   {RecordType::kPut, "b", bytes_of("beta")},
+                   {RecordType::kTombstone, "a", {}}});
+    const std::uint64_t seg_size =
+        fs::file_size(dir.path() / "seg-0000000001.log");
+    // [magic | format | reserved | watermark seg, off | count], entries
+    // [klen | vlen | segment | offset | kind | key], CRC trailer.
+    Buffer ckpt = {'B', 'S', 'L', 'G', 'C', 'K', 'P', '1'};
+    put_u32(ckpt, 1);
+    put_u32(ckpt, 0);
+    put_u64(ckpt, 1);
+    put_u64(ckpt, seg_size);
+    put_u64(ckpt, 1);
+    put_u32(ckpt, 5);
+    put_u32(ckpt, 5);
+    put_u64(ckpt, 1);
+    put_u64(ckpt, 24);
+    ckpt.push_back(static_cast<std::uint8_t>(RecordType::kPut));
+    for (const char c : std::string("ghost")) {
+        ckpt.push_back(static_cast<std::uint8_t>(c));
+    }
+    put_u32(ckpt, crc32c(ckpt));
+    const fs::path ckpt_path = dir.path() / "ckpt-0000000007.idx";
+    write_file(ckpt_path, ckpt);
+
+    LogEngine eng(manual_config(dir.path()));
+    EXPECT_FALSE(fs::exists(ckpt_path));
+    EXPECT_EQ(eng.stats().scanned_records, 3u);
+    EXPECT_EQ(eng.count(), 1u);
+    EXPECT_FALSE(eng.contains("ghost"));
+    EXPECT_FALSE(eng.contains("a"));
+    EXPECT_EQ(str_of(*eng.get("b")), "beta");
+}
+
+/// Hints cost in proportion to the log: each record's entry is written
+/// once, when its segment seals (or at close for the active one).
+TEST(LogEngineHints, HintBytesAreLinearInAppends) {
+    TempDir dir;
+    EngineConfig cfg = manual_config(dir.path());
+    cfg.segment_target_bytes = 4096;
+    constexpr std::uint64_t kAppends = 2000;
+    constexpr std::size_t kKeyLen = 8;
+    std::uint64_t written = 0;
+    std::uint64_t active = 0;
+    {
+        LogEngine eng(cfg);
+        for (std::uint64_t i = 0; i < kAppends; ++i) {
+            char key[16];
+            std::snprintf(key, sizeof key, "k-%06llu",
+                          static_cast<unsigned long long>(i % 700));
+            eng.put(std::string_view(key, kKeyLen), Buffer(64, 0x3C));
+        }
+        eng.wait_idle();
+        const auto st = eng.stats();
+        EXPECT_GE(st.segment_count, 5u);  // at least 4 rolls
+        written = st.hint_bytes_written;
+        active = st.segment_count;
+    }
+    char active_hint[32];
+    std::snprintf(active_hint, sizeof active_hint, "seg-%010llu.hint",
+                  static_cast<unsigned long long>(active));
+    written += fs::file_size(dir.path() / active_hint);
+    EXPECT_LE(written, 2 * kAppends * (kHintEntryHeaderSize + kKeyLen));
+    EXPECT_GE(written, kAppends * (kHintEntryHeaderSize + kKeyLen));
+}
+
+/// Property: whatever the history — puts, overwrites, removes,
+/// compressed relocations, rolls, compactions, a clean close or a crash
+/// image, a torn hint or a torn tail — an open that uses the hints
+/// rebuilds exactly the index, tombstones and accounting of an open of
+/// the same bytes with every hint deleted.
+TEST(LogEngineHints, RecoveryEqualsFullScan) {
+    std::uint64_t hinted_total = 0;
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        std::mt19937_64 rng(seed);
+        TempDir dir;
+        EngineConfig cfg = manual_config(dir.path());
+        cfg.segment_target_bytes = 512 + rng() % 1536;
+        cfg.compress_on_compact = rng() % 2 == 0;
+        cfg.compress_min_bytes = 32;
+        const auto run_ops = [&](LogEngine& eng, int n) {
+            for (int i = 0; i < n; ++i) {
+                const std::string key = "key-" + std::to_string(rng() % 48);
+                const std::uint64_t dice = rng() % 20;
+                if (dice < 4) {
+                    eng.remove(key);
+                } else if (dice == 4) {
+                    eng.compact();
+                } else if (dice < 12) {
+                    eng.put(key, runs_value(static_cast<int>(rng() % 100),
+                                            rng() % 200));
+                } else {
+                    Buffer v(rng() % 120);
+                    for (auto& b : v) {
+                        b = static_cast<std::uint8_t>(rng());
+                    }
+                    eng.put(key, v);
+                }
+            }
+        };
+        {
+            LogEngine eng(cfg);
+            run_ops(eng, 300);
+        }
+        TempDir crash;
+        {
+            LogEngine eng(cfg);
+            run_ops(eng, 200);
+            eng.wait_idle();
+            fs::copy(dir.path(), crash.path());  // crash image
+        }
+        for (const fs::path& root : {dir.path(), crash.path()}) {
+            const std::uint64_t damage = rng() % 3;
+            if (damage == 1) {  // tear a hint
+                const auto hints = hint_files(root);
+                ASSERT_FALSE(hints.empty());
+                const fs::path& hint = hints[rng() % hints.size()];
+                fs::resize_file(hint, rng() % fs::file_size(hint));
+            } else if (damage == 2) {  // tear the tail
+                fs::path tail;
+                for (const auto& entry : fs::directory_iterator(root)) {
+                    if (entry.path().extension() == ".log") {
+                        tail = std::max(tail, entry.path());
+                    }
+                }
+                fs::resize_file(tail, rng() % (fs::file_size(tail) + 1));
+            }
+            TempDir bare;
+            fs::copy(root, bare.path());
+            remove_hints(bare.path());
+
+            EngineConfig hinted_cfg = cfg;
+            hinted_cfg.dir = root;
+            EngineConfig bare_cfg = cfg;
+            bare_cfg.dir = bare.path();
+            LogEngine hinted(hinted_cfg);
+            LogEngine scanned(bare_cfg);
+            EXPECT_TRUE(LogEngineTestPeer::rebuilt(hinted) ==
+                        LogEngineTestPeer::rebuilt(scanned))
+                << "seed=" << seed << " root=" << root
+                << " damage=" << damage;
+            EXPECT_EQ(hinted.stats().torn_bytes_discarded,
+                      scanned.stats().torn_bytes_discarded);
+            EXPECT_EQ(scanned.stats().hinted_records, 0u);
+            if (damage == 0 && root == dir.path()) {
+                EXPECT_EQ(hinted.stats().scanned_records, 0u)
+                    << "seed=" << seed;
+            }
+            hinted_total += hinted.stats().hinted_records;
+        }
+    }
+    EXPECT_GT(hinted_total, 0u);
 }
 
 }  // namespace

@@ -351,7 +351,6 @@ TEST(VmJournal, CloneReplaysAcrossRestart) {
     engine::EngineConfig jc;
     jc.dir = dir.path() / "vm-0";
     jc.background_compaction = false;
-    jc.checkpoint_interval_records = 0;
 
     BlobId src = kInvalidBlob;
     BlobId clone = kInvalidBlob;
@@ -393,7 +392,6 @@ TEST(VmJournal, PreV14CloneFromRecordReplays) {
     engine::EngineConfig jc;
     jc.dir = dir.path() / "vm-0";
     jc.background_compaction = false;
-    jc.checkpoint_interval_records = 0;
 
     const BlobId src = make_blob_id(0, 1);
     {

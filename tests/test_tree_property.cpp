@@ -306,7 +306,6 @@ TEST_P(BorderProperty, BorderRefsEqualDescent) {
     engine::EngineConfig jc;
     jc.dir = dir;
     jc.background_compaction = false;
-    jc.checkpoint_interval_records = 0;
     auto vm = std::make_unique<version::VersionManager>();
     vm->attach_journal(std::make_shared<engine::LogEngine>(jc));
 

@@ -461,7 +461,6 @@ TEST(VmBorders, JournalReplayRebuildsTheIndex) {
     engine::EngineConfig jc;
     jc.dir = dir;
     jc.background_compaction = false;
-    jc.checkpoint_interval_records = 0;
     BlobId b = kInvalidBlob;
     std::vector<meta::BorderRef> before;
     {
