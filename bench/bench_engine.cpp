@@ -21,8 +21,6 @@
 /// Scale note (see bench_util.hpp): absolute numbers depend on the host
 /// filesystem.
 
-#include <malloc.h>
-
 #include <algorithm>
 #include <filesystem>
 #include <memory>
@@ -82,12 +80,6 @@ Timings run_log_store(const fs::path& dir, std::size_t n_chunks,
         }
         t.get_s = get_sw.elapsed_seconds();
     }  // close the store (provider shutdown)
-
-    // A restarted provider starts with a fresh heap. Settle this one
-    // first: glibc may still hold the closed index's ~200k freed nodes in
-    // its fastbins, and consolidating them (20-30 ms at 100k chunks)
-    // would otherwise be billed to whichever allocation comes next.
-    malloc_trim(0);
 
     // Provider restart: reopen on the same directory and count recovery.
     const Stopwatch reopen_sw;

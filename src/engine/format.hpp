@@ -12,14 +12,17 @@
 ///                  so a torn or corrupted record can never be mistaken
 ///                  for a committed one.
 ///
-///   seg-<id>.hint  per-segment hint (Bitcask's hint files): a 40-byte
+///   seg-<id>.hint  per-segment hint (Bitcask's hint files): a 32-byte
 ///                  header [magic 8B | format u32 | reserved u32 |
-///                  segment u64 | covered u64 | count u64], then one
-///                  entry [type u8 | klen u32 | vlen u32 | offset u64 |
-///                  key] per record of seg-<id>.log in record order,
-///                  describing exactly its first `covered` bytes. Reopen
+///                  segment u64 | covered u64], then one entry
+///                  [type u8 | klen u32 | vlen u32 | offset u64 | key]
+///                  per record of seg-<id>.log in record order, describing
+///                  exactly its first `covered` bytes, then a 12-byte
+///                  trailer [count u64 | crc32c u32], the CRC over every
+///                  byte before it. The trailer comes last so a hint can
+///                  be streamed out while its segment is walked. Reopen
 ///                  applies a valid hint instead of reading those bytes
-///                  and scans only the rest. Whole file is CRC-trailed.
+///                  and scans only the rest.
 ///
 /// All integers are little-endian with explicit byte shuffling (the same
 /// convention as the RPC wire format, DESIGN.md §7.1), so files are
@@ -62,7 +65,8 @@ inline constexpr std::uint32_t kMinFormatVersion = 1;
 
 inline constexpr std::size_t kSegmentHeaderSize = 24;
 inline constexpr std::size_t kRecordHeaderSize = 13;  // crc + klen + vlen + type
-inline constexpr std::size_t kHintHeaderSize = 40;
+inline constexpr std::size_t kHintHeaderSize = 32;
+inline constexpr std::size_t kHintTrailerSize = 12;  // count + crc
 inline constexpr std::size_t kHintEntryHeaderSize = 17;  // type + klen + vlen + offset
 
 /// Sanity bounds applied while scanning: a length field beyond these is

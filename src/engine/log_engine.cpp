@@ -70,17 +70,17 @@ std::optional<std::uint64_t> walk_hint(
     ConstBytes raw, std::uint64_t id, std::uint64_t seg_size,
     const std::function<void(RecordType type, std::string_view key,
                              std::uint32_t vlen, std::uint64_t offset)>& fn) {
-    if (raw.size() < kHintHeaderSize + 4) {
+    if (raw.size() < kHintHeaderSize + kHintTrailerSize) {
         return std::nullopt;
     }
-    const std::size_t body = raw.size() - 4;
-    if (crc32c(raw.first(body)) != get_u32(raw, body) ||
+    const std::size_t body = raw.size() - kHintTrailerSize;  // entries end
+    if (crc32c(raw.first(raw.size() - 4)) != get_u32(raw, raw.size() - 4) ||
         !std::equal(kHintMagic.begin(), kHintMagic.end(), raw.begin()) ||
         !supported_format_version(get_u32(raw, 8)) || get_u64(raw, 16) != id) {
         return std::nullopt;
     }
     const std::uint64_t covered = get_u64(raw, 24);
-    const std::uint64_t count = get_u64(raw, 32);
+    const std::uint64_t count = get_u64(raw, body);
     if (covered < kSegmentHeaderSize || covered > seg_size) {
         return std::nullopt;  // reaches past a (possibly truncated) log
     }
@@ -114,6 +114,24 @@ std::optional<std::uint64_t> walk_hint(
         return std::nullopt;
     }
     return covered;
+}
+
+/// The entry count in a hint's trailer, read without loading the hint;
+/// 0 if unreadable. Only sizes the index, so it need not be validated
+/// beyond what bounds the reservation.
+std::uint64_t hint_entry_count(const std::filesystem::path& path) {
+    try {
+        const auto file = SegmentFile::open(path, false);
+        Buffer trailer(kHintTrailerSize);
+        if (file->size() < kHintHeaderSize + kHintTrailerSize ||
+            !file->read_exact(file->size() - kHintTrailerSize, trailer)) {
+            return 0;
+        }
+        return std::min(get_u64(trailer, 0),
+                        file->size() / kHintEntryHeaderSize);
+    } catch (const Error&) {
+        return 0;
+    }
 }
 
 Buffer read_whole_file(const std::filesystem::path& path) {
@@ -161,12 +179,12 @@ LogEngine::DirLock::~DirLock() {
 
 LogEngine::LogEngine(EngineConfig cfg)
     : cfg_(std::move(cfg)), dir_lock_(cfg_.dir) {
-    std::vector<PendingHint> unhinted = recover();
+    const std::vector<std::uint64_t> unhinted = recover();
     pool_ = std::make_unique<ThreadPool>(1);
     {
         const std::scoped_lock lock(mu_);
-        for (PendingHint& hint : unhinted) {
-            schedule_hint_write_locked(std::move(hint));
+        for (const std::uint64_t id : unhinted) {
+            schedule_hint_write_locked(id);
         }
     }
 
@@ -226,9 +244,9 @@ LogEngine::~LogEngine() {
     }
     pool_.reset();  // joins after draining queued chores (hint writes run)
     try {
-        const std::uint64_t size = segments_.at(active_id_).file->size();
-        if (size > active_hint_covered_) {
-            write_hint(PendingHint{active_id_, size, std::move(active_hint_)});
+        SegmentFile& active = *segments_.at(active_id_).file;
+        if (active.size() > active_hint_covered_) {
+            write_hint(active_id_, active);
         }
     } catch (...) {
         // The hint is an optimization; the next open scans instead.
@@ -238,7 +256,7 @@ LogEngine::~LogEngine() {
 
 // ---- recovery ---------------------------------------------------------------
 
-std::vector<LogEngine::PendingHint> LogEngine::recover() {
+std::vector<std::uint64_t> LogEngine::recover() {
     std::vector<std::uint64_t> seg_ids;
     std::vector<std::uint64_t> hint_ids;
     for (const auto& entry : std::filesystem::directory_iterator(cfg_.dir)) {
@@ -280,37 +298,23 @@ std::vector<LogEngine::PendingHint> LogEngine::recover() {
         segments_.emplace(
             id, Segment{.file = std::move(file), .sealed = true});
     }
-    // Load the valid hints first: their entry counts size the index once.
-    std::map<std::uint64_t, std::pair<Buffer, std::uint64_t>> hints;
-    std::uint64_t hinted = 0;
+    // Size the index once from the hints' trailers (an upper bound on
+    // the live keys they hold); drop the hints of segments compacted
+    // away.
+    std::uint64_t hinted_entries = 0;
     for (const std::uint64_t id : hint_ids) {
-        const auto seg = segments_.find(id);
-        Buffer raw;
-        std::optional<std::uint64_t> covered;
-        if (seg != segments_.end()) {
-            try {
-                raw = read_whole_file(hint_path(id));
-                covered = walk_hint(raw, id, seg->second.file->size(), {});
-            } catch (const Error&) {
-            }
-        }
-        if (!covered) {
-            // Its segment was compacted away; or it is torn, or stale
-            // after the log lost bytes it describes: drop it before the
-            // segment can regrow past it.
+        if (segments_.contains(id)) {
+            hinted_entries += hint_entry_count(hint_path(id));
+        } else {
             std::filesystem::remove(hint_path(id));
-            continue;
         }
-        hinted += get_u64(raw, 32);
-        hints.emplace(id, std::pair{std::move(raw), *covered});
     }
-    index_.reserve(hinted);
+    index_.reserve(hinted_entries);
 
     // Segment order, as a full scan: a valid hint stands in for the bytes
     // it covers, and only the rest of the segment is read.
-    std::vector<PendingHint> unhinted;
+    std::vector<std::uint64_t> unhinted;
     for (auto& [id, seg] : segments_) {
-        const bool is_tail = id == segments_.rbegin()->first;
         const auto apply = [&](RecordType type, std::string_view key,
                                std::uint32_t vlen, std::uint64_t offset) {
             apply_record_locked(
@@ -319,33 +323,37 @@ std::vector<LogEngine::PendingHint> LogEngine::recover() {
                          vlen});
         };
         std::uint64_t from = kSegmentHeaderSize;
-        Buffer hint;
-        if (auto found = hints.extract(id)) {
-            hint = std::move(found.mapped().first);
-            from = found.mapped().second;
-            (void)walk_hint(hint, id, from, apply);
-            hinted_records_ += get_u64(hint, 32);
-        }
-        // Entries for a hint still to be written: the active segment's
-        // (completed at seal or close) and a sealed one not fully hinted.
-        // A loaded hint's entries are already encoded as a HintLog's.
-        PendingHint rebuilt{id, 0, {}};
-        const bool keep = is_tail || from < seg.file->size();
-        if (keep && !hint.empty()) {
-            rebuilt.entries.blocks.emplace_back(hint.begin() + kHintHeaderSize,
-                                                hint.end() - 4);
-            rebuilt.entries.count = get_u64(hint, 32);
-        }
+        if (std::binary_search(hint_ids.begin(), hint_ids.end(), id)) {
+            std::optional<std::uint64_t> covered;
+            Buffer raw;
+            try {
+                raw = read_whole_file(hint_path(id));
+                covered = walk_hint(raw, id, seg.file->size(), {});
+            } catch (const Error&) {
+            }
+            if (covered) {
+                (void)walk_hint(raw, id, *covered,
+                                [&](RecordType type, std::string_view key,
+                                    std::uint32_t vlen, std::uint64_t offset) {
+                                    ++hinted_records_;
+                                    apply(type, key, vlen, offset);
+                                });
+                from = *covered;
+            } else {
+                // Torn, foreign, or stale after the log lost bytes it
+                // describes: drop it before the segment can regrow past
+                // it.
+                std::filesystem::remove(hint_path(id));
+            }
+        }  // the hint's bytes are freed before the next segment's load
+        const bool is_tail = id == segments_.rbegin()->first;
         const auto outcome = for_each_record(
             *seg.file, from,
             [&](std::uint64_t offset, RecordType type, std::string_view key,
                 ConstBytes value) {
                 ++scanned_records_;
-                const auto vlen = static_cast<std::uint32_t>(value.size());
-                apply(type, key, vlen, offset);
-                if (keep) {
-                    rebuilt.entries.add(type, key, vlen, offset);
-                }
+                apply(type, key, static_cast<std::uint32_t>(value.size()),
+                      offset);
             });
         if (!outcome.clean) {
             if (!is_tail) {
@@ -359,11 +367,9 @@ std::vector<LogEngine::PendingHint> LogEngine::recover() {
             seg.file->truncate(outcome.end_offset);
         }
         if (is_tail) {
-            active_hint_ = std::move(rebuilt.entries);
             active_hint_covered_ = from;
-        } else if (keep) {
-            rebuilt.covered = seg.file->size();
-            unhinted.push_back(std::move(rebuilt));
+        } else if (from < seg.file->size()) {
+            unhinted.push_back(id);
         }
     }
 
@@ -380,15 +386,27 @@ LogEngine::ScanOutcome LogEngine::for_each_record(
     SegmentFile& file, std::uint64_t from,
     const std::function<void(std::uint64_t, RecordType, std::string_view,
                              ConstBytes)>& fn) {
+    // Read the segment a window at a time instead of two preads per
+    // record: metadata records are ~100 bytes.
+    constexpr std::uint64_t kWindow = 1 << 20;
     const std::uint64_t end = file.size();
-    Buffer hdr(kRecordHeaderSize);
-    Buffer payload;
+    Buffer window;  // the file's bytes [base, base + window.size())
+    std::uint64_t base = from;
     std::uint64_t pos = from;
+    // Make [pos, pos + n) resident; n never reaches past end.
+    const auto fill = [&](std::uint64_t n) {
+        if (pos + n <= base + window.size()) {
+            return true;
+        }
+        base = pos;
+        window.resize(std::min(std::max(n, kWindow), end - pos));
+        return file.read_exact(pos, window);
+    };
     while (pos < end) {
-        if (pos + kRecordHeaderSize > end ||
-            !file.read_exact(pos, hdr)) {
+        if (pos + kRecordHeaderSize > end || !fill(kRecordHeaderSize)) {
             return {pos, false};
         }
+        const ConstBytes hdr = ConstBytes(window).subspan(pos - base);
         const std::uint32_t crc = get_u32(hdr, 0);
         const std::uint32_t klen = get_u32(hdr, 4);
         const std::uint32_t vlen = get_u32(hdr, 8);
@@ -398,21 +416,19 @@ LogEngine::ScanOutcome LogEngine::for_each_record(
             pos + record_size(klen, vlen) > end) {
             return {pos, false};
         }
-        payload.resize(klen + vlen);
-        if (!file.read_exact(pos + kRecordHeaderSize, payload)) {
+        const std::uint64_t size = record_size(klen, vlen);
+        if (!fill(size)) {
             return {pos, false};
         }
-        std::uint32_t state = crc32c_init();
-        state = crc32c_update(state, ConstBytes(hdr).subspan(4));
-        state = crc32c_update(state, payload);
-        if (crc32c_final(state) != crc) {
+        const ConstBytes rec = ConstBytes(window).subspan(pos - base, size);
+        if (crc32c(rec.subspan(4)) != crc) {
             return {pos, false};
         }
         fn(pos, static_cast<RecordType>(type),
-           std::string_view(reinterpret_cast<const char*>(payload.data()),
-                            klen),
-           ConstBytes(payload).subspan(klen));
-        pos += record_size(klen, vlen);
+           std::string_view(
+               reinterpret_cast<const char*>(&rec[kRecordHeaderSize]), klen),
+           rec.subspan(kRecordHeaderSize + klen));
+        pos += size;
     }
     return {pos, true};
 }
@@ -651,8 +667,6 @@ void LogEngine::append_locked(RecordType type, std::string_view key,
     if (overwrote) {
         overwrites_.add();
     }
-    active_hint_.add(type, key, static_cast<std::uint32_t>(value.size()),
-                     offset);
 
     roll_segment_if_needed_locked();
     maybe_schedule_compaction_locked();
@@ -706,6 +720,7 @@ void LogEngine::open_fresh_segment_locked(std::uint64_t id) {
     segments_.emplace(
         id, Segment{.file = std::move(file), .sealed = false});
     active_id_ = id;
+    active_hint_covered_ = kSegmentHeaderSize;
 }
 
 void LogEngine::roll_segment_if_needed_locked() {
@@ -715,9 +730,7 @@ void LogEngine::roll_segment_if_needed_locked() {
     }
     active.sealed = true;
     victim_hint_ = true;  // the freshly sealed segment may qualify
-    schedule_hint_write_locked(PendingHint{
-        active_id_, active.file->size(), std::exchange(active_hint_, {})});
-    active_hint_covered_ = kSegmentHeaderSize;
+    schedule_hint_write_locked(active_id_);
     open_fresh_segment_locked(active_id_ + 1);
 }
 
@@ -933,74 +946,82 @@ bool LogEngine::compact_one() {
 
 // ---- hints ------------------------------------------------------------------
 
-void LogEngine::HintLog::add(RecordType type, std::string_view key,
-                             std::uint32_t vlen, std::uint64_t offset) {
-    constexpr std::size_t kBlockBytes = 64 << 10;
-    const std::size_t need = kHintEntryHeaderSize + key.size();
-    if (blocks.empty() ||
-        blocks.back().capacity() - blocks.back().size() < need) {
-        blocks.emplace_back().reserve(std::max(kBlockBytes, need));
-    }
-    Buffer& out = blocks.back();
-    out.push_back(static_cast<std::uint8_t>(type));
-    put_u32(out, static_cast<std::uint32_t>(key.size()));
-    put_u32(out, vlen);
-    put_u64(out, offset);
-    out.insert(out.end(), key.begin(), key.end());
-    ++count;
-}
-
-void LogEngine::schedule_hint_write_locked(PendingHint hint) {
+void LogEngine::schedule_hint_write_locked(std::uint64_t id) {
     if (pool_ == nullptr || background_failed_) {
         return;
     }
-    pool_->submit([this, hint = std::move(hint)] {
+    pool_->submit([this, id] {
         try {
             const std::scoped_lock serialize(compact_mu_);
+            std::shared_ptr<SegmentFile> file;
             {
                 const std::scoped_lock lock(mu_);
-                if (!segments_.contains(hint.segment)) {
+                const auto it = segments_.find(id);
+                if (it == segments_.end()) {
                     return;  // compacted away before its hint was due
                 }
+                file = it->second.file;
             }
-            write_hint(hint);
+            write_hint(id, *file);
         } catch (const std::exception& e) {
             background_chore_failed(e.what());
         }
     });
 }
 
-void LogEngine::write_hint(const PendingHint& hint) {
+void LogEngine::write_hint(std::uint64_t id, SegmentFile& file) {
+    constexpr std::size_t kBlockBytes = 64 << 10;
     const Stopwatch sw;
-    Buffer head;
-    head.reserve(kHintHeaderSize);
-    head.insert(head.end(), kHintMagic.begin(), kHintMagic.end());
-    put_u32(head, write_version());
-    put_u32(head, 0);  // reserved
-    put_u64(head, hint.segment);
-    put_u64(head, hint.covered);
-    put_u64(head, hint.entries.count);
-    std::uint32_t crc = crc32c_update(crc32c_init(), head);
-    std::uint64_t bytes = head.size() + 4;
-    for (const Buffer& block : hint.entries.blocks) {
-        crc = crc32c_update(crc, block);
-        bytes += block.size();
-    }
-    Buffer trailer;
-    put_u32(trailer, crc32c_final(crc));
-
-    const auto final_path = hint_path(hint.segment);
+    const std::uint64_t covered = file.size();
+    const auto final_path = hint_path(id);
     const auto tmp_path = std::filesystem::path(final_path.string() + ".tmp");
-    {
-        auto file = SegmentFile::open(tmp_path, true);
-        file->truncate(0);
-        file->append(head);
-        for (const Buffer& block : hint.entries.blocks) {
-            file->append(block);
-        }
-        file->append(trailer);
-        file->sync();
+    auto out = SegmentFile::open(tmp_path, true);
+    out->truncate(0);
+
+    Buffer block;
+    block.reserve(kBlockBytes);
+    block.insert(block.end(), kHintMagic.begin(), kHintMagic.end());
+    put_u32(block, write_version());
+    put_u32(block, 0);  // reserved
+    put_u64(block, id);
+    put_u64(block, covered);
+    std::uint32_t crc = crc32c_init();
+    std::uint64_t bytes = 0;
+    const auto flush = [&] {
+        crc = crc32c_update(crc, block);
+        out->append(block);
+        bytes += block.size();
+        block.clear();
+    };
+    std::uint64_t count = 0;
+    const auto outcome = for_each_record(
+        file, kSegmentHeaderSize,
+        [&](std::uint64_t offset, RecordType type, std::string_view key,
+            ConstBytes value) {
+            block.push_back(static_cast<std::uint8_t>(type));
+            put_u32(block, static_cast<std::uint32_t>(key.size()));
+            put_u32(block, static_cast<std::uint32_t>(value.size()));
+            put_u64(block, offset);
+            block.insert(block.end(), key.begin(), key.end());
+            ++count;
+            if (block.size() >= kBlockBytes) {
+                flush();
+            }
+        });
+    if (!outcome.clean || outcome.end_offset != covered) {
+        out.reset();
+        std::filesystem::remove(tmp_path);
+        throw ConsistencyError("corrupt record while writing the hint of " +
+                               file.path().string() + " at offset " +
+                               std::to_string(outcome.end_offset));
     }
+    put_u64(block, count);
+    flush();
+    put_u32(block, crc32c_final(crc));
+    out->append(block);
+    bytes += block.size();
+    out->sync();
+    out.reset();
     std::filesystem::rename(tmp_path, final_path);
     hints_written_.add();
     hint_bytes_.add(bytes);

@@ -318,29 +318,10 @@ class LogEngine {
         int fd_ = -1;
     };
 
-    /// Hint entries of one segment in record order, encoded as they are
-    /// written (format.hpp). Fixed-capacity blocks: adding an entry never
-    /// moves the ones before it, so an append pays O(key), not a copy.
-    struct HintLog {
-        std::vector<Buffer> blocks;
-        std::uint64_t count = 0;
-
-        void add(RecordType type, std::string_view key, std::uint32_t vlen,
-                 std::uint64_t offset);
-    };
-
-    /// A hint to write: \p entries describe the first \p covered bytes
-    /// of segment \p segment.
-    struct PendingHint {
-        std::uint64_t segment = 0;
-        std::uint64_t covered = 0;
-        HintLog entries;
-    };
-
     /// Rebuild the index from hints and the bytes they do not cover.
-    /// Returns the hints of sealed segments it had to scan, for the
-    /// background worker to write.
-    std::vector<PendingHint> recover();
+    /// Returns the sealed segments it had to scan, whose hints the
+    /// background worker then writes.
+    std::vector<std::uint64_t> recover();
 
     /// Walk records of one segment from \p from, invoking \p fn for each
     /// fully-committed one; stops at the first torn/corrupt record.
@@ -374,11 +355,14 @@ class LogEngine {
     // Background work.
     [[nodiscard]] std::optional<std::uint64_t> pick_victim_locked() const;
     void maybe_schedule_compaction_locked();
-    /// Queue \p hint for the background worker. Once background chores
-    /// have failed it is dropped, and the next open scans that segment.
-    void schedule_hint_write_locked(PendingHint hint);
-    /// tmp + fsync + rename; callers hold compact_mu_ or run at close.
-    void write_hint(const PendingHint& hint);
+    /// Queue the hint of sealed segment \p id for the background worker.
+    /// Once background chores have failed it is dropped, and the next
+    /// open scans that segment.
+    void schedule_hint_write_locked(std::uint64_t id);
+    /// Walk segment \p id's records (no engine lock: callers pass a
+    /// segment no one appends to) and write its hint: tmp + fsync +
+    /// rename. Callers hold compact_mu_ or run at close.
+    void write_hint(std::uint64_t id, SegmentFile& file);
     bool compact_one();  ///< returns false when no victim remains
 
     /// Record a failed background chore and fail-stop further ones (the
@@ -419,10 +403,8 @@ class LogEngine {
     std::uint64_t live_value_bytes_ = 0;
     std::uint64_t compressed_live_records_ = 0;  // gauges; guarded by mu_
     std::uint64_t compressed_live_bytes_ = 0;
-    /// Entries of the active segment's records so far, handed to the
-    /// background worker when it seals; and how far its hint on disk
-    /// (written at a previous close) reaches.
-    HintLog active_hint_;
+    /// How far the active segment's hint on disk (written at a previous
+    /// close) reaches: close rewrites it only if the segment grew since.
     std::uint64_t active_hint_covered_ = kSegmentHeaderSize;
     bool compaction_pending_ = false;
     bool background_failed_ = false;  // fail-stop latch for chores

@@ -1052,7 +1052,8 @@ TEST(LogEngineHints, TornHintFallsBackToScan) {
         EXPECT_EQ(eng.stats().scanned_records, 10u);
         EXPECT_EQ(eng.count(), 10u);
     }  // the close writes a whole hint again
-    flip_byte(hint_files(dir.path()).at(0), 40 + 3);  // inside an entry
+    flip_byte(hint_files(dir.path()).at(0),
+              kHintHeaderSize + 3);  // inside an entry
     LogEngine eng(cfg);
     EXPECT_EQ(eng.stats().hinted_records, 0u);
     EXPECT_EQ(eng.count(), 10u);
@@ -1090,6 +1091,48 @@ TEST(LogEngineHints, HintOfCompactedAwaySegmentIsDropped) {
     for (int i = 0; i < 100; ++i) {
         EXPECT_EQ(eng.contains("key-" + std::to_string(i)), i >= 70);
     }
+}
+
+/// Each sealed segment has its own hint, and the open applies them one
+/// segment at a time: a torn hint in the middle costs only its own
+/// segment a scan, and the worker writes that hint again.
+TEST(LogEngineHints, ManyHintedSegmentsFallBackOneByOne) {
+    TempDir dir;
+    EngineConfig cfg = manual_config(dir.path());
+    cfg.segment_target_bytes = 512;
+    constexpr std::uint64_t kKeys = 200;
+    {
+        LogEngine eng(cfg);
+        for (std::uint64_t i = 0; i < kKeys; ++i) {
+            eng.put("key-" + std::to_string(i), Buffer(40, 0x33));
+        }
+        EXPECT_GE(eng.stats().segment_count, 5u);
+    }
+    const auto hints = hint_files(dir.path());
+    ASSERT_GE(hints.size(), 5u);
+    {
+        LogEngine eng(cfg);
+        EXPECT_EQ(eng.stats().hinted_records, kKeys);
+        EXPECT_EQ(eng.stats().scanned_records, 0u);
+    }
+    const fs::path middle = hints[hints.size() / 2];
+    const Buffer raw = read_file(middle);
+    const std::uint64_t in_middle =
+        get_u64(raw, raw.size() - kHintTrailerSize);
+    EXPECT_GT(in_middle, 0u);
+    flip_byte(middle, kHintHeaderSize + 3);
+    {
+        LogEngine eng(cfg);
+        EXPECT_EQ(eng.stats().scanned_records, in_middle);
+        EXPECT_EQ(eng.stats().hinted_records, kKeys - in_middle);
+        EXPECT_EQ(eng.count(), kKeys);
+        eng.wait_idle();
+        EXPECT_EQ(eng.stats().hints_written, 1u);
+    }  // the active segment's hint already covers it: close writes none
+    EXPECT_EQ(hint_files(dir.path()), hints);
+    LogEngine eng(cfg);
+    EXPECT_EQ(eng.stats().hinted_records, kKeys);
+    EXPECT_EQ(eng.stats().scanned_records, 0u);
 }
 
 /// A root written before hints existed holds an index checkpoint
