@@ -123,8 +123,6 @@ BlobSeerClient::BlobSeerClient(ClientEnv env)
                      stats_.cas_bytes_skipped);
     metrics_.counter("client_cas_bytes_sent_total", labels,
                      stats_.cas_bytes_sent);
-    metrics_.counter("client_cas_stream_pushes_total", labels,
-                     stats_.cas_stream_pushes);
     metrics_.gauge("client_inflight_chunk_rpcs", labels,
                    stats_.inflight_chunk_rpcs);
     metrics_.histogram("client_write_latency_us", labels,
@@ -235,277 +233,111 @@ Version BlobSeerClient::append(BlobId blob, ConstBytes data) {
 }
 
 std::vector<BlobSeerClient::UploadedChunk> BlobSeerClient::upload_all(
-    BlobId blob, const std::vector<ConstBytes>& parts,
-    const provider::PlacementPlan& plan) {
-    const bool pipelined = env_.pipelined_replication;
+    const version::BlobInfo& info, const std::vector<ConstBytes>& parts) {
+    const bool cas = cas_enabled();
     const std::size_t window_cap =
         std::max<std::size_t>(1, env_.max_inflight_chunks);
 
-    // Per-chunk upload state machine, driven entirely by this thread:
-    // puts are *issued* asynchronously (up to window_cap in flight at
-    // once over the multiplexed transport) and *collected* oldest-first,
-    // so failover — mark the provider dead, ask for a replacement
-    // target, re-issue — runs on the collecting thread while the rest
-    // of the window keeps streaming.
+    // Every (chunk, target) pair is an independent step: for a content
+    // key a check (a hit records this write's reference provider-side
+    // and ships nothing), then, on a miss or at once for a uid key, one
+    // put. Steps are *issued* asynchronously (up to window_cap RPCs in
+    // flight over the multiplexed transport) and *collected*
+    // oldest-first, so failover runs on this thread while the rest of
+    // the window keeps streaming. Uid keys take a row of the provider
+    // manager's plan and may ask it for a replacement target; content
+    // keys must land on their data-ring owners (identical content,
+    // identical providers, or checks never hit), so a failed owner is
+    // dropped and that chunk's replication degrades.
     struct State {
         ConstBytes payload;
-        chunk::ChunkKey key{};
-        std::vector<NodeId> targets;
-        std::size_t next_target = 0;
-        std::size_t in_flight = 0;
-        std::size_t replacement_budget = 3;
-        bool runnable_queued = false;
+        std::vector<NodeId> targets;  // every target tried or queued
+        std::size_t replacement_budget = 0;
         UploadedChunk result;
     };
     std::vector<State> states(parts.size());
+    std::deque<std::pair<std::size_t, NodeId>> steps;  // not yet issued
+    provider::PlacementPlan plan;
+    if (!cas) {
+        plan = svc_.place(parts.size(), info.replication, info.chunk_size);
+        if (plan.size() != parts.size()) {
+            throw RpcError("place answered " + std::to_string(plan.size()) +
+                           " rows for " + std::to_string(parts.size()) +
+                           " chunks");
+        }
+    }
     for (std::size_t i = 0; i < parts.size(); ++i) {
         State& st = states[i];
         st.payload = parts[i];
-        st.targets = plan[i];
-        st.key = chunk::ChunkKey{blob, next_uid()};
-        st.result.key = st.key;
         st.result.bytes = static_cast<std::uint32_t>(parts[i].size());
-    }
-
-    struct PendingPut {
-        Future<void> fut;
-        std::size_t chunk = 0;
-        NodeId target = kInvalidNode;
-    };
-    std::deque<PendingPut> window;
-    std::deque<std::size_t> runnable;
-
-    auto can_issue = [&](const State& st) {
-        if (st.next_target >= st.targets.size()) {
-            return false;
+        if (cas) {
+            const auto [hi, lo] = cas::digest128(cas::sha256(parts[i]));
+            st.result.key = chunk::ChunkKey::content(hi, lo);
+            st.targets =
+                data_ring_.owners(st.result.key.hash(), info.replication);
+            stats_.cas_chunks.add();
+        } else {
+            st.result.key = chunk::ChunkKey{info.id, next_uid()};
+            st.targets = std::move(plan[i]);
+            st.replacement_budget = 3;
         }
-        // Pipelined replication chains copies provider-to-provider, so
-        // a chunk's next copy needs the previous one acknowledged; a
-        // fan-out put has no such dependency.
-        return !pipelined || st.in_flight == 0;
-    };
-
-    auto enqueue = [&](std::size_t idx) {
-        if (!states[idx].runnable_queued && can_issue(states[idx])) {
-            states[idx].runnable_queued = true;
-            runnable.push_back(idx);
+        for (const NodeId target : st.targets) {
+            steps.emplace_back(i, target);
         }
-    };
-    for (std::size_t i = 0; i < states.size(); ++i) {
-        enqueue(i);
-    }
-
-    auto handle_failure = [&](State& st, NodeId target,
-                              const std::string& what) {
-        stats_.chunk_retries.add();
-        log_debug("client", "chunk put failed: " + what);
-        // Tell the provider manager so it can corroborate the death and
-        // start repair, then ask it for a replacement target (bounded).
-        report_provider_failure(target);
-        if (st.replacement_budget > 0) {
-            --st.replacement_budget;
-            try {
-                auto fresh_plan = svc_.place(1, 1, st.payload.size());
-                const NodeId fresh = fresh_plan.at(0).at(0);
-                if (std::find(st.targets.begin(), st.targets.end(),
-                              fresh) == st.targets.end() &&
-                    std::find(st.result.replicas.begin(),
-                              st.result.replicas.end(),
-                              fresh) == st.result.replicas.end()) {
-                    st.targets.push_back(fresh);
-                }
-            } catch (const Error&) {
-                // No replacement available; degrade replication.
-            }
-        }
-    };
-
-    auto issue_one = [&](std::size_t idx) {
-        State& st = states[idx];
-        const NodeId target = st.targets[st.next_target++];
-        // Pipelined replication: the first copy leaves the client; each
-        // further copy is forwarded provider-to-provider (the previous
-        // chain member's NIC pays, not the client's — GFS-style).
-        const NodeId via = pipelined && !st.result.replicas.empty()
-                               ? st.result.replicas.back()
-                               : kInvalidNode;
-        Future<void> fut;
-        try {
-            fut = svc_.put_chunk_async(target, st.key, st.payload, via);
-        } catch (const RpcError& e) {
-            // call_async can fail synchronously (connection refused,
-            // resolve failure): same failover as an async failure.
-            handle_failure(st, target, e.what());
-            return;
-        }
-        stats_.inflight_chunk_rpcs.add();
-        window.push_back(PendingPut{std::move(fut), idx, target});
-        ++st.in_flight;
-    };
-
-    auto pump = [&] {
-        while (window.size() < window_cap && !runnable.empty()) {
-            const std::size_t idx = runnable.front();
-            if (!can_issue(states[idx])) {
-                states[idx].runnable_queued = false;
-                runnable.pop_front();
-                continue;
-            }
-            issue_one(idx);
-            if (!can_issue(states[idx])) {
-                states[idx].runnable_queued = false;
-                runnable.pop_front();
-            }
-        }
-    };
-
-    auto collect_one = [&] {
-        PendingPut put = std::move(window.front());
-        window.pop_front();
-        State& st = states[put.chunk];
-        --st.in_flight;
-        stats_.inflight_chunk_rpcs.sub();
-        try {
-            put.fut.get();
-            st.result.replicas.push_back(put.target);
-            stats_.chunk_put_rpcs.add();
-        } catch (const RpcError& e) {
-            handle_failure(st, put.target, e.what());
-        }
-        enqueue(put.chunk);
-    };
-
-    try {
-        for (;;) {
-            pump();
-            if (window.empty()) {
-                break;
-            }
-            collect_one();
-        }
-    } catch (...) {
-        // A non-RpcError escaped (decode bug, consistency violation):
-        // drain the window before unwinding — the futures reference the
-        // caller's payload spans and the in-flight gauge must balance.
-        while (!window.empty()) {
-            stats_.inflight_chunk_rpcs.sub();
-            try {
-                window.front().fut.get();
-            } catch (...) {
-                // Already propagating the first failure.
-            }
-            window.pop_front();
-        }
-        throw;
-    }
-
-    std::vector<UploadedChunk> out;
-    out.reserve(states.size());
-    for (State& st : states) {
-        if (st.result.replicas.empty()) {
-            throw RpcError("no replica stored for " + st.key.to_string());
-        }
-        out.push_back(std::move(st.result));
-    }
-    return out;
-}
-
-std::vector<BlobSeerClient::UploadedChunk> BlobSeerClient::upload_all_cas(
-    const std::vector<ConstBytes>& parts, std::uint32_t replication) {
-    const std::size_t window_cap =
-        std::max<std::size_t>(1, env_.max_inflight_chunks);
-
-    // Content-addressed variant of upload_all. Targets come from the
-    // data ring, not the provider manager: identical content must land
-    // on identical providers or check-before-push never hits. Every
-    // target is first asked whether it already holds the digest
-    // (want_incref — a hit records this write's reference server-side);
-    // only misses transfer bytes. Replication fans out directly (each
-    // target needs its own check), so no pipelined chaining here.
-    struct State {
-        ConstBytes payload;
-        chunk::ChunkKey key{};
-        std::vector<NodeId> targets;
-        std::size_t next_target = 0;
-        UploadedChunk result;
-    };
-    std::vector<State> states(parts.size());
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-        State& st = states[i];
-        st.payload = parts[i];
-        const auto [hi, lo] = cas::digest128(cas::sha256(parts[i]));
-        st.key = chunk::ChunkKey::content(hi, lo);
-        st.targets = data_ring_.owners(st.key.hash(), replication);
-        st.result.key = st.key;
-        st.result.bytes = static_cast<std::uint32_t>(parts[i].size());
-        stats_.cas_chunks.add();
     }
 
     struct Pending {
-        Future<bool> check;
-        Future<void> put;
-        bool is_check = true;
+        Future<bool> check;  // set when is_check
+        Future<void> put;    // set otherwise
+        bool is_check = false;
         std::size_t chunk = 0;
         NodeId target = kInvalidNode;
     };
     std::deque<Pending> window;
 
-    auto handle_failure = [&](NodeId target, const std::string& what) {
+    auto handle_failure = [&](std::size_t idx, NodeId target,
+                              const std::string& what) {
+        State& st = states[idx];
         stats_.chunk_retries.add();
-        log_debug("client", "cas chunk transfer failed: " + what);
+        log_debug("client", "chunk upload failed: " + what);
+        // Tell the provider manager so it can corroborate the death and
+        // start repair, then ask it for a replacement target (bounded).
         report_provider_failure(target);
-    };
-
-    // Issue the next target's check for one chunk, if any remain.
-    auto issue_check = [&](std::size_t idx) {
-        State& st = states[idx];
-        while (st.next_target < st.targets.size()) {
-            const NodeId target = st.targets[st.next_target++];
-            Pending p;
-            p.chunk = idx;
-            p.target = target;
-            try {
-                p.check = svc_.check_chunk_async(target, st.key, true,
-                                                 st.payload.size());
-            } catch (const RpcError& e) {
-                handle_failure(target, e.what());
-                continue;
-            }
-            stats_.inflight_chunk_rpcs.add();
-            window.push_back(std::move(p));
+        if (st.replacement_budget == 0) {
             return;
+        }
+        --st.replacement_budget;
+        try {
+            const NodeId fresh =
+                svc_.place(1, 1, st.payload.size()).at(0).at(0);
+            if (std::find(st.targets.begin(), st.targets.end(), fresh) ==
+                st.targets.end()) {
+                st.targets.push_back(fresh);
+                steps.emplace_back(idx, fresh);
+            }
+        } catch (const Error&) {
+            // No replacement available; degrade replication.
         }
     };
 
-    // The check came back a miss: ship the bytes. Large parts stream
-    // (synchronously — one bounded session at a time from this client),
-    // small ones ride a single async put through the window.
-    auto transfer = [&](std::size_t idx, NodeId target) {
-        State& st = states[idx];
-        if (st.payload.size() > rpc::kStreamThresholdBytes) {
-            try {
-                svc_.push_chunk(target, st.key, st.payload);
-            } catch (const RpcError& e) {
-                handle_failure(target, e.what());
-                issue_check(idx);
-                return;
-            }
-            st.result.replicas.push_back(target);
-            stats_.chunk_put_rpcs.add();
-            stats_.cas_stream_pushes.add();
-            stats_.cas_bytes_sent.add(st.payload.size());
-            issue_check(idx);  // next replica target, if any
-            return;
-        }
+    auto issue = [&](std::size_t idx, NodeId target, bool check) {
+        const State& st = states[idx];
         Pending p;
-        p.is_check = false;
+        p.is_check = check;
         p.chunk = idx;
         p.target = target;
         try {
-            p.put = svc_.put_chunk_async(target, st.key, st.payload);
+            if (check) {
+                p.check = svc_.check_chunk_async(target, st.result.key, true,
+                                                 st.payload.size());
+            } else {
+                p.put = svc_.put_chunk_async(target, st.result.key,
+                                             st.payload);
+            }
         } catch (const RpcError& e) {
-            handle_failure(target, e.what());
-            issue_check(idx);
+            // call_async can fail synchronously (connection refused,
+            // resolve failure): same failover as an async failure.
+            handle_failure(idx, target, e.what());
             return;
         }
         stats_.inflight_chunk_rpcs.add();
@@ -515,46 +347,42 @@ std::vector<BlobSeerClient::UploadedChunk> BlobSeerClient::upload_all_cas(
     auto collect_one = [&] {
         Pending p = std::move(window.front());
         window.pop_front();
-        State& st = states[p.chunk];
         stats_.inflight_chunk_rpcs.sub();
-        if (p.is_check) {
-            bool present = false;
-            try {
-                present = p.check.get();
-            } catch (const RpcError& e) {
-                handle_failure(p.target, e.what());
-                issue_check(p.chunk);
-                return;
-            }
-            if (present) {
-                // Reference already recorded provider-side (want_incref).
-                st.result.replicas.push_back(p.target);
-                stats_.cas_dedup_hits.add();
-                stats_.cas_bytes_skipped.add(st.payload.size());
-                issue_check(p.chunk);  // next replica target, if any
+        State& st = states[p.chunk];
+        bool stored = false;
+        try {
+            if (p.is_check) {
+                stored = p.check.get();
             } else {
-                transfer(p.chunk, p.target);
+                p.put.get();
+                stored = true;
             }
+        } catch (const RpcError& e) {
+            handle_failure(p.chunk, p.target, e.what());
             return;
         }
-        try {
-            p.put.get();
-            st.result.replicas.push_back(p.target);
-            stats_.chunk_put_rpcs.add();
+        if (!stored) {
+            issue(p.chunk, p.target, false);  // check miss: ship the bytes
+            return;
+        }
+        st.result.replicas.push_back(p.target);
+        if (p.is_check) {
+            stats_.cas_dedup_hits.add();
+            stats_.cas_bytes_skipped.add(st.payload.size());
+            return;
+        }
+        stats_.chunk_put_rpcs.add();
+        if (cas) {
             stats_.cas_bytes_sent.add(st.payload.size());
-            issue_check(p.chunk);  // next replica target, if any
-        } catch (const RpcError& e) {
-            handle_failure(p.target, e.what());
-            issue_check(p.chunk);
         }
     };
 
-    std::size_t next_start = 0;  // first chunk not yet started
     try {
         for (;;) {
-            while (window.size() < window_cap &&
-                   next_start < states.size()) {
-                issue_check(next_start++);
+            while (window.size() < window_cap && !steps.empty()) {
+                const auto [idx, target] = steps.front();
+                steps.pop_front();
+                issue(idx, target, cas);
             }
             if (window.empty()) {
                 break;
@@ -562,12 +390,11 @@ std::vector<BlobSeerClient::UploadedChunk> BlobSeerClient::upload_all_cas(
             collect_one();
         }
     } catch (...) {
-        // A non-RpcError escaped: drain the window before unwinding —
-        // the futures reference the caller's payload spans and the
-        // in-flight gauge must balance.
-        while (!window.empty()) {
+        // A non-RpcError escaped (decode bug, consistency violation):
+        // drain the window before unwinding — the futures reference the
+        // caller's payload spans and the in-flight gauge must balance.
+        for (Pending& p : window) {
             stats_.inflight_chunk_rpcs.sub();
-            Pending& p = window.front();
             try {
                 if (p.is_check) {
                     (void)p.check.get();
@@ -577,7 +404,6 @@ std::vector<BlobSeerClient::UploadedChunk> BlobSeerClient::upload_all_cas(
             } catch (...) {
                 // Already propagating the first failure.
             }
-            window.pop_front();
         }
         throw;
     }
@@ -586,7 +412,8 @@ std::vector<BlobSeerClient::UploadedChunk> BlobSeerClient::upload_all_cas(
     out.reserve(states.size());
     for (State& st : states) {
         if (st.result.replicas.empty()) {
-            throw RpcError("no replica stored for " + st.key.to_string());
+            throw RpcError("no replica stored for " +
+                           st.result.key.to_string());
         }
         out.push_back(std::move(st.result));
     }
@@ -624,19 +451,10 @@ Version BlobSeerClient::write_impl(BlobId blob,
         }
     };
 
-    auto upload_parts = [&](const std::vector<ConstBytes>& parts)
-        -> std::vector<UploadedChunk> {
-        if (cas_enabled()) {
-            return upload_all_cas(parts, info.replication);
-        }
-        const auto plan = svc_.place(parts.size(), info.replication, c);
-        return upload_all(blob, parts, plan);
-    };
-
     version::AssignResult ar;
     if (offset_opt) {
         split_into(data, payloads);
-        uploaded = upload_parts(payloads);
+        uploaded = upload_all(info, payloads);
         try {
             ar = svc_.assign(blob, offset_opt, data.size());
         } catch (const Error&) {
@@ -682,7 +500,7 @@ Version BlobSeerClient::write_impl(BlobId blob,
         } else {
             split_into(data, payloads);
         }
-        uploaded = upload_parts(payloads);
+        uploaded = upload_all(info, payloads);
     }
 
     // Assemble leaves in slot order and build the metadata tree.

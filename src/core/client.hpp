@@ -96,7 +96,6 @@ struct ClientEnv {
     dht::Ring meta_ring;
     std::uint32_t meta_replication = 1;
     std::uint32_t default_replication = 1;
-    bool pipelined_replication = false;
     std::size_t meta_cache_nodes = 4096;
     /// Threads driving whole client-level async operations
     /// (write_async/read_async) — NOT per-chunk transfer parallelism,
@@ -138,7 +137,6 @@ struct ClientStats {
     Counter cas_dedup_hits;     ///< check-before-push hits (no transfer)
     Counter cas_bytes_skipped;  ///< payload bytes dedup kept off the wire
     Counter cas_bytes_sent;     ///< payload bytes actually transferred
-    Counter cas_stream_pushes;  ///< uploads that used the streaming path
     /// Chunk RPCs currently in flight across all of this client's
     /// operations; high_water() reports the deepest window ever reached.
     Gauge inflight_chunk_rpcs;
@@ -319,20 +317,15 @@ class BlobSeerClient {
     Version write_impl(BlobId blob, std::optional<std::uint64_t> offset,
                        ConstBytes data);
 
-    /// Upload every chunk payload to its planned replicas through the
-    /// bounded in-flight window, with failover re-placement on provider
-    /// death. Returns the achieved replica sets in \p parts order.
+    /// Upload every chunk payload to its replicas through the bounded
+    /// in-flight window: one kChunkPut per (chunk, target), preceded by
+    /// a kChunkCheck for content keys (a hit records the reference
+    /// server-side and skips the transfer). Uid keys are placed by the
+    /// provider manager and re-placed on provider death; content keys
+    /// go to their data-ring owners. Returns the achieved replica sets
+    /// in \p parts order.
     std::vector<UploadedChunk> upload_all(
-        BlobId blob, const std::vector<ConstBytes>& parts,
-        const provider::PlacementPlan& plan);
-
-    /// Content-addressed upload (protocol v5): hash each part, place its
-    /// replicas by consistent-hashing the digest over the data ring, and
-    /// for each target check-before-push — a hit records the reference
-    /// server-side and skips the transfer, a miss pushes the bytes
-    /// (streaming for large parts). Returns replica sets in parts order.
-    std::vector<UploadedChunk> upload_all_cas(
-        const std::vector<ConstBytes>& parts, std::uint32_t replication);
+        const version::BlobInfo& info, const std::vector<ConstBytes>& parts);
 
     /// True when this client writes content-addressed chunks.
     [[nodiscard]] bool cas_enabled() const noexcept {

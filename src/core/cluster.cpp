@@ -324,7 +324,6 @@ std::unique_ptr<BlobSeerClient> Cluster::make_client(
     env.meta_ring = ring_;
     env.meta_replication = config_.meta_replication;
     env.default_replication = config_.default_replication;
-    env.pipelined_replication = config_.pipelined_replication;
     env.meta_cache_nodes = config_.client_meta_cache_nodes;
     env.io_threads = config_.client_io_threads;
     env.max_inflight_chunks = config_.client_max_inflight_chunks;

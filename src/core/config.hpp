@@ -84,13 +84,6 @@ struct ClusterConfig {
     /// existing deployments keep producing byte-identical v1 files.
     bool compress_cold_segments = false;
 
-    /// Replica transfer topology. Direct: the client sends every copy
-    /// itself (simple, costs r x client uplink). Pipelined: the client
-    /// sends one copy and providers forward along the chain
-    /// (GFS/HDFS-style), trading client bandwidth for chain latency —
-    /// ablation A2 measures the difference.
-    bool pipelined_replication = false;
-
     /// Client-side metadata cache capacity in nodes; 0 disables (the
     /// ablation of §IV-A / experiment E2).
     std::size_t client_meta_cache_nodes = 4096;

@@ -30,9 +30,6 @@ ClientEnv connect_tcp(const std::string& host, std::uint16_t port,
     }
     env.meta_replication = topo.meta_replication;
     env.default_replication = topo.default_replication;
-    // Pipelined replication needs the cost model of the simulator; over
-    // a real wire every copy leaves this client.
-    env.pipelined_replication = false;
     env.meta_cache_nodes = options.meta_cache_nodes;
     env.io_threads = options.io_threads;
     env.max_inflight_chunks = options.max_inflight_chunks;

@@ -14,7 +14,6 @@
 
 #include <cstring>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -74,10 +73,20 @@ class DataProvider {
     /// Content keys are reference-counted: a put that lands on an
     /// already-present chunk records the new reference instead of
     /// storing a second copy (two clients racing the same content both
-    /// hold a real reference).
+    /// hold a real reference). A content key's SHA-256 is recomputed
+    /// first: bytes that do not hash to their key throw
+    /// ConsistencyError before anything is stored or referenced.
     void put_chunk(const chunk::ChunkKey& key, chunk::ChunkData data) {
         const std::uint64_t n = data->size();
         if (key.is_content()) {
+            const auto [hi, lo] = cas::digest128(cas::sha256(*data));
+            if (hi != key.blob || lo != key.uid) {
+                stats_.ops.add();
+                stats_.errors.add();
+                throw ConsistencyError("content does not match key " +
+                                       key.to_string() + " on provider " +
+                                       std::to_string(node_));
+            }
             store_dedup(key, std::move(data));
         } else {
             const bool fresh = !store_->contains(key);
@@ -174,97 +183,6 @@ class DataProvider {
         return true;
     }
 
-    /// Open a streaming push of \p total bytes; returns the transfer id
-    /// the kChunkPushSome/End frames name. The chunk only becomes
-    /// visible at end_push, after size (and, for content keys, digest)
-    /// verification.
-    [[nodiscard]] std::uint64_t begin_push(const chunk::ChunkKey& key,
-                                           std::uint64_t total) {
-        stats_.ops.add();
-        const std::scoped_lock lock(push_mu_);
-        if (pushes_.size() >= kMaxPushSessions) {
-            stats_.errors.add();
-            throw Error("provider " + std::to_string(node_) +
-                        ": too many concurrent push sessions");
-        }
-        const std::uint64_t xfer = next_xfer_++;
-        PushState& st = pushes_[xfer];
-        st.key = key;
-        st.expected = total;
-        st.buf = std::make_shared<Buffer>();
-        st.buf->reserve(total);
-        return xfer;
-    }
-
-    /// Append one slice. Slices must arrive in order (the client drives
-    /// one transfer per connection stream); \p offset guards against a
-    /// lost or replayed frame.
-    void push_some(std::uint64_t xfer, std::uint64_t offset,
-                   ConstBytes bytes) {
-        const std::scoped_lock lock(push_mu_);
-        const auto it = pushes_.find(xfer);
-        if (it == pushes_.end()) {
-            stats_.errors.add();
-            throw NotFoundError("push transfer " + std::to_string(xfer) +
-                                " on provider " + std::to_string(node_));
-        }
-        PushState& st = it->second;
-        if (offset != st.buf->size() ||
-            offset + bytes.size() > st.expected) {
-            pushes_.erase(it);
-            stats_.errors.add();
-            throw ConsistencyError("push transfer " + std::to_string(xfer) +
-                                   ": slice at " + std::to_string(offset) +
-                                   " does not continue the stream");
-        }
-        st.buf->insert(st.buf->end(), bytes.begin(), bytes.end());
-        stats_.bytes_in.add(bytes.size());
-        write_meter_.record(bytes.size());
-    }
-
-    /// Complete a push: verify the byte count and, for content keys,
-    /// recompute the SHA-256 end-to-end so a corrupted or mis-keyed
-    /// stream can never be stored under a digest it doesn't have.
-    void end_push(std::uint64_t xfer) {
-        PushState st;
-        {
-            const std::scoped_lock lock(push_mu_);
-            const auto it = pushes_.find(xfer);
-            if (it == pushes_.end()) {
-                stats_.errors.add();
-                throw NotFoundError("push transfer " + std::to_string(xfer) +
-                                    " on provider " + std::to_string(node_));
-            }
-            st = std::move(it->second);
-            pushes_.erase(it);
-        }
-        if (st.buf->size() != st.expected) {
-            stats_.errors.add();
-            throw ConsistencyError(
-                "push transfer " + std::to_string(xfer) + ": got " +
-                std::to_string(st.buf->size()) + " of " +
-                std::to_string(st.expected) + " bytes at end");
-        }
-        if (st.key.is_content()) {
-            const auto [hi, lo] = cas::digest128(cas::sha256(*st.buf));
-            if (hi != st.key.blob || lo != st.key.uid) {
-                stats_.errors.add();
-                throw ConsistencyError("push transfer " +
-                                       std::to_string(xfer) +
-                                       ": content does not match key " +
-                                       st.key.to_string());
-            }
-            store_dedup(st.key, std::move(st.buf));
-        } else {
-            const bool fresh = !store_->contains(st.key);
-            const std::uint64_t n = st.buf->size();
-            store_->put(st.key, std::move(st.buf));
-            if (fresh) {
-                note_stored(st.key, n);
-            }
-        }
-    }
-
     /// Release one reference; the chunk is reclaimed at zero. Returns
     /// the remaining count.
     std::uint64_t decref_chunk(const chunk::ChunkKey& key) {
@@ -357,14 +275,6 @@ class DataProvider {
     [[nodiscard]] std::uint64_t stored_bytes() { return store_->bytes(); }
 
   private:
-    static constexpr std::size_t kMaxPushSessions = 256;
-
-    struct PushState {
-        chunk::ChunkKey key;
-        std::uint64_t expected = 0;
-        std::shared_ptr<Buffer> buf;
-    };
-
     /// Store a content-addressed chunk, or record a reference if it is
     /// already here. cas_mu_ makes present-check + put/incref atomic:
     /// without it two racing pushes of the same content would both see
@@ -425,7 +335,6 @@ class DataProvider {
     Meter write_meter_;
 
     std::mutex cas_mu_;  // atomizes contains+put/incref and decref
-    std::mutex push_mu_;  // guards pushes_ and next_xfer_
     mutable std::mutex inv_mu_;  // guards inventory_ and the delta log
     std::unordered_map<chunk::ChunkKey, std::uint64_t, chunk::ChunkKeyHash>
         inventory_;
@@ -433,8 +342,6 @@ class DataProvider {
     std::vector<chunk::ChunkKey> delta_removed_;
     std::function<void(const chunk::ChunkKey&, std::uint64_t, bool)>
         observer_;
-    std::map<std::uint64_t, PushState> pushes_;
-    std::uint64_t next_xfer_ = 1;
     Counter check_hits_;
     Counter check_misses_;
     Counter bytes_skipped_;

@@ -2,12 +2,11 @@
 /// \brief Drains the provider manager's repair queue by re-replicating
 ///        chunks between data providers.
 ///
-/// The worker is a client of the data-provider protocol: it pulls a
-/// chunk from a live holder and pushes it to the destination the manager
-/// planned, reusing the v5 transfer machinery — CAS chunks are offered
-/// with check-before-push (a destination that already holds the digest
-/// costs no transfer) and large chunks travel through the streaming push
-/// RPCs; small ones ride a single put frame. All policy (which key,
+/// The worker is a client of the data-provider protocol: it reads a
+/// whole chunk from a live holder with one chunk-get-batch and stores it
+/// on the destination the manager planned with one chunk-put. CAS chunks
+/// are first offered with check-before-push (a destination that already
+/// holds the digest costs no transfer). All policy (which key,
 /// which source, which destination, when a key is converged) lives in
 /// ProviderManager::repair_plan; the worker only moves bytes.
 ///
@@ -149,8 +148,8 @@ class RepairWorker {
         }
     }
 
-    /// Move one replica: pull from the first source that answers, push
-    /// to the planned destination. Returns false when every source
+    /// Move one replica: read it from the first source that answers, put
+    /// it on the planned destination. Returns false when every source
     /// failed or the destination rejected the copy.
     bool copy_once(const chunk::ChunkKey& key,
                    const ProviderManager::RepairPlan& plan) {
@@ -172,14 +171,9 @@ class RepairWorker {
         bool pulled = false;
         for (const NodeId source : plan.sources) {
             try {
-                // Chunks above the stream threshold (the client data
-                // path's) travel in slices both ways.
-                if (plan.bytes > rpc::kStreamThresholdBytes) {
-                    payload = svc_.pull_chunk(source, key);
-                } else {
-                    payload = std::move(
-                        svc_.get_chunk(source, key, 0, 0).bytes);
-                }
+                // Whole chunk in one read: the first key of a batch is
+                // served whatever its size.
+                payload = std::move(svc_.get_chunk(source, key, 0, 0).bytes);
                 pulled = true;
                 break;
             } catch (const Error& e) {
@@ -192,11 +186,7 @@ class RepairWorker {
             return false;
         }
         try {
-            if (payload.size() > rpc::kStreamThresholdBytes) {
-                svc_.push_chunk(plan.dest, key, ConstBytes(payload));
-            } else {
-                svc_.put_chunk(plan.dest, key, ConstBytes(payload));
-            }
+            svc_.put_chunk(plan.dest, key, ConstBytes(payload));
         } catch (const Error& e) {
             log_debug("repair", std::string("push to ") +
                                     std::to_string(plan.dest) +

@@ -333,28 +333,6 @@ RpcResponse Dispatcher::handle_data_provider(const FrameView& f) {
             w.u8(dp.check_chunk(key, want_incref, size_hint) ? 1 : 0);
             return seal_response(f.type, std::move(w));
         }
-        case MsgType::kChunkPushStart: {
-            const chunk::ChunkKey key = get_chunk_key(r);
-            const std::uint64_t total = r.u64();
-            r.expect_end();
-            WireWriter w;
-            w.u64(dp.begin_push(key, total));
-            return seal_response(f.type, std::move(w));
-        }
-        case MsgType::kChunkPushSome: {
-            const std::uint64_t xfer = r.u64();
-            const std::uint64_t offset = r.u64();
-            const ConstBytes bytes = r.blob();
-            r.expect_end();
-            dp.push_some(xfer, offset, bytes);
-            return seal_response(f.type, WireWriter());
-        }
-        case MsgType::kChunkPushEnd: {
-            const std::uint64_t xfer = r.u64();
-            r.expect_end();
-            dp.end_push(xfer);
-            return seal_response(f.type, WireWriter());
-        }
         case MsgType::kChunkDecref: {
             const chunk::ChunkKey key = get_chunk_key(r);
             r.expect_end();

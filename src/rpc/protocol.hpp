@@ -68,8 +68,8 @@ inline constexpr std::uint32_t kFrameMagic = 0x42535250;  // "PRSB" LE
 /// SHA-256-derived content key), meta-node leaves a flags byte plus the
 /// digest's high half, Topology a content_addressed flag, and the data
 /// provider block gained kChunkCheck (check-before-push dedup),
-/// streaming kChunkPushStart/Some/End, ranged kChunkPullStart/Some
-/// (retired in v12), kChunkDecref (refcounted GC) and kDedupStatus
+/// streaming kChunkPushStart/Some/End (retired in v15), ranged
+/// kChunkPullStart/Some (retired in v12), kChunkDecref (refcounted GC) and kDedupStatus
 /// (retired in v9).
 /// v6: active membership — the provider manager block gained
 /// kProviderJoin / kProviderAnnounce / kProviderBeat (external provider
@@ -120,7 +120,12 @@ inline constexpr std::uint32_t kFrameMagic = 0x42535250;  // "PRSB" LE
 /// get-version + pin + clone across shards) is retired, and the assign
 /// reply drops the concurrent descriptors the border refs made
 /// redundant. Tag 28 is reserved and rejected.
-inline constexpr std::uint8_t kWireVersion = 14;
+/// v15: one chunk upload path — every replica of every chunk, content
+/// keys included, is one kChunkPut (the provider recomputes a content
+/// key's SHA-256 on every put), so the streamed push kChunkPushStart/
+/// Some/End is retired and chunk size is bounded by kMaxChunkBytes at
+/// blob creation. Tags 5, 6 and 7 are reserved and rejected.
+inline constexpr std::uint8_t kWireVersion = 15;
 inline constexpr std::size_t kFrameHeaderSize = 40;
 /// Byte offset of the message-type tag (u16) within the header.
 inline constexpr std::size_t kFrameTypeOffset = 6;
@@ -134,12 +139,25 @@ inline constexpr std::size_t kFrameTraceOffset = 24;
 
 /// Upper bound on a frame payload; anything larger is a corrupt or
 /// hostile frame and is rejected before its length is trusted for an
-/// allocation. The largest legitimate payload is one chunk (or one
-/// kChunkBatchReplyCap batch of chunk slices) plus its header bytes;
-/// 256 MiB leaves generous headroom over any chunk
-/// size the experiments use while bounding what a hostile header can
-/// make a receiver allocate.
+/// allocation. The largest legitimate payload is one chunk (a kChunkPut,
+/// or the one key a kChunkGetBatch reply always serves) plus its
+/// encoding bytes.
 inline constexpr std::uint32_t kMaxPayload = 256u << 20;
+
+/// Largest chunk size a blob may be created with
+/// (VersionManager::create_blob rejects more). Every chunk moves in one
+/// frame, so the bound is what keeps a write or a read of any chunk
+/// inside kMaxPayload.
+inline constexpr std::uint64_t kMaxChunkBytes = 128u << 20;
+/// A kChunkPut body is the key (kind byte, two u64 words) and the
+/// payload as a length-prefixed byte string (varint length, <= 10
+/// bytes); a one-key kChunkGetBatch reply is the varint key count, one
+/// (status u8, chunk_size u64, length varint) entry and the slice.
+static_assert(1 + 8 + 8 + 10 + kMaxChunkBytes <= kMaxPayload,
+              "a kChunkPut of the largest chunk must fit one frame");
+static_assert(1 + (1 + 8 + 10) + kMaxChunkBytes <= kMaxPayload,
+              "a one-key kChunkGetBatch reply of the largest chunk must "
+              "fit one frame");
 
 /// Payload bytes one kChunkGetBatch reply serves at most. The handler
 /// stops at the first key that would cross it (the first key is always
@@ -147,16 +165,6 @@ inline constexpr std::uint32_t kMaxPayload = 256u << 20;
 /// so one batch can neither pin unbounded store memory nor hold a
 /// worker for long.
 inline constexpr std::uint64_t kChunkBatchReplyCap = 1u << 20;
-
-/// Chunks above this size travel in slices instead of one frame: writes
-/// through the streaming push RPCs, repair pulls as a loop of ranged
-/// kChunkGetBatch reads. Chunk size is then bounded by provider memory,
-/// not by the frame limit.
-inline constexpr std::uint64_t kStreamThresholdBytes = 4u << 20;
-/// Slice size of a streamed push or pull (bounded per-frame memory).
-inline constexpr std::uint64_t kStreamSliceBytes = 1u << 20;
-static_assert(kStreamSliceBytes <= kChunkBatchReplyCap,
-              "a streamed pull slice must fit in one batch reply");
 
 /// Destination pseudo-node for control-plane requests (kTopology). Not a
 /// real cluster node: transports route it to the deployment's dispatcher
@@ -188,9 +196,6 @@ inline constexpr NodeId kControlNode = 0xfffffffeu;
 #define BLOBSEER_MESSAGES(X)                                              \
     X(1, kChunkPut, "chunk-put", kData, kPool)                            \
     X(4, kChunkCheck, "chunk-check", kData, kPool)                        \
-    X(5, kChunkPushStart, "chunk-push-start", kData, kPool)               \
-    X(6, kChunkPushSome, "chunk-push-some", kData, kPool)                 \
-    X(7, kChunkPushEnd, "chunk-push-end", kData, kPool)                   \
     X(10, kChunkDecref, "chunk-decref", kData, kPool)                     \
     X(12, kChunkGetBatch, "chunk-get-batch", kData, kPool)                \
     X(16, kBlobCreate, "blob-create", kVersionManager, kLoop)             \
@@ -227,6 +232,9 @@ struct RetiredTag {
 inline constexpr RetiredTag kRetiredTags[] = {
     {2, 11},   // chunk-get: a kChunkGetBatch of one
     {3, 12},   // chunk-erase: deleted whatever the refcount; GC decrefs
+    {5, 15},   // chunk-push-start: every chunk is one kChunkPut
+    {6, 15},   // chunk-push-some: likewise
+    {7, 15},   // chunk-push-end: kChunkPut verifies content keys itself
     {8, 12},   // chunk-pull-start: a kChunkGetBatch reply carries the size
     {9, 12},   // chunk-pull-some: a ranged one-key kChunkGetBatch
     {11, 9},   // dedup-status: served by kMetricsDump

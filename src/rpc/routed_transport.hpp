@@ -44,21 +44,9 @@ class RoutedTransport final : public Transport {
         return (route ? *route : primary_).call_async(dst, frame);
     }
 
-    [[nodiscard]] Future<Buffer> call_async_via(NodeId via, NodeId dst,
-                                                ConstBytes frame) override {
-        const auto route = pick(dst);
-        return (route ? *route : primary_).call_async_via(via, dst, frame);
-    }
-
     [[nodiscard]] Buffer roundtrip(NodeId dst, ConstBytes frame) override {
         const auto route = pick(dst);
         return (route ? *route : primary_).roundtrip(dst, frame);
-    }
-
-    [[nodiscard]] Buffer roundtrip_via(NodeId via, NodeId dst,
-                                       ConstBytes frame) override {
-        const auto route = pick(dst);
-        return (route ? *route : primary_).roundtrip_via(via, dst, frame);
     }
 
   private:

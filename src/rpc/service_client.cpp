@@ -98,14 +98,10 @@ NodeId ServiceClient::pick_create_node() {
         mix64((static_cast<std::uint64_t>(self_) << 32) ^ seq));
 }
 
-Buffer ServiceClient::invoke(MsgType type, NodeId dst, WireWriter&& body,
-                             NodeId via) {
+Buffer ServiceClient::invoke(MsgType type, NodeId dst, WireWriter&& body) {
     Buffer frame = seal_request(type, dst, std::move(body));
     const trace::TraceContext parent = trace::current();
     if (!parent.active()) {
-        if (via != kInvalidNode) {
-            return transport_.roundtrip_via(via, dst, frame);
-        }
         return transport_.roundtrip(dst, frame);
     }
 
@@ -122,9 +118,7 @@ Buffer ServiceClient::invoke(MsgType type, NodeId dst, WireWriter&& body,
                 .count());
     };
     try {
-        Buffer resp = via != kInvalidNode
-                          ? transport_.roundtrip_via(via, dst, frame)
-                          : transport_.roundtrip(dst, frame);
+        Buffer resp = transport_.roundtrip(dst, frame);
         record_client_span(child, parent.span_id, type, dst, start_unix,
                            elapsed_us(), frame.size() + resp.size(),
                            frame_status(resp));
@@ -137,13 +131,10 @@ Buffer ServiceClient::invoke(MsgType type, NodeId dst, WireWriter&& body,
 }
 
 Future<Buffer> ServiceClient::invoke_async(MsgType type, NodeId dst,
-                                           WireWriter&& body, NodeId via) {
+                                           WireWriter&& body) {
     Buffer frame = seal_request(type, dst, std::move(body));
     const trace::TraceContext parent = trace::current();
     if (!parent.active()) {
-        if (via != kInvalidNode) {
-            return transport_.call_async_via(via, dst, frame);
-        }
         return transport_.call_async(dst, frame);
     }
 
@@ -153,9 +144,7 @@ Future<Buffer> ServiceClient::invoke_async(MsgType type, NodeId dst,
     const std::uint64_t start_unix = trace::now_unix_us();
     const TimePoint started = Clock::now();
     const std::uint64_t sent = frame.size();
-    Future<Buffer> fut = via != kInvalidNode
-                             ? transport_.call_async_via(via, dst, frame)
-                             : transport_.call_async(dst, frame);
+    Future<Buffer> fut = transport_.call_async(dst, frame);
     // The adapter runs only when the future succeeds, so async client
     // spans cover successful RPCs; failures still surface as the server
     // half of the span (and in the error counters).
@@ -418,18 +407,18 @@ std::vector<trace::SpanRecord> ServiceClient::trace_dump(
 // ---- data providers --------------------------------------------------------
 
 void ServiceClient::put_chunk(NodeId dp, const chunk::ChunkKey& key,
-                              ConstBytes payload, NodeId via) {
-    put_chunk_async(dp, key, payload, via).get();
+                              ConstBytes payload) {
+    put_chunk_async(dp, key, payload).get();
 }
 
 Future<void> ServiceClient::put_chunk_async(NodeId dp,
                                             const chunk::ChunkKey& key,
-                                            ConstBytes payload, NodeId via) {
+                                            ConstBytes payload) {
     WireWriter w(payload.size() + 64);
     put_chunk_key(w, key);
     w.blob(payload);
     return map_future<void>(
-        invoke_async(MsgType::kChunkPut, dp, std::move(w), via),
+        invoke_async(MsgType::kChunkPut, dp, std::move(w)),
         [](Buffer&& resp) {
             open_reply(resp, MsgType::kChunkPut).expect_end();
         });
@@ -536,66 +525,6 @@ Future<bool> ServiceClient::check_chunk_async(NodeId dp,
             r.expect_end();
             return has;
         });
-}
-
-std::uint64_t ServiceClient::push_start(NodeId dp, const chunk::ChunkKey& key,
-                                        std::uint64_t total) {
-    WireWriter w;
-    put_chunk_key(w, key);
-    w.u64(total);
-    const Buffer resp = invoke(MsgType::kChunkPushStart, dp, std::move(w));
-    auto r = open_reply(resp, MsgType::kChunkPushStart);
-    const std::uint64_t xfer = r.u64();
-    r.expect_end();
-    return xfer;
-}
-
-void ServiceClient::push_some(NodeId dp, std::uint64_t xfer,
-                              std::uint64_t offset, ConstBytes bytes,
-                              NodeId via) {
-    WireWriter w(bytes.size() + 64);
-    w.u64(xfer);
-    w.u64(offset);
-    w.blob(bytes);
-    const Buffer resp =
-        invoke(MsgType::kChunkPushSome, dp, std::move(w), via);
-    open_reply(resp, MsgType::kChunkPushSome).expect_end();
-}
-
-void ServiceClient::push_end(NodeId dp, std::uint64_t xfer) {
-    WireWriter w;
-    w.u64(xfer);
-    const Buffer resp = invoke(MsgType::kChunkPushEnd, dp, std::move(w));
-    open_reply(resp, MsgType::kChunkPushEnd).expect_end();
-}
-
-void ServiceClient::push_chunk(NodeId dp, const chunk::ChunkKey& key,
-                               ConstBytes payload, NodeId via) {
-    const std::uint64_t xfer = push_start(dp, key, payload.size());
-    for (std::size_t off = 0; off < payload.size(); off += kStreamSliceBytes) {
-        const std::size_t n = std::min<std::size_t>(kStreamSliceBytes,
-                                                    payload.size() - off);
-        push_some(dp, xfer, off, payload.subspan(off, n), via);
-    }
-    push_end(dp, xfer);
-}
-
-Buffer ServiceClient::pull_chunk(NodeId dp, const chunk::ChunkKey& key) {
-    // The first slice's reply carries the chunk size.
-    ChunkSlice first = get_chunk(dp, key, 0, kStreamSliceBytes);
-    Buffer out = std::move(first.bytes);
-    out.reserve(first.chunk_size);
-    while (out.size() < first.chunk_size) {
-        const ChunkSlice slice =
-            get_chunk(dp, key, out.size(), kStreamSliceBytes);
-        if (slice.bytes.empty()) {
-            throw ConsistencyError("pull of " + key.to_string() +
-                                   " stalled at offset " +
-                                   std::to_string(out.size()));
-        }
-        out.insert(out.end(), slice.bytes.begin(), slice.bytes.end());
-    }
-    return out;
 }
 
 std::uint64_t ServiceClient::chunk_decref(NodeId dp,

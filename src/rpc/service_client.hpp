@@ -144,18 +144,14 @@ class ServiceClient {
 
     // ---- data providers --------------------------------------------------
 
-    /// Upload one chunk replica to \p dp. \p via != kInvalidNode charges
-    /// the transfer to that node (pipelined replication). Sync form of
-    /// put_chunk_async.
-    void put_chunk(NodeId dp, const chunk::ChunkKey& key, ConstBytes payload,
-                   NodeId via = kInvalidNode);
+    /// Upload one chunk replica to \p dp. Sync form of put_chunk_async.
+    void put_chunk(NodeId dp, const chunk::ChunkKey& key, ConstBytes payload);
 
     /// Start uploading one chunk replica; the future completes when the
     /// provider acknowledged (or failed) the store.
     [[nodiscard]] Future<void> put_chunk_async(NodeId dp,
                                                const chunk::ChunkKey& key,
-                                               ConstBytes payload,
-                                               NodeId via = kInvalidNode);
+                                               ConstBytes payload);
 
     struct ChunkSlice {
         Buffer bytes;               ///< the requested slice
@@ -214,26 +210,6 @@ class ServiceClient {
                                                  bool want_incref,
                                                  std::uint64_t size_hint);
 
-    /// Streaming upload: open a transfer of \p total bytes, append
-    /// in-order slices, then complete (the provider verifies size and,
-    /// for content keys, the SHA-256 before the chunk becomes visible).
-    [[nodiscard]] std::uint64_t push_start(NodeId dp,
-                                           const chunk::ChunkKey& key,
-                                           std::uint64_t total);
-    void push_some(NodeId dp, std::uint64_t xfer, std::uint64_t offset,
-                   ConstBytes bytes, NodeId via = kInvalidNode);
-    void push_end(NodeId dp, std::uint64_t xfer);
-
-    /// Whole streaming upload: push \p payload in kStreamSliceBytes
-    /// frames.
-    void push_chunk(NodeId dp, const chunk::ChunkKey& key, ConstBytes payload,
-                    NodeId via = kInvalidNode);
-
-    /// Whole streaming download: a loop of one-key ranged get_chunk
-    /// reads of kStreamSliceBytes each (the first reply carries the
-    /// chunk size).
-    [[nodiscard]] Buffer pull_chunk(NodeId dp, const chunk::ChunkKey& key);
-
     /// Release one reference to a chunk; returns the remaining count
     /// (0 = the provider reclaimed it).
     std::uint64_t chunk_decref(NodeId dp, const chunk::ChunkKey& key);
@@ -253,14 +229,12 @@ class ServiceClient {
   private:
     /// Round-trip one request; returns the whole response frame after
     /// checking its status (error statuses throw).
-    [[nodiscard]] Buffer invoke(MsgType type, NodeId dst, WireWriter&& body,
-                                NodeId via = kInvalidNode);
+    [[nodiscard]] Buffer invoke(MsgType type, NodeId dst, WireWriter&& body);
 
     /// Start one request; the future completes with the raw response
     /// frame (status still unchecked — the decode adapter does that).
     [[nodiscard]] Future<Buffer> invoke_async(MsgType type, NodeId dst,
-                                              WireWriter&& body,
-                                              NodeId via = kInvalidNode);
+                                              WireWriter&& body);
 
     /// Shard node for the next create_blob: consistent-hash the (client,
     /// creation#) pair over the shard ring so creations spread without

@@ -39,18 +39,13 @@ class SimTransport final : public Transport {
         : net_(net), self_(self), dispatcher_(dispatcher) {}
 
     [[nodiscard]] Buffer roundtrip(NodeId dst, ConstBytes frame) override {
-        return roundtrip_via(self_, dst, frame);
-    }
-
-    [[nodiscard]] Buffer roundtrip_via(NodeId via, NodeId dst,
-                                       ConstBytes frame) override {
         if (dst == kControlNode) {
             // Control-plane bootstrap: answered by the dispatcher itself,
             // no per-node wire cost.
             return dispatcher_.dispatch(frame);
         }
         try {
-            return net_.call_sized(via, dst, frame.size(), [&] {
+            return net_.call_sized(self_, dst, frame.size(), [&] {
                 return dispatcher_.dispatch(frame);
             });
         } catch (const InvalidArgument& e) {
@@ -62,20 +57,14 @@ class SimTransport final : public Transport {
 
     [[nodiscard]] Future<Buffer> call_async(NodeId dst,
                                             ConstBytes frame) override {
-        return call_async_via(self_, dst, frame);
-    }
-
-    [[nodiscard]] Future<Buffer> call_async_via(NodeId via, NodeId dst,
-                                                ConstBytes frame) override {
         auto promise = std::make_shared<Promise<Buffer>>();
         Future<Buffer> fut = promise->future();
         // The frame is copied: the simulated wire traversal happens
         // later, on a pool thread, after the caller's buffer is gone.
         pool().post(
-            [this, via, dst, frame = Buffer(frame.begin(), frame.end()),
+            [this, dst, frame = Buffer(frame.begin(), frame.end()),
              promise] {
-                fulfil(*promise,
-                       [&] { return roundtrip_via(via, dst, frame); });
+                fulfil(*promise, [&] { return roundtrip(dst, frame); });
             });
         return fut;
     }

@@ -44,27 +44,10 @@ class Transport {
     [[nodiscard]] virtual Future<Buffer> call_async(NodeId dst,
                                                     ConstBytes frame) = 0;
 
-    /// Same, but account the transfer to \p via instead of this
-    /// transport's own identity — pipelined replication hands the upload
-    /// cost to the previous chain member (GFS-style). Transports without
-    /// a cost model just forward.
-    [[nodiscard]] virtual Future<Buffer> call_async_via(NodeId via,
-                                                        NodeId dst,
-                                                        ConstBytes frame) {
-        (void)via;
-        return call_async(dst, frame);
-    }
-
     /// Deliver \p frame to logical node \p dst; block until the response
     /// frame arrives and return it.
     [[nodiscard]] virtual Buffer roundtrip(NodeId dst, ConstBytes frame) {
         return call_async(dst, frame).get();
-    }
-
-    /// Blocking variant of call_async_via.
-    [[nodiscard]] virtual Buffer roundtrip_via(NodeId via, NodeId dst,
-                                               ConstBytes frame) {
-        return call_async_via(via, dst, frame).get();
     }
 };
 

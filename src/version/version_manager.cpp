@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "engine/log_engine.hpp"
+#include "rpc/protocol.hpp"
 
 namespace blobseer::version {
 
@@ -61,6 +62,12 @@ VersionManager::VersionManager(std::uint32_t shard,
 
 BlobInfo VersionManager::create_blob(std::uint64_t chunk_size,
                                      std::uint32_t replication) {
+    if (chunk_size > rpc::kMaxChunkBytes) {
+        throw InvalidArgument("chunk_size " + std::to_string(chunk_size) +
+                              " exceeds the " +
+                              std::to_string(rpc::kMaxChunkBytes) +
+                              "-byte bound of one chunk frame");
+    }
     return add_blob(chunk_size, replication, meta::TreeRef{}, kOpCreate,
                     {chunk_size, replication});
 }
@@ -660,7 +667,8 @@ void VersionManager::apply_journal_op(ConstBytes value) {
     switch (value[0]) {
         case kOpCreate:
             need(2);
-            (void)create_blob(a[0], static_cast<std::uint32_t>(a[1]));
+            (void)add_blob(a[0], static_cast<std::uint32_t>(a[1]),
+                           meta::TreeRef{}, kOpCreate, {a[0], a[1]});
             break;
         case kOpClone:
             need(2);

@@ -130,7 +130,10 @@ class VersionManager {
 
     // ---- blob lifecycle --------------------------------------------------
 
-    /// Create a blob. \p chunk_size must be > 0; \p replication >= 1.
+    /// Create a blob. \p chunk_size must be in (0, rpc::kMaxChunkBytes]
+    /// (every chunk travels in one frame); \p replication >= 1.
+    /// Journal replay bypasses the size bound (add_blob), so a blob
+    /// created before the bound existed still opens.
     BlobInfo create_blob(std::uint64_t chunk_size, std::uint32_t replication);
 
     /// O(1) snapshot clone (extension feature; DESIGN.md §10.3): the new

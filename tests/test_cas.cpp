@@ -1,9 +1,10 @@
 /// \file test_cas.cpp
 /// \brief Tests of the content-addressed storage subsystem (DESIGN.md
 ///        §11): chunk-store reference counting, uid/content keyspace
-///        separation, client-level dedup (check-before-push), streaming
-///        transfer of large chunks, delete+GC reclamation and restart
-///        survival of both the chunks and their reference counts.
+///        separation, client-level dedup (check-before-push), large
+///        chunks and content verification on put, delete+GC reclamation
+///        and restart survival of both the chunks and their reference
+///        counts.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,9 @@
 #include "cas/sha256.hpp"
 #include "chunk/log_store.hpp"
 #include "chunk/ram_store.hpp"
+#include "dht/ring.hpp"
+#include "rpc/dispatcher.hpp"
+#include "rpc/messages.hpp"
 #include "testing_util.hpp"
 
 namespace blobseer {
@@ -235,28 +239,114 @@ TEST(CasCluster, ReplicatedCasWriteReadsBack) {
     EXPECT_TRUE(blobseer::testing::matches(blob.id(), 1, 0, out));
 }
 
-TEST(CasCluster, StreamingLargeChunkRoundTrip) {
-    core::Cluster cluster(cas_config());
+TEST(CasCluster, DeadRingOwnerDegradesReplication) {
+    // A content key must land on its ring owners, so a dead owner is
+    // dropped rather than replaced: the write keeps the one live
+    // replica and reports the dead owner to the provider manager.
+    auto cfg = cas_config();
+    cfg.default_replication = 2;
+    core::Cluster cluster(cfg);
     auto client = cluster.make_client();
 
-    // One 8 MiB chunk: above the 4 MiB streaming threshold, so the
-    // upload travels as push-start/some/end frames and the provider
-    // recomputes the digest end-to-end before storing.
-    const std::uint64_t chunk = 8ull << 20;
+    const std::uint64_t chunk = 4096;
     core::Blob blob = client->create(chunk);
+    const Buffer data = make_pattern(blob.id(), 4, 0, chunk);
+    const auto [hi, lo] = cas::digest128(cas::sha256(data));
+    dht::Ring ring;
+    for (const NodeId node : client->data_nodes()) {
+        ring.add_node(node);
+    }
+    const std::vector<NodeId> owners =
+        ring.owners(chunk::ChunkKey::content(hi, lo).hash(), 2);
+    ASSERT_EQ(owners.size(), 2u);
+    // Killed at the network only: the manager learns of the death from
+    // the client's report.
+    cluster.network().kill(owners[0]);
+
+    EXPECT_NO_THROW(blob.write(0, data));
+    EXPECT_EQ(sum_dedup(cluster, {"provider_chunks_stored"}), 1u);
+    EXPECT_GE(client->stats().chunk_retries.get(), 1u);
+    EXPECT_FALSE(cluster.provider_manager().is_alive(owners[0]));
+    EXPECT_TRUE(cluster.provider_manager().is_alive(owners[1]));
+
+    Buffer out(chunk);
+    EXPECT_EQ(blob.read(kLatestVersion, 0, out), chunk);
+    EXPECT_EQ(out, data);
+}
+
+TEST(CasCluster, LargeChunkRoundTrip) {
+    core::Cluster cluster(cas_config());
+    auto client = cluster.make_client();
+    Counter& puts = MetricsRegistry::instance().counter(
+        "rpc_server_requests_total", {{"op", "chunk-put"}});
+    Counter& checks = MetricsRegistry::instance().counter(
+        "rpc_server_requests_total", {{"op", "chunk-check"}});
+
+    // One 8 MiB chunk at replication 2: each replica is one check miss
+    // and one chunk-put frame, and the provider recomputes the digest
+    // before storing it.
+    const std::uint64_t chunk = 8ull << 20;
+    core::Blob blob = client->create(chunk, 2);
     const Buffer data = make_pattern(blob.id(), 3, 0, chunk);
+    const std::uint64_t puts_before = puts.get();
+    const std::uint64_t checks_before = checks.get();
     blob.write(0, data);
-    EXPECT_EQ(client->stats().cas_stream_pushes.get(), 1u);
+    EXPECT_EQ(puts.get() - puts_before, 2u);
+    EXPECT_EQ(checks.get() - checks_before, 2u);
+    EXPECT_EQ(client->stats().chunk_put_rpcs.get(), 2u);
+    EXPECT_EQ(client->stats().cas_bytes_sent.get(), 2 * chunk);
 
     Buffer out(chunk);
     EXPECT_EQ(blob.read(kLatestVersion, 0, out), chunk);
     EXPECT_TRUE(blobseer::testing::matches(blob.id(), 3, 0, out));
 
-    // Re-writing the same content streams nothing: the check hits.
-    core::Blob again = client->create(chunk);
+    // Re-writing the same content puts nothing: both checks hit.
+    core::Blob again = client->create(chunk, 2);
     again.write(0, data);
-    EXPECT_EQ(client->stats().cas_stream_pushes.get(), 1u);
-    EXPECT_EQ(client->stats().cas_dedup_hits.get(), 1u);
+    EXPECT_EQ(puts.get() - puts_before, 2u);
+    EXPECT_EQ(checks.get() - checks_before, 4u);
+    EXPECT_EQ(client->stats().cas_dedup_hits.get(), 2u);
+    EXPECT_EQ(client->stats().chunk_put_rpcs.get(), 2u);
+}
+
+TEST(CasProvider, PutOfWrongBytesIsRejected) {
+    // A chunk-put of a content key whose bytes do not hash to it must
+    // fail before the provider stores or references anything — whether
+    // the key is absent or already held.
+    provider::DataProvider dp(9, std::make_unique<chunk::RamStore>());
+    rpc::Dispatcher d;
+    d.add_data_provider(dp.node(), &dp);
+    const auto put = [&](const chunk::ChunkKey& key, ConstBytes bytes) {
+        rpc::WireWriter w;
+        rpc::put_chunk_key(w, key);
+        w.blob(bytes);
+        const Buffer resp = d.dispatch(rpc::seal_request(
+            rpc::MsgType::kChunkPut, dp.node(), std::move(w)));
+        return rpc::parse_frame(resp).status();
+    };
+    const auto stored = [&] {
+        return sum_series(MetricsRegistry::instance().snapshot(),
+                          "provider_chunks_stored",
+                          {"node", std::to_string(dp.node())});
+    };
+
+    const Buffer good = make_pattern(1, 11, 0, 512);
+    const Buffer bad = make_pattern(1, 12, 0, 512);
+    const auto [hi, lo] = cas::digest128(cas::sha256(good));
+    const auto key = chunk::ChunkKey::content(hi, lo);
+
+    EXPECT_EQ(put(key, bad), rpc::Status::kConsistency);
+    EXPECT_EQ(stored(), 0u);
+    EXPECT_FALSE(dp.has_chunk(key));
+
+    ASSERT_EQ(put(key, good), rpc::Status::kOk);
+    EXPECT_EQ(stored(), 1u);
+    EXPECT_EQ(dp.store().refcount(key), 1u);
+
+    EXPECT_EQ(put(key, bad), rpc::Status::kConsistency);
+    EXPECT_EQ(stored(), 1u);
+    EXPECT_EQ(dp.store().refcount(key), 1u);
+    EXPECT_EQ(*dp.get_chunk(key), good);
 }
 
 // ---- delete & GC -----------------------------------------------------------

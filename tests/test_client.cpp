@@ -343,19 +343,9 @@ class SyncThrowTransport final : public rpc::Transport {
         refuse(dst);
         return inner_->call_async(dst, frame);
     }
-    [[nodiscard]] Future<Buffer> call_async_via(NodeId via, NodeId dst,
-                                                ConstBytes frame) override {
-        refuse(dst);
-        return inner_->call_async_via(via, dst, frame);
-    }
     [[nodiscard]] Buffer roundtrip(NodeId dst, ConstBytes frame) override {
         refuse(dst);
         return inner_->roundtrip(dst, frame);
-    }
-    [[nodiscard]] Buffer roundtrip_via(NodeId via, NodeId dst,
-                                       ConstBytes frame) override {
-        refuse(dst);
-        return inner_->roundtrip_via(via, dst, frame);
     }
 
   private:
@@ -466,19 +456,9 @@ class BatchRecordingTransport final : public rpc::Transport {
         record(dst, frame);
         return inner_->call_async(dst, frame);
     }
-    [[nodiscard]] Future<Buffer> call_async_via(NodeId via, NodeId dst,
-                                                ConstBytes frame) override {
-        record(dst, frame);
-        return inner_->call_async_via(via, dst, frame);
-    }
     [[nodiscard]] Buffer roundtrip(NodeId dst, ConstBytes frame) override {
         record(dst, frame);
         return inner_->roundtrip(dst, frame);
-    }
-    [[nodiscard]] Buffer roundtrip_via(NodeId via, NodeId dst,
-                                       ConstBytes frame) override {
-        record(dst, frame);
-        return inner_->roundtrip_via(via, dst, frame);
     }
 
     [[nodiscard]] std::vector<Request> requests() const {

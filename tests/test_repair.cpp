@@ -280,12 +280,10 @@ TEST(Repair, DrainRestoresReplicasAfterKillWithDataLoss) {
     EXPECT_EQ(out, data);
 }
 
-TEST(Repair, StreamedPullRestoresLargeChunk) {
-    // A chunk above the stream threshold re-replicates as a loop of
-    // ranged one-key chunk-get-batch reads (1 MiB each) and a streamed
-    // push.
+TEST(Repair, LargeChunkCopiesInOneGetAndOnePut) {
+    // An 8 MiB chunk re-replicates as one whole-chunk chunk-get-batch
+    // from a survivor and one chunk-put to the destination.
     constexpr std::uint64_t kBig = 8u << 20;
-    static_assert(kBig > rpc::kStreamThresholdBytes);
     Cluster cluster(repair_config(4, 2));
     auto client = cluster.make_client();
     Blob blob = client->create(kBig, 2);
@@ -303,9 +301,13 @@ TEST(Repair, StreamedPullRestoresLargeChunk) {
 
     Counter& batch_gets = MetricsRegistry::instance().counter(
         "rpc_server_requests_total", {{"op", "chunk-get-batch"}});
-    const std::uint64_t before = batch_gets.get();
+    Counter& puts = MetricsRegistry::instance().counter(
+        "rpc_server_requests_total", {{"op", "chunk-put"}});
+    const std::uint64_t gets_before = batch_gets.get();
+    const std::uint64_t puts_before = puts.get();
     EXPECT_EQ(cluster.drain_repairs(), 1u);
-    EXPECT_GE(batch_gets.get() - before, kBig / rpc::kStreamSliceBytes);
+    EXPECT_EQ(batch_gets.get() - gets_before, 1u);
+    EXPECT_EQ(puts.get() - puts_before, 1u);
     EXPECT_EQ(live_index_replicas(cluster), 0u);
 
     // Only the new replica is left: it must read back byte-exact.

@@ -699,7 +699,9 @@ TEST(RetiredTag, StatusTagsRejected) {
     // ranged one-key chunk-get-batch, and tag 49 (meta-get) is a
     // meta-try-get whose miss the client throws. Since v14, tag 28
     // (blob-clone-from) is gone: every clone is a blob-clone on its
-    // source's shard. Each is sent with its last live body.
+    // source's shard. Since v15, tags 5-7 (chunk-push-start/-some/-end)
+    // are gone: every chunk is one chunk-put. Each is sent with its last
+    // live body.
     provider::DataProvider dp(3, std::make_unique<chunk::RamStore>());
     const chunk::ChunkKey key{1, 1};
     dp.put_chunk(key, std::make_shared<const Buffer>(Buffer(64, 7)));
@@ -736,9 +738,27 @@ TEST(RetiredTag, StatusTagsRejected) {
     old_clone.u32(1);
     put_tree_ref(old_clone, meta::TreeRef{});
     const Buffer old_clone_body = old_clone.take();
+    // The v14 streamed push of a chunk the provider does not hold:
+    // start (key, total), one slice (xfer, offset, bytes), end (xfer).
+    const chunk::ChunkKey pushed{1, 2};
+    WireWriter push_start;
+    put_chunk_key(push_start, pushed);
+    push_start.u64(64);
+    const Buffer push_start_body = push_start.take();
+    WireWriter push_some;
+    push_some.u64(1);
+    push_some.u64(0);
+    push_some.blob(Buffer(64, 9));
+    const Buffer push_some_body = push_some.take();
+    WireWriter push_end;
+    push_end.u64(1);
+    const Buffer push_end_body = push_end.take();
     for (const auto& [tag, dst, body] :
          {std::tuple{2, dp.node(), get_body},
           std::tuple{3, dp.node(), key_body},
+          std::tuple{5, dp.node(), push_start_body},
+          std::tuple{6, dp.node(), push_some_body},
+          std::tuple{7, dp.node(), push_end_body},
           std::tuple{8, dp.node(), key_body},
           std::tuple{9, dp.node(), get_body},
           std::tuple{11, dp.node(), Buffer{}},
@@ -758,6 +778,8 @@ TEST(RetiredTag, StatusTagsRejected) {
     EXPECT_TRUE(pm.is_alive(dp.node())) << "a retired mark-dead took effect";
     ASSERT_TRUE(dp.has_chunk(key)) << "a retired chunk-erase took effect";
     EXPECT_EQ(dp.get_chunk(key)->size(), 64u);
+    EXPECT_FALSE(dp.has_chunk(pushed)) << "a retired streamed push stored";
+    EXPECT_EQ(dp.store().count(), 1u);
     EXPECT_EQ(vm.blob_count(), 0u) << "a retired blob-clone-from took effect";
 }
 
@@ -766,7 +788,7 @@ TEST(RetiredTag, StatusTagsRejected) {
 TEST(FrameV7, GoldenHeaderLayout) {
     // Byte-exact pin of the 40-byte v7 header. If this test breaks, the
     // wire ABI changed: bump kWireVersion and update DESIGN.md §7.
-    static_assert(kWireVersion == 14);
+    static_assert(kWireVersion == 15);
     static_assert(kFrameHeaderSize == 40);
     static_assert(kFrameTypeOffset == 6);
     static_assert(kFrameLenOffset == 12);
@@ -787,7 +809,7 @@ TEST(FrameV7, GoldenHeaderLayout) {
     ASSERT_EQ(frame.size(), kFrameHeaderSize + 8);
     const std::uint8_t expected_header[kFrameHeaderSize] = {
         0x50, 0x52, 0x53, 0x42,  //  0: magic "PRSB" little-endian
-        0x0e,                    //  4: wire version
+        0x0f,                    //  4: wire version
         0x00,                    //  5: kind = request
         0x15, 0x00,              //  6: MsgType::kGetVersion tag (21)
         0x0d, 0x0c, 0x0b, 0x0a,  //  8: destination node id
@@ -806,24 +828,25 @@ TEST(FrameV7, GoldenHeaderLayout) {
     EXPECT_EQ(frame_type(frame), MsgType::kGetVersion);
 }
 
-TEST(FrameV14, PreviousWireVersionRejected) {
-    // A v13 peer's assign reply carries concurrent descriptors before the
-    // border list: its frames must fail the header check, never decode
-    // as a misaligned v14 body.
+TEST(FrameV15, PreviousWireVersionRejected) {
+    // A v14 peer may still send streamed pushes (tags 5-7): its frames
+    // must fail the header check before any tag is looked at.
     WireWriter body;
     body.u64(1);
     Buffer frame = seal_request(MsgType::kGetVersion, 1, std::move(body));
-    frame[4] = 13;
+    frame[4] = 14;
     EXPECT_THROW((void)parse_frame(frame), RpcError);
     frame[4] = kWireVersion;
     EXPECT_NO_THROW((void)parse_frame(frame));
 }
 
-TEST(FrameV14, RetiredTagsAddTag28) {
-    // v14 retired tag 28 (blob-clone-from); no other tag left or returned.
+TEST(FrameV15, RetiredTagsAddPushTags) {
+    // v15 retired tags 5-7 (the streamed push); no other tag left or
+    // returned.
     const std::vector<std::pair<int, int>> expected = {
-        {2, 11},  {3, 12}, {8, 12},  {9, 12},  {11, 9},  {28, 14},
-        {29, 10}, {48, 8}, {49, 12}, {65, 11}, {70, 10}};
+        {2, 11},  {3, 12},  {5, 15}, {6, 15},  {7, 15},  {8, 12}, {9, 12},
+        {11, 9},  {28, 14}, {29, 10}, {48, 8}, {49, 12}, {65, 11},
+        {70, 10}};
     std::vector<std::pair<int, int>> actual;
     for (const RetiredTag& t : kRetiredTags) {
         actual.emplace_back(t.tag, t.wire_version);
@@ -849,7 +872,7 @@ std::vector<MsgType> all_types() {
 TEST(DispatchClass, EveryTagHasExactlyOneClass) {
     const Dispatcher d;
     const std::vector<MsgType> types = all_types();
-    ASSERT_EQ(types.size(), 30u);
+    ASSERT_EQ(types.size(), 27u);
     std::set<std::string> loop;
     std::set<std::string> own_thread;
     for (const MsgType t : types) {
@@ -894,7 +917,7 @@ TEST(DispatchClass, BlockingOrUnboundedFamiliesNeverRunOnTheLoop) {
             never.push_back(t);
         }
     }
-    ASSERT_EQ(never.size(), 8u + 7u);  // seven chunk-* families
+    ASSERT_EQ(never.size(), 8u + 4u);  // four chunk-* families
     for (const MsgType t : never) {
         EXPECT_NE(d.dispatch_class(t), DispatchClass::kLoop) << to_string(t);
     }

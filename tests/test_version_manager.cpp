@@ -14,7 +14,9 @@
 #include <thread>
 
 #include "common/metrics.hpp"
+#include "engine/format.hpp"
 #include "engine/log_engine.hpp"
+#include "rpc/protocol.hpp"
 #include "version/version_manager.hpp"
 
 namespace blobseer::version {
@@ -36,6 +38,16 @@ TEST_F(VmFixture, CreateValidates) {
     EXPECT_EQ(vm_.blob_count(), 2u);
     EXPECT_EQ(vm_.blob_info(b2.id).chunk_size, 16u);
     EXPECT_THROW((void)vm_.blob_info(999), NotFoundError);
+}
+
+TEST_F(VmFixture, CreateBoundsChunkSizeByOneFrame) {
+    // Every chunk travels in one frame, so creation refuses a chunk
+    // size past rpc::kMaxChunkBytes; no chunk is allocated here.
+    EXPECT_EQ(vm_.create_blob(rpc::kMaxChunkBytes, 1).chunk_size,
+              rpc::kMaxChunkBytes);
+    EXPECT_THROW(vm_.create_blob(rpc::kMaxChunkBytes + 1, 1),
+                 InvalidArgument);
+    EXPECT_EQ(vm_.blob_count(), 2u);
 }
 
 TEST_F(VmFixture, FreshBlobIsEmptyVersionZero) {
@@ -482,6 +494,37 @@ TEST(VmBorders, JournalReplayRebuildsTheIndex) {
                                             border(b, 2, 2, 1),
                                             border(b, 4, 4, 2)}));
     EXPECT_EQ(before, a5.borders);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(VmJournal, ReplayKeepsAChunkSizePastTheBound) {
+    // A blob journaled before creation was bounded still opens: the
+    // bound guards the create RPC, not replay.
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("blobseer-vm-bound-" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    engine::EngineConfig jc;
+    jc.dir = dir;
+    jc.background_compaction = false;
+    const std::uint64_t big = rpc::kMaxChunkBytes + 1;
+    {
+        engine::LogEngine journal(jc);
+        Buffer key;
+        engine::put_u64(key, 0);  // journal sequence number
+        Buffer value{1};          // create: chunk size, replication
+        engine::put_u64(value, big);
+        engine::put_u64(value, 1);
+        journal.put(std::string_view(reinterpret_cast<const char*>(
+                                         key.data()),
+                                     key.size()),
+                    value);
+    }
+    VersionManager vm;
+    vm.attach_journal(std::make_shared<engine::LogEngine>(jc));
+    ASSERT_EQ(vm.blob_count(), 1u);
+    EXPECT_EQ(vm.blob_info(make_blob_id(0, 1)).chunk_size, big);
+    EXPECT_THROW(vm.create_blob(big, 1), InvalidArgument);
     std::filesystem::remove_all(dir);
 }
 

@@ -520,7 +520,7 @@ class Shell {
             "  gc:         %llu decrefs, %llu chunks / %llu bytes "
             "reclaimed\n"
             "  client cas: %llu chunks, %llu dedup hits, %llu bytes "
-            "skipped, %llu bytes sent, %llu stream pushes\n",
+            "skipped, %llu bytes sent\n",
             (unsigned long long)total[kChunks],
             (unsigned long long)total[kBytes],
             (unsigned long long)(total[kHits] + total[kDups]),
@@ -534,8 +534,7 @@ class Shell {
             (unsigned long long)st.cas_chunks.get(),
             (unsigned long long)st.cas_dedup_hits.get(),
             (unsigned long long)st.cas_bytes_skipped.get(),
-            (unsigned long long)st.cas_bytes_sent.get(),
-            (unsigned long long)st.cas_stream_pushes.get());
+            (unsigned long long)st.cas_bytes_sent.get());
     }
 
     void print_vm_status() {
